@@ -120,8 +120,11 @@ def median_bandwidth(a: np.ndarray, b: np.ndarray) -> float:
     """Median pairwise distance over the pooled samples; 1.0 if degenerate."""
     pooled = np.concatenate([a, b], axis=0)
     d2 = _pairwise_sq_dists(pooled, pooled)
-    upper = d2[np.triu_indices(len(pooled), k=1)]
-    med = float(np.sqrt(np.median(upper))) if upper.size else 0.0
+    # a boolean mask takes one byte per pair, where triu_indices takes 16
+    upper = d2[np.triu(np.ones(d2.shape, dtype=bool), k=1)]
+    med = 0.0
+    if upper.size:
+        med = float(np.sqrt(np.median(upper, overwrite_input=True)))
     return med if med > 0.0 else 1.0
 
 

@@ -177,7 +177,7 @@ def _verify_snapshot(bundle, snapshot):
 def _draw_stage2_batch(pool: Dataset, config: TrainConfig, step: int):
     """Half original target images, half amplitude-mixed copies of them."""
     rng = Rng(derive_seed(config.seed, "stage2", step))
-    half = max(2, config.batch_size // 2)
+    half = config.batch_size // 2
     order = rng.shuffle(np.arange(len(pool.images)))
     idx = np.asarray(order[:half])
     originals = pool.images[idx]
@@ -201,6 +201,10 @@ def adapt_generator(config: TrainConfig, bundle, target_dataset,
     if any(bn.num_updates == 0 for bn in bundle.bn_layers()):
         raise ValueError(
             "source model has no stored running statistics; train it first"
+        )
+    if config.batch_size < 4:
+        raise ValueError(
+            f"stage-2 batch_size must be at least 4, got {config.batch_size}"
         )
     pool = target_dataset.subset("train")
     if len(pool.images) < 2:

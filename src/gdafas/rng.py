@@ -76,12 +76,21 @@ class Rng:
         return int(self.next_uint64(1)[0] % _U64(upper))
 
     def shuffle(self, items: np.ndarray) -> np.ndarray:
-        """Fisher-Yates shuffle; returns a new array."""
+        """Fisher-Yates shuffle; returns a new array.
+
+        Step i (from n-1 down to 1) swaps i with draw % (i + 1). All n-1
+        draws are made in one call, so the stream is the one a randint per
+        step would consume.
+        """
         out = np.array(items)
-        for i in range(len(out) - 1, 0, -1):
-            j = self.randint(i + 1)
-            out[i], out[j] = out[j], out[i]
-        return out
+        n = len(out)
+        if n < 2:
+            return out
+        draws = self.next_uint64(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
+        perm = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), draws.tolist()):
+            perm[i], perm[j] = perm[j], perm[i]
+        return out[perm]
 
     def derangement(self, n: int) -> np.ndarray:
         """Permutation of range(n) with no fixed point (for n >= 2).

@@ -211,6 +211,14 @@ def test_missing_inputs_exit_one(cli_root, capsys, tmp_path):
     assert "not found" in err
 
 
+def test_adapt_small_batch_exits_one(cli_root, capsys, tmp_path):
+    _, err = run(capsys, "adapt", "--config", cli_root["cfg"],
+                 "--model", str(cli_root["root"] / "src_run" / "source.gdac"),
+                 "--data", str(cli_root["root"] / "data" / "target"),
+                 "--out", str(tmp_path), "--batch-size", "3", expect=1)
+    assert "batch_size" in err
+
+
 def test_malformed_config_reports_position(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\n  broken\n}")

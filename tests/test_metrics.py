@@ -148,3 +148,25 @@ def test_mmd_separates_shifted_distributions():
     near = rng.normal(size=(64, 4)) + 0.1
     far = rng.normal(size=(64, 4)) + 2.0
     assert M.mmd(x, far, kernel="rbf") > M.mmd(x, near, kernel="rbf")
+
+
+def _median_bandwidth_indices(a, b):
+    """The median over triu_indices, the form the mask replaced."""
+    pooled = np.concatenate([a, b], axis=0)
+    d2 = M._pairwise_sq_dists(pooled, pooled)
+    upper = d2[np.triu_indices(len(pooled), k=1)]
+    med = float(np.sqrt(np.median(upper))) if upper.size else 0.0
+    return med if med > 0.0 else 1.0
+
+
+def test_median_bandwidth_matches_index_form_bitwise():
+    rng = np.random.default_rng(10)
+    for m, n, d in [(1, 1, 3), (2, 1, 2), (7, 5, 4), (64, 80, 16), (33, 33, 1)]:
+        a = rng.normal(size=(m, d))
+        b = rng.normal(size=(n, d)) + 0.5
+        assert M.median_bandwidth(a, b) == _median_bandwidth_indices(a, b)
+    rounded = np.round(rng.normal(size=(20, 2)))  # many tied distances
+    assert M.median_bandwidth(rounded[:9], rounded[9:]) == \
+        _median_bandwidth_indices(rounded[:9], rounded[9:])
+    same = np.ones((4, 3))
+    assert M.median_bandwidth(same, same) == 1.0

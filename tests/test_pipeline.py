@@ -167,6 +167,21 @@ def test_adapt_aborts_on_non_finite(workspace):
                           generator=generator)
 
 
+def test_adapt_rejects_stage2_batch_below_four(workspace):
+    for batch_size in (1, 2, 3):
+        config = P.TrainConfig(batch_size=batch_size, stage2_steps=1)
+        with pytest.raises(ValueError, match="at least 4"):
+            P.adapt_generator(config, workspace["bundle"], workspace["tgt"],
+                              generator=models.build_generator(5))
+
+
+def test_stage2_batch_is_even_part_of_batch_size(workspace):
+    pool = workspace["tgt"].subset("train")
+    for batch_size, drawn in ((4, 4), (5, 4), (9, 8)):
+        config = P.TrainConfig(batch_size=batch_size, seed=6)
+        assert P._draw_stage2_batch(pool, config, step=0).shape[0] == drawn
+
+
 def test_stage2_batch_is_half_original_half_mixed(workspace):
     pool = workspace["tgt"].subset("train")
     config = P.TrainConfig(batch_size=8, seed=6)

@@ -208,6 +208,103 @@ def test_conv_matches_direct_convolution():
     assert np.abs(out - expect).max() < 1e-12
 
 
+def _einsum_conv2d(x, w, b, stride, padding, g):
+    """Reference conv: einsum over a 6-D sliding-window view.
+
+    Returns the output and the gradients of sum(out * g) with respect to x,
+    w and b (None without bias).
+    """
+    kh, kw = w.shape[2], w.shape[3]
+    xp = np.pad(x, [(0, 0), (0, 0), (padding, padding), (padding, padding)])
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]  # [B,Cin,Ho,Wo,kh,kw]
+    out = np.einsum("bcijuv,ocuv->boij", win, w, optimize=True)
+    if b is not None:
+        out = out + b[None, :, None, None]
+    gw = np.einsum("bcijuv,boij->ocuv", win, g, optimize=True)
+    gcol = np.einsum("boij,ocuv->bcijuv", g, w, optimize=True)
+    gxp = np.zeros_like(xp)
+    ho, wo = g.shape[2], g.shape[3]
+    for u in range(kh):
+        for v in range(kw):
+            gxp[:, :, u:u + ho * stride:stride, v:v + wo * stride:stride] += \
+                gcol[:, :, :, :, u, v]
+    gx = gxp if padding == 0 else gxp[:, :, padding:-padding, padding:-padding]
+    return out, gx, gw, None if b is None else g.sum(axis=(0, 2, 3))
+
+
+# (batch, Cin, H=W, Cout, kernel, stride, padding, bias)
+_CONV_CASES = [
+    (20, 3, 32, 4, 3, 1, 1, True),    # chunks of 9, 9 and 2 images
+    (20, 16, 32, 4, 3, 2, 1, True),   # chunks of 7, 7 and 6 images
+    (20, 3, 32, 4, 3, 1, 0, True),
+    (20, 3, 31, 4, 3, 2, 0, False),
+    (6, 5, 9, 3, 1, 1, 0, True),      # 1x1 kernel
+    (6, 5, 9, 3, 1, 2, 0, False),
+]
+
+
+def _conv_case(trial, case):
+    bsz, cin, hw, cout, k, stride, padding, has_bias = case
+    r = Rng(derive_seed(707, trial))
+    x = r.gaussian(bsz * cin * hw * hw).reshape(bsz, cin, hw, hw)
+    w = r.gaussian(cout * cin * k * k).reshape(cout, cin, k, k)
+    b = r.gaussian(cout) if has_bias else None
+    return x, w, b, stride, padding
+
+
+def test_conv_chunks_span_short_last_chunk():
+    bsz, cin, hw, _, k, stride, padding, _ = _CONV_CASES[0]
+    ho = (hw + 2 * padding - k) // stride + 1
+    chunk = T._COL_BLOCK_BYTES // (8 * cin * k * k * ho * ho)
+    assert -(-bsz // chunk) >= 3 and bsz % chunk != 0
+
+
+@pytest.mark.parametrize("case", _CONV_CASES)
+def test_conv_matches_einsum_reference(case):
+    x, w, b, stride, padding = _conv_case(0, case)
+    tensors = [T.Tensor(a, requires_grad=True) for a in (x, w)]
+    tb = None if b is None else T.Tensor(b, requires_grad=True)
+    out = T.conv2d(tensors[0], tensors[1], tb, stride=stride, padding=padding)
+    g = Rng(9).gaussian(out.size).reshape(out.shape)
+    T.backward(T.tsum(T.mul(out, g)))
+    ref = _einsum_conv2d(x, w, b, stride, padding, g)
+    got = (out.data, tensors[0].grad, tensors[1].grad,
+           None if tb is None else tb.grad)
+    for have, want in zip(got, ref):
+        if want is None:
+            assert have is None
+            continue
+        assert have.shape == want.shape
+        scale = max(1.0, np.abs(want).max())
+        assert np.abs(have - want).max() / scale < 1e-12
+
+
+def test_conv_gradient_reaches_inputs_past_frozen_operand():
+    x, w, b, stride, padding = _conv_case(2, _CONV_CASES[1])
+    for x_grad, w_grad in ((True, False), (False, True)):
+        tx = T.Tensor(x, requires_grad=x_grad)
+        tw = T.Tensor(w, requires_grad=w_grad)
+        out = T.conv2d(tx, tw, b, stride=stride, padding=padding)
+        g = Rng(4).gaussian(out.size).reshape(out.shape)
+        T.backward(T.tsum(T.mul(out, g)))
+        _, gx, gw, _ = _einsum_conv2d(x, w, b, stride, padding, g)
+        live, frozen, want = (tx, tw, gx) if x_grad else (tw, tx, gw)
+        assert frozen.grad is None
+        assert np.abs(live.grad - want).max() / np.abs(want).max() < 1e-12
+
+
+@pytest.mark.parametrize("case", _CONV_CASES[:2])
+def test_conv_output_does_not_depend_on_batch(case):
+    x, w, b, stride, padding = _conv_case(1, case)
+    conv = lambda imgs: T.conv2d(T.Tensor(imgs), T.Tensor(w), b,
+                                 stride=stride, padding=padding).data
+    full = conv(x)
+    for lo, hi in ((0, 1), (3, 17), (11, 20)):
+        part = conv(x[lo:hi])
+        assert np.abs(part - full[lo:hi]).max() <= 1e-12 * np.abs(full).max()
+
+
 def test_pool_and_upsample_gradients_seeded():
     for trial in range(20):
         r = Rng(derive_seed(606, trial))
