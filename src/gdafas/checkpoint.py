@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic   4 bytes  "GDAC"
-    version u16      currently 1
+    version u16      currently 2
     count   u32      number of named tensors
     entry   repeated count times:
         name_len u16, name utf-8 bytes,
@@ -12,10 +12,16 @@ Layout (all integers little-endian):
     crc32   u32      over every preceding byte
 
 The CRC is verified before any parsing, so a truncated or corrupted file
-fails with a checksum error rather than a confusing parse error. Weights are
+fails with a checksum error rather than a confusing parse error. A body with
+a valid CRC is still not trusted: every read is checked against the body's
+end, and the last entry must end exactly where the CRC begins. Weights are
 stored at 32-bit precision; loading widens back to 64-bit.
+
+Version 2 dropped the perceptual net's third conv layer, which no forward
+pass used. Version 1 files are rejected with ``VersionError``.
 """
 
+import math
 import struct
 import zlib
 
@@ -30,7 +36,7 @@ from .models import (
 )
 
 MAGIC = b"GDAC"
-VERSION = 1
+VERSION = 2
 _MAX_ELEMENTS = 1 << 28  # parse-time guard against absurd dim products
 
 
@@ -56,6 +62,10 @@ class MissingTensorError(CheckpointError):
 
 class DimOverflowError(CheckpointError):
     pass
+
+
+class MalformedError(CheckpointError):
+    """The body does not parse to exactly its declared entries."""
 
 
 def _layer_entries(layer):
@@ -154,27 +164,38 @@ def _parse(blob: bytes):
             f"checkpoint format version {version} unsupported, expected "
             f"{VERSION}"
         )
+    body = blob[:-4]
     pos = 10
     tensors = {}
+
+    def take(size):
+        nonlocal pos
+        if pos + size > len(body):
+            raise MalformedError(
+                f"entry {len(tensors)} of {count} runs past the end of the body"
+            )
+        pos += size
+        return body[pos - size:pos]
+
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", blob[pos:pos + 2])
-        pos += 2
-        name = blob[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        ndim = blob[pos]
-        pos += 1
-        dims = struct.unpack(f"<{ndim}I", blob[pos:pos + 4 * ndim])
-        pos += 4 * ndim
-        n = int(np.prod(dims)) if dims else 1
+        (name_len,) = struct.unpack("<H", take(2))
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise MalformedError(f"entry {len(tensors)} has a non-utf-8 name")
+        (ndim,) = take(1)
+        dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        n = math.prod(dims)
         if n > _MAX_ELEMENTS:
             raise DimOverflowError(
                 f"tensor {name} declares {n} elements, over the parse limit"
             )
-        raw = np.frombuffer(blob[pos:pos + 4 * n], dtype="<f4")
-        pos += 4 * n
-        if raw.size != n:
-            raise CrcMismatchError("payload ends early")  # unreachable: CRC
+        raw = np.frombuffer(take(4 * n), dtype="<f4")
         tensors[name] = raw.astype(np.float64).reshape(dims)
+    if pos != len(body):
+        raise MalformedError(
+            f"{len(body) - pos} bytes follow the last of {count} entries"
+        )
     return tensors
 
 
@@ -190,7 +211,6 @@ def load_checkpoint(path: str) -> ModelBundle:
     bundle = build_source_bundle(0)
     if any(name.startswith("G.") for name in tensors):
         bundle.G = build_generator(0)
-        bundle.trainable["G"] = True
     entries = _bundle_entries(bundle)
     expected = {name for name, _, _ in entries}
     missing = expected - set(tensors)

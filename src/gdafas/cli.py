@@ -199,13 +199,8 @@ def _cmd_eval(args, config):
         _persist_config(merged, merged["out"])
         P.write_eval_report(report, merged["out"])
     if merged.get("report"):
-        rows = [("auc", report.auc), ("hter", report.hter),
-                ("eer_threshold", report.eer_threshold),
-                ("hter_at_half", report.hter_at_half)]
-        for domain, values in sorted(report.per_domain.items()):
-            rows.append((f"auc_{domain}", values["auc"]))
-            rows.append((f"hter_{domain}", values["hter"]))
-        P.write_csv(merged["report"], ("metric", "value"), rows)
+        P.write_csv(merged["report"], ("metric", "value"),
+                    P.eval_report_rows(report))
     return {
         "command": "eval",
         "auc": report.auc,

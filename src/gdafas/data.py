@@ -14,7 +14,6 @@ byte-identical across machines and reruns.
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,13 +198,6 @@ def pgm_read(path: str) -> np.ndarray:
 # dataset generation and manifests
 
 
-def _worker_count() -> int:
-    env = os.environ.get("GDA_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 def generate_domain_dataset(spec: DomainSpec, out_dir: str,
                             unlabeled_train: bool = False) -> dict:
     """Render a class-balanced domain to disk and write its manifest.
@@ -225,13 +217,7 @@ def generate_domain_dataset(spec: DomainSpec, out_dir: str,
             label, spec, derive_seed(spec.seed, idx)
         )
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rendered = list(pool.map(make, range(total)))
-    else:
-        rendered = [make(i) for i in range(total)]
-
+    rendered = [make(i) for i in range(total)]
     records = []
     for idx, label, (image, depth) in rendered:
         split = "test" if idx % 5 == 4 else "train"

@@ -1,9 +1,9 @@
 """Finite-difference audit of every backward rule and adaptation objective.
 
 Each registered check builds seeded random inputs (nudged away from kinks
-such as relu corners or pooling ties), runs one backward pass, and compares
-every input gradient against central differences. A deliberate sign-flip
-fault can be injected to prove the harness actually detects wrong gradients.
+such as relu corners), runs one backward pass, and compares every input
+gradient against central differences. A deliberate sign-flip fault can be
+injected to prove the harness actually detects wrong gradients.
 """
 
 from dataclasses import dataclass
@@ -51,14 +51,7 @@ def _u(rng: Rng, shape, low=-1.0, high=1.0) -> np.ndarray:
     return rng.uniform(int(np.prod(shape)), low, high).reshape(shape)
 
 
-def _distinct(x: np.ndarray, decimals: int = 2) -> np.ndarray:
-    """Separate near-ties so max-pooling argmaxes survive FD nudges."""
-    flat = np.round(x, decimals).reshape(-1)
-    flat += np.arange(flat.size) * 1e-3
-    return flat.reshape(x.shape)
-
-
-# --- elementwise and structural operations ---------------------------------
+# --- tensor operations -------------------------------------------------------
 
 
 def _check_add(rng):
@@ -107,10 +100,6 @@ def _check_sqrt(rng):
     return lambda ts: T.tsum(T.sqrt(ts[0])), [_u(rng, (3, 3), 0.2, 2.0)]
 
 
-def _check_tanh(rng):
-    return lambda ts: T.tsum(T.tanh(ts[0])), [_u(rng, (3, 4), -2.0, 2.0)]
-
-
 def _check_sigmoid(rng):
     return lambda ts: T.tsum(T.sigmoid(ts[0])), [_u(rng, (3, 4), -3.0, 3.0)]
 
@@ -131,26 +120,6 @@ def _check_reshape(rng):
             [_u(rng, (3, 4))])
 
 
-def _check_permute(rng):
-    return (lambda ts: T.tsum(T.square(T.permute(ts[0], (2, 0, 1)))),
-            [_u(rng, (2, 3, 4))])
-
-
-def _check_narrow(rng):
-    return (lambda ts: T.tsum(T.square(T.narrow(ts[0], (slice(1, 3),)))),
-            [_u(rng, (4, 5))])
-
-
-def _check_concat(rng):
-    return (lambda ts: T.tsum(T.square(T.concat([ts[0], ts[1]], axis=1))),
-            [_u(rng, (2, 3)), _u(rng, (2, 4))])
-
-
-def _check_pad2d(rng):
-    return (lambda ts: T.tsum(T.square(T.pad2d(ts[0], 2))),
-            [_u(rng, (1, 2, 3, 3))])
-
-
 def _check_matmul(rng):
     return (lambda ts: T.tsum(T.square(T.matmul(ts[0], ts[1]))),
             [_u(rng, (3, 4)), _u(rng, (4, 2))])
@@ -159,11 +128,6 @@ def _check_matmul(rng):
 def _check_matmul_batched(rng):
     return (lambda ts: T.tsum(T.square(T.matmul(ts[0], ts[1]))),
             [_u(rng, (2, 3, 4)), _u(rng, (2, 4, 2))])
-
-
-def _check_matmul_vec(rng):
-    return (lambda ts: T.tsum(T.square(T.matmul(ts[0], ts[1]))),
-            [_u(rng, (4,)), _u(rng, (4, 3))])
 
 
 def _check_conv2d(rng):
@@ -180,16 +144,6 @@ def _check_conv2d_strided(rng):
     b = _u(rng, (2,))
     return (lambda ts: T.tsum(T.square(
         T.conv2d(ts[0], ts[1], ts[2], stride=2, padding=1))), [x, w, b])
-
-
-def _check_avg_pool(rng):
-    return (lambda ts: T.tsum(T.square(T.avg_pool2d(ts[0], 2))),
-            [_u(rng, (2, 2, 4, 4))])
-
-
-def _check_max_pool(rng):
-    return (lambda ts: T.tsum(T.square(T.max_pool2d(ts[0], 2))),
-            [_distinct(_u(rng, (1, 2, 4, 4)))])
 
 
 def _check_upsample(rng):
@@ -291,22 +245,14 @@ CHECKS = (
     ("exp", _check_exp),
     ("log", _check_log),
     ("sqrt", _check_sqrt),
-    ("tanh", _check_tanh),
     ("sigmoid", _check_sigmoid),
     ("tsum", _check_tsum),
     ("tmean", _check_tmean),
     ("reshape", _check_reshape),
-    ("permute", _check_permute),
-    ("narrow", _check_narrow),
-    ("concat", _check_concat),
-    ("pad2d", _check_pad2d),
     ("matmul", _check_matmul),
     ("matmul_batched", _check_matmul_batched),
-    ("matmul_vec", _check_matmul_vec),
     ("conv2d", _check_conv2d),
     ("conv2d_strided", _check_conv2d_strided),
-    ("avg_pool2d", _check_avg_pool),
-    ("max_pool2d", _check_max_pool),
     ("upsample_nearest", _check_upsample),
     ("softmax", _check_softmax),
     ("log_softmax", _check_log_softmax),
@@ -339,10 +285,11 @@ def run_checks(seed: int = 0, trials: int = 20, tol: float = TOLERANCE,
     if fault not in (None, "sign-flip"):
         raise ValueError(f"unknown fault {fault!r}")
     results = []
-    for index, (name, make) in enumerate(CHECKS):
+    for name, make in CHECKS:
         worst = 0.0
         for trial in range(trials):
-            rng = Rng(derive_seed(seed, "gradcheck", index, trial))
+            # keyed by name, so adding or removing a check moves no other
+            rng = Rng(derive_seed(seed, "gradcheck", name, trial))
             build, arrays = make(rng)
             if fault == "sign-flip" and name == "relu":
                 build = (lambda ts: T.tsum(_sign_flipped_relu(ts[0])))

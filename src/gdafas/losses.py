@@ -30,25 +30,6 @@ class LossWeights:
             raise ValueError("loss weights must be nonnegative")
 
 
-@dataclass
-class LossReport:
-    """Per-step loss components; ``total`` is their declared weighted sum."""
-
-    stat: float
-    per: float
-    ent1: float
-    ent2: float
-    ph: float
-    total: float
-
-    @classmethod
-    def from_components(cls, stat, per, ent1, ent2, ph,
-                        weights: LossWeights) -> "LossReport":
-        total = stat + per + weights.lambda_ent * (ent1 + ent2) \
-            + weights.lambda_ph * ph
-        return cls(stat, per, ent1, ent2, ph, total)
-
-
 def _l2_norm(diff: T.Tensor) -> T.Tensor:
     return T.sqrt(T.tsum(T.square(diff)))
 
@@ -76,16 +57,6 @@ def stat_consistency_loss(batch_stats, stored_stats) -> T.Tensor:
     for t in terms[1:]:
         total = T.add(total, t)
     return T.div(total, float(len(terms)))
-
-
-def stats_from_layers(bn_layers):
-    """(batch, stored) statistic lists for the given batch-norm layers.
-
-    Batch entries come from each layer's most recent train/stats forward.
-    """
-    batch = [(bn.last_batch_mean, bn.last_batch_var) for bn in bn_layers]
-    stored = [(bn.running_mean, bn.running_var) for bn in bn_layers]
-    return batch, stored
 
 
 def perceptual_loss(feat_gen: T.Tensor, feat_tgt) -> T.Tensor:

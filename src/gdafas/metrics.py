@@ -37,24 +37,6 @@ def roc_auc(scores, labels) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def roc_auc_pairs(scores, labels) -> float:
-    """Pair-enumeration AUC oracle, O(n^2); verification only."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    pos_scores = scores[labels == 1]
-    neg_scores = scores[labels == 0]
-    if len(pos_scores) == 0 or len(neg_scores) == 0:
-        raise ValueError("AUC needs at least one live and one spoof score")
-    total = 0.0
-    for p in pos_scores:
-        for n in neg_scores:
-            if p > n:
-                total += 1.0
-            elif p == n:
-                total += 0.5
-    return total / (len(pos_scores) * len(neg_scores))
-
-
 def _rates(scores, labels, threshold: float):
     """(FAR, FRR) for the rule `live iff score >= threshold`."""
     scores = np.asarray(scores, dtype=np.float64)

@@ -4,14 +4,14 @@ All source-side networks consume 32x32 RGB images in [0, 1]. The feature
 extractor F downsamples through three conv/batchnorm/relu blocks; the
 classifier H pools the last block into two logits; the depth estimator R maps
 the mid-level block to an 8x8 liveness logit map. The perceptual net phi is a
-fixed, seeded random convnet whose stage-2 activations serve as the content
+fixed, seeded random two-stage convnet whose output serves as the content
 feature space. The generator G is an encoder/residual/decoder network with
 instance normalization and a near-identity start: its head's small-logit
 output is added to the logit of the input image before the final sigmoid, so
 an untrained G approximately reproduces its input.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -98,23 +98,18 @@ class DepthEstimator:
 
 
 class PerceptualNet:
-    """Three seeded conv/relu stages; content features come from stage 2."""
+    """Two seeded conv/relu stages; their output is the content feature."""
 
     def __init__(self, rng: Rng):
         self.conv1 = Conv2d(3, 16, 3, stride=1, padding=1, rng=rng)
         self.conv2 = Conv2d(16, 32, 3, stride=2, padding=1, rng=rng)
-        self.conv3 = Conv2d(32, 64, 3, stride=2, padding=1, rng=rng)
 
     def features(self, x):
         h = T.relu(self.conv1.forward(x))
         return T.relu(self.conv2.forward(h))
 
-    def forward_all(self, x):
-        s2 = self.features(x)
-        return T.relu(self.conv3.forward(s2))
-
     def params(self):
-        return collect_params([self.conv1, self.conv2, self.conv3])
+        return collect_params([self.conv1, self.conv2])
 
     def bn_layers(self):
         return []
@@ -182,14 +177,13 @@ class Generator:
 
 @dataclass
 class ModelBundle:
-    """The five networks plus per-network trainability flags."""
+    """The five networks; a parameter's ``requires_grad`` says if it trains."""
 
     F: FeatureExtractor
     H: ClassifierHead
     R: DepthEstimator
     phi: PerceptualNet
     G: Optional[Generator] = None
-    trainable: dict = field(default_factory=dict)
 
     def net(self, name: str):
         nets = {"F": self.F, "H": self.H, "R": self.R, "phi": self.phi,
@@ -218,17 +212,6 @@ def freeze(bundle: ModelBundle, names) -> ModelBundle:
         if net is None:
             raise ValueError(f"cannot freeze absent network {name!r}")
         set_requires_grad(net.params(), False)
-        bundle.trainable[name] = False
-    return bundle
-
-
-def unfreeze(bundle: ModelBundle, names) -> ModelBundle:
-    for name in names:
-        net = bundle.net(name)
-        if net is None:
-            raise ValueError(f"cannot unfreeze absent network {name!r}")
-        set_requires_grad(net.params(), True)
-        bundle.trainable[name] = True
     return bundle
 
 
@@ -239,7 +222,6 @@ def build_source_bundle(seed: int) -> ModelBundle:
         H=ClassifierHead(Rng(derive_seed(seed, 2))),
         R=DepthEstimator(Rng(derive_seed(seed, 3))),
         phi=PerceptualNet(Rng(derive_seed(seed, 4))),
-        trainable={"F": True, "H": True, "R": True},
     )
     freeze(bundle, ["phi"])
     return bundle

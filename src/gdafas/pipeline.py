@@ -90,7 +90,9 @@ def _as_training_pool(datasets) -> Dataset:
 
 
 def _check_finite(loss_value: float, stage: str, step: int, parts: dict):
+    """Abort on a non-finite loss, first dropping the step's untaken graph."""
     if not np.isfinite(loss_value):
+        T.clear_tape()
         detail = ", ".join(f"{k}={v:.6g}" for k, v in parts.items())
         raise RuntimeError(
             f"non-finite {stage} loss at step {step} ({detail}); aborting"
@@ -214,7 +216,6 @@ def adapt_generator(config: TrainConfig, bundle, target_dataset,
         generator = bundle.G or models.build_generator(config.seed)
     bundle.G = generator
     models.freeze(bundle, ["F", "H", "R", "phi"])
-    bundle.trainable["G"] = True
     snapshot = _frozen_snapshot(bundle)
 
     opt = Adam(generator.params(), lr=config.lr)
@@ -243,17 +244,15 @@ def adapt_generator(config: TrainConfig, bundle, target_dataset,
         l_ent2 = L.entropy_depth(depth)
         total = L.total_loss(l_stat, l_per, l_ent1, l_ent2, l_ph, weights)
 
-        report = L.LossReport.from_components(
-            l_stat.item(), l_per.item(), l_ent1.item(), l_ent2.item(),
-            l_ph.item(), weights,
-        )
-        _check_finite(total.item(), "stage-2", step, vars(report))
+        parts = {"stat": l_stat.item(), "per": l_per.item(),
+                 "ent1": l_ent1.item(), "ent2": l_ent2.item(),
+                 "ph": l_ph.item()}
+        _check_finite(total.item(), "stage-2", step, parts)
         # monitoring-only running mean of the statistic loss
-        stat_ema = report.stat if stat_ema is None else (
-            0.9 * stat_ema + 0.1 * report.stat
+        stat_ema = parts["stat"] if stat_ema is None else (
+            0.9 * stat_ema + 0.1 * parts["stat"]
         )
-        log_rows.append((step, report.stat, report.per, report.ent1,
-                         report.ent2, report.ph, stat_ema, report.total))
+        log_rows.append((step, *parts.values(), stat_ema, total.item()))
 
         opt.zero_grad()
         T.backward(total)
@@ -332,8 +331,8 @@ def evaluate(bundle, dataset: Dataset, generator=None,
     return report
 
 
-def write_eval_report(report: EvalReport, out_dir: str):
-    os.makedirs(out_dir, exist_ok=True)
+def eval_report_rows(report: EvalReport):
+    """(metric, value) rows of an eval report CSV, per-domain rows last."""
     rows = [
         ("auc", report.auc),
         ("hter", report.hter),
@@ -343,8 +342,13 @@ def write_eval_report(report: EvalReport, out_dir: str):
     for domain, values in sorted(report.per_domain.items()):
         rows.append((f"auc_{domain}", values["auc"]))
         rows.append((f"hter_{domain}", values["hter"]))
+    return rows
+
+
+def write_eval_report(report: EvalReport, out_dir: str):
+    os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "eval_report.csv"),
-              ("metric", "value"), rows)
+              ("metric", "value"), eval_report_rows(report))
     write_csv(os.path.join(out_dir, "roc.csv"), ("far", "tpr"), report.roc)
 
 
@@ -429,24 +433,6 @@ def mmd_curve(bundle, source_dataset: Dataset, target_dataset: Dataset,
             for name in BLOCK_NAMES]
 
 
-def export_features_csv(bundle, dataset: Dataset, layer_tag: str, path: str,
-                        generator=None):
-    """One row per record: path, domain, label, then pooled channel features."""
-    if layer_tag not in BLOCK_NAMES:
-        raise ValueError(
-            f"unknown layer tag {layer_tag!r}, expected one of {BLOCK_NAMES}"
-        )
-    feats = block_features(bundle, dataset, generator)[layer_tag]
-    header = ["path", "domain", "label"] + [
-        f"f{i:03d}" for i in range(feats.shape[1])
-    ]
-    rows = []
-    for i in range(feats.shape[0]):
-        rows.append([dataset.paths[i], dataset.domains[i],
-                     int(dataset.labels[i])] + feats[i].tolist())
-    write_csv(path, header, rows)
-
-
 # ---------------------------------------------------------------------------
 # ablation
 
@@ -489,7 +475,6 @@ def ablation_run(config: TrainConfig, bundle, target_dataset: Dataset,
                            config=row_config))
         )
     bundle.G = None
-    bundle.trainable.pop("G", None)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_csv(

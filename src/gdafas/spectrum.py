@@ -1,10 +1,9 @@
 """2-d Fourier analysis, spectrum mixup, and the phase-alignment loss.
 
-Two independent routes compute the same transform. The fast route wraps
-``np.fft`` and is used everywhere data flows; a naive double-sum route exists
-purely as a cross-check oracle. A third, differentiable route expresses the
-DFT as matrix products so the tape can carry gradients through spectral
-quantities.
+Two routes compute the same transform. The fast route wraps ``np.fft``,
+returns complex arrays and is used everywhere data flows. The second,
+differentiable route expresses the DFT as matrix products so the tape can
+carry gradients through spectral quantities.
 
 Conventions: unnormalized forward transform ``F[k,l] = sum x[m,n]
 exp(-2 pi i (km/H + ln/W))``, inverse scaled by ``1/(HW)``. Phase lies in
@@ -14,7 +13,6 @@ amplitude/phase pair as the real part of the inverse transform of
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,63 +22,28 @@ from .rng import Rng
 _NORM_FLOOR = 1e-8
 
 
-@dataclass
-class Spectrum:
-    """Real/imaginary parts of a 2-d DFT over the trailing two axes."""
-
-    real: np.ndarray
-    imag: np.ndarray
-
-    def to_complex(self) -> np.ndarray:
-        return self.real + 1j * self.imag
+def dft2d(x: np.ndarray) -> np.ndarray:
+    """Complex forward DFT of a real [..., H, W] array over its last axes."""
+    return np.fft.fft2(x, axes=(-2, -1))
 
 
-@dataclass
-class AmpPhase:
-    """Polar form of a spectrum; phase normalized into (-pi, pi]."""
-
-    amp: np.ndarray
-    phase: np.ndarray
-
-
-def dft2d(x: np.ndarray) -> Spectrum:
-    """Forward DFT of a real [..., H, W] array over its trailing axes."""
-    f = np.fft.fft2(x, axes=(-2, -1))
-    return Spectrum(f.real.copy(), f.imag.copy())
-
-
-def idft2d(spec: Spectrum) -> np.ndarray:
+def idft2d(spec: np.ndarray) -> np.ndarray:
     """Inverse DFT; returns the complex result, callers take .real as needed."""
-    return np.fft.ifft2(spec.to_complex(), axes=(-2, -1))
+    return np.fft.ifft2(spec, axes=(-2, -1))
 
 
-def naive_dft2d(x: np.ndarray) -> Spectrum:
-    """Literal double-sum DFT of one [H, W] array. Cross-check oracle only."""
-    h, w = x.shape
-    real = np.zeros((h, w))
-    imag = np.zeros((h, w))
-    m = np.arange(h)[:, None]
-    n = np.arange(w)[None, :]
-    for k in range(h):
-        for el in range(w):
-            theta = 2.0 * np.pi * (k * m / h + el * n / w)
-            real[k, el] = np.sum(x * np.cos(theta))
-            imag[k, el] = -np.sum(x * np.sin(theta))
-    return Spectrum(real, imag)
-
-
-def amp_phase(spec: Spectrum) -> AmpPhase:
+def amp_phase(spec: np.ndarray):
+    """(amplitude, phase) of a complex spectrum; phase in (-pi, pi]."""
     amp = np.hypot(spec.real, spec.imag)
     phase = np.arctan2(spec.imag, spec.real)
     # arctan2 can return -pi (e.g. imag = -0.0, real < 0); fold onto +pi
     phase = np.where(phase == -np.pi, np.pi, phase)
-    return AmpPhase(amp, phase)
+    return amp, phase
 
 
 def reconstruct(amp: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """Image whose spectrum has the given polar form."""
-    spec = Spectrum(amp * np.cos(phase), amp * np.sin(phase))
-    return idft2d(spec).real
+    return idft2d(amp * np.cos(phase) + 1j * (amp * np.sin(phase))).real
 
 
 @functools.lru_cache(maxsize=8)
@@ -118,11 +81,11 @@ def specmix(x: np.ndarray, x_ref: np.ndarray, lam: np.ndarray) -> np.ndarray:
     Keeps the original phase, mixes amplitudes with per-image weight lam,
     reconstructs, and clips to the valid [0, 1] pixel range.
     """
-    own = amp_phase(dft2d(x))
-    ref_amp = amp_phase(dft2d(x_ref)).amp
+    own_amp, own_phase = amp_phase(dft2d(x))
+    ref_amp, _ = amp_phase(dft2d(x_ref))
     w = lam.reshape(-1, *([1] * (x.ndim - 1)))
-    mixed_amp = (1.0 - w) * own.amp + w * ref_amp
-    out = reconstruct(mixed_amp, own.phase)
+    mixed_amp = (1.0 - w) * own_amp + w * ref_amp
+    out = reconstruct(mixed_amp, own_phase)
     return np.clip(out, 0.0, 1.0)
 
 

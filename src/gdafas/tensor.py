@@ -9,6 +9,13 @@ arrays are never mutated in place.
 Gradients flow *through* tensors regardless of their ``requires_grad`` flag;
 the flag only controls whether a gradient is accumulated on that tensor. A
 frozen weight therefore still passes gradient back to the op's other inputs.
+
+The op set is the one the two training stages use: elementwise arithmetic,
+relu/exp/log/sqrt/sigmoid, sum/mean reductions, reshape, matmul over
+operands of at least two dimensions, conv2d and nearest upsampling, plus the
+composed softmax/log_softmax. There is no pooling, padding, slicing,
+concatenation or transposition op; every op has a check in
+:mod:`gdafas.gradcheck`.
 """
 
 import contextlib
@@ -50,10 +57,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """Copy of this value with no tape history and no grad requirement."""
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -87,9 +90,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __getitem__(self, idx):
-        return narrow(self, idx)
 
 
 class _Node:
@@ -291,12 +291,6 @@ def sqrt(a) -> Tensor:
     return _record(out, (a,), fn)
 
 
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.tanh(a.data))
-    return _record(out, (a,), lambda g: (g * (1.0 - out.data * out.data),))
-
-
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     # the two-branch form never exponentiates a positive argument
@@ -356,53 +350,6 @@ def reshape(a, shape) -> Tensor:
     return _record(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
-def permute(a, axes) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.data.transpose(axes))
-    inverse = tuple(np.argsort(axes))
-    return _record(out, (a,), lambda g: (g.transpose(inverse),))
-
-
-def narrow(a, idx) -> Tensor:
-    """Basic (non-fancy) indexing; every selected element appears once."""
-    a = as_tensor(a)
-    out = Tensor(a.data[idx])
-
-    def fn(g):
-        gx = np.zeros(a.shape)
-        gx[idx] = g
-        return (gx,)
-
-    return _record(out, (a,), fn)
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def fn(g):
-        return tuple(
-            np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(tensors))
-        )
-
-    return _record(out, tuple(tensors), fn)
-
-
-def pad2d(a, padding: int) -> Tensor:
-    """Zero-pad the two trailing spatial axes of a [..., H, W] tensor."""
-    a = as_tensor(a)
-    if padding == 0:
-        out = Tensor(a.data.copy())
-        return _record(out, (a,), lambda g: (g,))
-    widths = [(0, 0)] * (a.ndim - 2) + [(padding, padding)] * 2
-    out = Tensor(np.pad(a.data, widths))
-    sl = (Ellipsis, slice(padding, -padding), slice(padding, -padding))
-    return _record(out, (a,), lambda g: (g[sl],))
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and spatial ops
 
@@ -412,27 +359,8 @@ def matmul(a, b) -> Tensor:
     out = Tensor(np.matmul(a.data, b.data))
 
     def fn(g):
-        # lift 1-D operands to matrices, differentiate, then squeeze back
-        ad = a.data[None, :] if a.ndim == 1 else a.data
-        bd = b.data[:, None] if b.ndim == 1 else b.data
-        gm = g
-        if a.ndim == 1 and b.ndim == 1:
-            gm = g.reshape(1, 1)
-        elif a.ndim == 1:
-            gm = np.expand_dims(g, -2)
-        elif b.ndim == 1:
-            gm = np.expand_dims(g, -1)
-        ga = np.matmul(gm, np.swapaxes(bd, -1, -2))
-        gb = np.matmul(np.swapaxes(ad, -1, -2), gm)
-        if a.ndim == 1:
-            ga = ga.sum(axis=tuple(range(ga.ndim - 2)))[0]
-        else:
-            ga = unbroadcast(ga, a.shape)
-        if b.ndim == 1:
-            gb = gb.sum(axis=tuple(range(gb.ndim - 2)))[:, 0]
-        else:
-            gb = unbroadcast(gb, b.shape)
-        return ga, gb
+        return (unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
+                unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     return _record(out, (a, b), fn)
 
@@ -525,62 +453,6 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         return gx, gw, g.sum(axis=(0, 2, 3))
 
     return _record(out, inputs, fn)
-
-
-def _pool_windows(data: np.ndarray, kernel: int, stride: int):
-    win = np.lib.stride_tricks.sliding_window_view(data, (kernel, kernel),
-                                                   axis=(2, 3))
-    return win[:, :, ::stride, ::stride]  # [B,C,Ho,Wo,k,k]
-
-
-def avg_pool2d(x, kernel: int, stride: int = None) -> Tensor:
-    """Average pooling; trailing cells that do not fit a window are dropped."""
-    x = as_tensor(x)
-    stride = kernel if stride is None else stride
-    win = _pool_windows(x.data, kernel, stride)
-    out = Tensor(win.mean(axis=(-2, -1)))
-    ho, wo = out.shape[2], out.shape[3]
-
-    def fn(g):
-        gx = np.zeros(x.shape)
-        share = g / (kernel * kernel)
-        for u in range(kernel):
-            for v in range(kernel):
-                gx[:, :, u : u + ho * stride : stride,
-                   v : v + wo * stride : stride] += share
-        return (gx,)
-
-    return _record(out, (x,), fn)
-
-
-def max_pool2d(x, kernel: int, stride: int = None) -> Tensor:
-    """Max pooling; the gradient routes to each window's (first) argmax."""
-    x = as_tensor(x)
-    stride = kernel if stride is None else stride
-    win = _pool_windows(x.data, kernel, stride)
-    b, c, ho, wo = win.shape[:4]
-    flat = win.reshape(b, c, ho, wo, kernel * kernel)
-    idx = flat.argmax(axis=-1)
-    out = Tensor(np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0])
-
-    def fn(g):
-        gx = np.zeros(x.shape)
-        for u in range(kernel):
-            for v in range(kernel):
-                hit = g * (idx == u * kernel + v)
-                gx[:, :, u : u + ho * stride : stride,
-                   v : v + wo * stride : stride] += hit
-        return (gx,)
-
-    return _record(out, (x,), fn)
-
-
-def pool2d(kind: str, x, kernel: int, stride: int = None) -> Tensor:
-    if kind == "avg":
-        return avg_pool2d(x, kernel, stride)
-    if kind == "max":
-        return max_pool2d(x, kernel, stride)
-    raise ValueError(f"unknown pooling kind: {kind!r}")
 
 
 def upsample_nearest(x, factor: int) -> Tensor:

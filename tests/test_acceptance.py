@@ -9,6 +9,7 @@ end-to-end, ablation, and discrepancy checks.
 
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from gdafas import pipeline as P
 from gdafas import spectrum as S
 from gdafas import tensor as T
 from gdafas.cli import main as cli_main
+from oracles import naive_dft2d, roc_auc_pairs
 
 STAGE1 = dict(batch_size=32, stage1_epochs=6, lr=1e-3, seed=100)
 # Small phase weight: the cosine objective's gradients are stiff through
@@ -71,16 +73,46 @@ def workspace(tmp_path_factory):
     }
 
 
-def test_gradient_suite(capsys):
+def _taped_op_kinds(root, monkeypatch):
+    """Op kinds on the tape at the backward of one real stage-1 step and one
+    real stage-2 step, named by each node's backward rule: the rule
+    ``add.<locals>.<lambda>`` is kind ``add``."""
+    kinds, backward = set(), T.backward
+
+    def spy(loss):
+        kinds.update(node.fn.__qualname__.split(".")[0] for node in T._tape)
+        backward(loss)
+
+    source_spec, target_spec = data.default_domain_specs(5, seed=3)
+    data.generate_domain_dataset(source_spec, str(root / "source"))
+    data.generate_domain_dataset(target_spec, str(root / "target"),
+                                 unlabeled_train=True)
+    monkeypatch.setattr(T, "backward", spy)
+    bundle, log = P.train_source(
+        P.TrainConfig(batch_size=8, stage1_epochs=1, seed=3),
+        [data.load_dataset(str(root / "source"))])
+    _, adapt_log = P.adapt_generator(
+        P.TrainConfig(batch_size=4, stage2_steps=1, seed=3), bundle,
+        data.load_dataset(str(root / "target")))
+    monkeypatch.undo()
+    assert len(log) == len(adapt_log) == 1
+    return kinds
+
+
+def test_gradient_suite(capsys, tmp_path, monkeypatch):
+    kinds = _taped_op_kinds(tmp_path, monkeypatch)
     t0 = time.perf_counter()
     results = gradcheck.run_checks(seed=0, trials=20)
     elapsed = time.perf_counter() - t0
     worst = max(r.max_rel_error for r in results)
+    # every op a training step tapes must have a check of its own
+    unchecked = sorted(kinds - {r.name for r in results})
     ok = (all(r.passed for r in results) and worst < 1e-4
-          and len(results) >= 37 and elapsed < 120.0)
+          and not unchecked and elapsed < 120.0)
     report(capsys, "gradient-suite", ok,
            f"{len(results)} checks x 20 trials, worst rel err "
-           f"{worst:.2e} (< 1e-4), {elapsed:.1f}s (< 120s)")
+           f"{worst:.2e} (< 1e-4), {elapsed:.1f}s (< 120s)"
+           + (f"; taped but unchecked: {unchecked}" if unchecked else ""))
 
 
 def test_spectrum_identities(capsys):
@@ -91,11 +123,11 @@ def test_spectrum_identities(capsys):
     roundtrip = np.abs(S.idft2d(S.dft2d(x)) - x).max()
 
     y = rng.random((8, 8))
-    fast, naive = S.dft2d(y), S.naive_dft2d(y)
+    fast, naive = S.dft2d(y), naive_dft2d(y)
     fft_vs_naive = max(np.abs(fast.real - naive.real).max(),
                        np.abs(fast.imag - naive.imag).max())
 
-    amp = S.amp_phase(S.dft2d(y)).amp
+    amp, _ = S.amp_phase(S.dft2d(y))
     parseval = abs((y ** 2).sum() - (amp ** 2).sum() / y.size) \
         / (y ** 2).sum()
 
@@ -109,10 +141,10 @@ def test_spectrum_identities(capsys):
     ).max()
 
     mixed = S.specmix(imgs, ref, np.full(3, 0.5))
-    before = S.amp_phase(S.dft2d(imgs))
-    after = S.amp_phase(S.dft2d(mixed))
-    keep = (before.amp > 1e-8) & (after.amp > 1e-8)
-    wrap = np.abs(after.phase - before.phase)
+    amp_before, phase_before = S.amp_phase(S.dft2d(imgs))
+    amp_after, phase_after = S.amp_phase(S.dft2d(mixed))
+    keep = (amp_before > 1e-8) & (amp_after > 1e-8)
+    wrap = np.abs(phase_after - phase_before)
     phase_drift = np.minimum(wrap, 2.0 * np.pi - wrap)[keep].max()
 
     elapsed = time.perf_counter() - t0
@@ -245,6 +277,37 @@ def test_discrepancy_shrinks_after_adaptation(workspace, capsys):
            f"< raw {raw_mmd:.4f}")
 
 
+# Largest eval-logit change a float32 checkpoint round trip may cause. The
+# change measured on this fixture is 6.5e-7 (Python 3.11, numpy 2.4), so the
+# bound leaves a margin of about 15x for other platforms' rounding.
+CHECKPOINT_LOGIT_BOUND = 1e-5
+
+
+def test_checkpoint_float32_bound(workspace, capsys, tmp_path):
+    bundle = replace(workspace["bundle"], G=workspace["generator"])
+    path = str(tmp_path / "adapted.gdac")
+    checkpoint.save_checkpoint(bundle, path)
+    loaded = checkpoint.load_checkpoint(path)
+
+    def logits(b, images, stylized):
+        x = b.G.forward(T.Tensor(images)) if stylized else images
+        return models.forward_source(b, x, mode="eval")[0].data
+
+    worst = 0.0
+    with T.no_grad():
+        for domain in ("source", "target"):
+            images = workspace[domain].subset("test").images
+            for stylized in (False, True):
+                delta = np.abs(logits(bundle, images, stylized)
+                               - logits(loaded, images, stylized))
+                worst = max(worst, float(delta.max()))
+    ok = worst < CHECKPOINT_LOGIT_BOUND
+    report(capsys, "checkpoint-float32", ok,
+           f"max eval-logit change after save/load {worst:.1e} "
+           f"(< {CHECKPOINT_LOGIT_BOUND:.0e}) over raw and stylized "
+           f"source/target test records")
+
+
 def test_metric_oracles(capsys):
     sep_scores, sep_labels = [0.9, 0.8, 0.3, 0.1], [1, 1, 0, 0]
     auc_sep = M.roc_auc(sep_scores, sep_labels)
@@ -264,7 +327,7 @@ def test_metric_oracles(capsys):
         labels[0], labels[1] = 1, 0
         oracle_gap = max(oracle_gap,
                          abs(M.roc_auc(scores, labels)
-                             - M.roc_auc_pairs(scores, labels)))
+                             - roc_auc_pairs(scores, labels)))
         points = M.roc_points(scores, labels)
         fars = [p[0] for p in points]
         tprs = [p[1] for p in points]

@@ -5,7 +5,6 @@ import pytest
 
 import gdafas.tensor as T
 from gdafas.losses import (
-    LossReport,
     LossWeights,
     cross_entropy_loss,
     depth_regression_loss,
@@ -176,13 +175,6 @@ def test_total_loss_pinned_arithmetic():
     assert total_loss(0.0, 0.0, 0.0, 0.0, 0.0, w).item() == 0.0
     off = LossWeights(0.0, 0.0)
     assert abs(total_loss(1.5, 2.5, 9.0, 9.0, 9.0, off).item() - 4.0) < 1e-12
-
-
-def test_loss_report_invariant():
-    w = LossWeights()
-    rep = LossReport.from_components(1.0, 2.0, 0.5, 0.25, -3.0, w)
-    expect = 1.0 + 2.0 + 0.01 * 0.75 + 0.01 * (-3.0)
-    assert abs(rep.total - expect) < 1e-9
 
 
 def test_loss_weights_reject_negative():

@@ -1,5 +1,8 @@
 """Model bundle construction, forward contracts, freezing, checkpoints."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -7,19 +10,26 @@ import gdafas.tensor as T
 from gdafas.checkpoint import (
     BadMagicError,
     CrcMismatchError,
+    DimOverflowError,
+    MalformedError,
     MissingTensorError,
     VersionError,
     load_checkpoint,
     save_checkpoint,
 )
+from gdafas.cli import main as cli_main
 from gdafas.models import (
     build_generator,
     build_source_bundle,
     forward_source,
     freeze,
-    unfreeze,
 )
 from gdafas.rng import Rng
+
+
+def _reseal(body: bytes) -> bytes:
+    """Append a fresh CRC, as anyone editing a checkpoint body can."""
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
 def _warm_bn(bundle, seed=3):
@@ -132,12 +142,8 @@ def test_freeze_blocks_updates_and_is_idempotent():
     bundle = build_source_bundle(7)
     freeze(bundle, ["F", "H", "R"])
     freeze(bundle, ["F"])  # second call is a no-op
-    assert bundle.trainable == {"F": False, "H": False, "R": False,
-                                "phi": False}
     assert all(not p.requires_grad
                for p in bundle.params(("F", "H", "R", "phi")))
-    unfreeze(bundle, ["F"])
-    assert all(p.requires_grad for p in bundle.F.params())
     with pytest.raises(ValueError):
         freeze(bundle, ["G"])  # absent network
 
@@ -196,24 +202,63 @@ def test_checkpoint_error_taxonomy(tmp_path):
     with pytest.raises(CrcMismatchError):
         load_checkpoint(str(corrupt))
 
-    import struct
-    import zlib
-
-    def reseal(body: bytes) -> bytes:
-        return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-
-    bad_magic = reseal(b"XGDA" + blob[4:-4])
+    bad_magic = _reseal(b"XGDA" + blob[4:-4])
     path_magic = tmp_path / "magic.gdac"
     path_magic.write_bytes(bad_magic)
     with pytest.raises(BadMagicError):
         load_checkpoint(str(path_magic))
 
-    bumped = reseal(blob[:4] + struct.pack("<H", 2) + blob[6:-4])
-    path_version = tmp_path / "version.gdac"
-    path_version.write_bytes(bumped)
-    with pytest.raises(VersionError) as err:
-        load_checkpoint(str(path_version))
-    assert "version 2" in str(err.value)
+    # version 1 still carried phi.conv3; there is no reader for it
+    for version in (1, 3):
+        bumped = _reseal(blob[:4] + struct.pack("<H", version) + blob[6:-4])
+        path_version = tmp_path / f"version{version}.gdac"
+        path_version.write_bytes(bumped)
+        with pytest.raises(VersionError) as err:
+            load_checkpoint(str(path_version))
+        assert f"version {version}" in str(err.value)
+
+
+def _count_plus_one(body: bytes) -> bytes:
+    (count,) = struct.unpack("<I", body[6:10])
+    return body[:6] + struct.pack("<I", count + 1) + body[10:]
+
+
+@pytest.mark.parametrize("damage", [
+    _count_plus_one,
+    lambda body: body + b"\x00" * 7,    # trailing bytes after the last entry
+    lambda body: body[:-2],              # last payload cut short
+    lambda body: body[:12] + b"\xff" + body[13:],  # first name not utf-8
+], ids=["count_plus_one", "trailing_bytes", "truncated_payload",
+        "non_utf8_name"])
+def test_resealed_malformed_body_is_rejected(tmp_path, capsys, damage):
+    bundle = build_source_bundle(11)
+    path = tmp_path / "model.gdac"
+    save_checkpoint(bundle, str(path))
+    bad = tmp_path / "bad.gdac"
+    bad.write_bytes(_reseal(damage(path.read_bytes()[:-4])))
+    with pytest.raises(MalformedError):
+        load_checkpoint(str(bad))
+    # the CLI reports it as a runtime failure, not a traceback
+    assert cli_main(["eval", "--model", str(bad), "--data",
+                     str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failure: ") and "Traceback" not in err
+
+
+def test_checkpoint_dim_product_over_limit(tmp_path):
+    bundle = build_source_bundle(11)
+    path = tmp_path / "model.gdac"
+    save_checkpoint(bundle, str(path))
+    body = path.read_bytes()[:-4]
+    (name_len,) = struct.unpack("<H", body[10:12])
+    at = 12 + name_len  # the first entry's ndim byte
+    # 65536**4 = 2**64 would wrap to 0 in int64 arithmetic
+    for dims in ((1 << 15, 1 << 14), (65536,) * 4):
+        head = body[:at] + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+        bad = tmp_path / "huge.gdac"
+        bad.write_bytes(_reseal(head + body[at + 1 + 4 * body[at]:]))
+        with pytest.raises(DimOverflowError):
+            load_checkpoint(str(bad))
 
 
 def test_checkpoint_missing_tensor(tmp_path):
@@ -223,14 +268,9 @@ def test_checkpoint_missing_tensor(tmp_path):
     save_checkpoint(bundle, path)
     blob = bytearray(open(path, "rb").read())
     # rename the first tensor so an expected name disappears
-    import struct
-    import zlib
-
     (name_len,) = struct.unpack("<H", blob[10:12])
     blob[12:12 + name_len] = b"X" * name_len
-    body = bytes(blob[:-4])
-    resealed = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
     bad = tmp_path / "renamed.gdac"
-    bad.write_bytes(resealed)
+    bad.write_bytes(_reseal(bytes(blob[:-4])))
     with pytest.raises(MissingTensorError):
         load_checkpoint(str(bad))

@@ -83,6 +83,7 @@ def test_train_source_aborts_on_non_finite(workspace, monkeypatch):
     monkeypatch.setattr(P.models, "build_source_bundle", poisoned)
     with pytest.raises(RuntimeError, match="non-finite"):
         P.train_source(workspace["config"], workspace["src"])
+    assert T.tape_size() == 0  # the aborted step's graph is not left behind
 
 
 def test_evaluate_report_contract(workspace):
@@ -165,6 +166,7 @@ def test_adapt_aborts_on_non_finite(workspace):
     with pytest.raises(RuntimeError, match="non-finite"):
         P.adapt_generator(config, workspace["bundle"], workspace["tgt"],
                           generator=generator)
+    assert T.tape_size() == 0
 
 
 def test_adapt_rejects_stage2_batch_below_four(workspace):
@@ -223,25 +225,6 @@ def test_mmd_curve_contract(workspace):
                         workspace["tgt"].subset("test"))
     assert [name for name, _ in curve] == list(P.BLOCK_NAMES)
     assert all(value >= 0.0 for _, value in curve)
-
-
-def test_export_features_csv(workspace, tmp_path):
-    test_set = workspace["src"].subset("test")
-    path = str(tmp_path / "features.csv")
-    P.export_features_csv(workspace["bundle"], test_set, "b2", path)
-    lines = open(path).read().splitlines()
-    assert len(lines) == len(test_set.images) + 1
-    header = lines[0].split(",")
-    assert header[:3] == ["path", "domain", "label"]
-    assert len(header) == 3 + 64  # second block has 64 channels
-
-    P.export_features_csv(workspace["bundle"], test_set, "b2",
-                          str(tmp_path / "again.csv"))
-    assert open(path, "rb").read() == (tmp_path / "again.csv").read_bytes()
-
-    with pytest.raises(ValueError, match="layer tag"):
-        P.export_features_csv(workspace["bundle"], test_set, "b9",
-                              str(tmp_path / "bad.csv"))
 
 
 def test_ablation_config_algebra():

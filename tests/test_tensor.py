@@ -27,10 +27,6 @@ def test_value_semantics():
     out = T.add(t, 1.0)
     out.data[0, 0] = 99.0
     assert t.data[0, 0] == 1.0
-    x[1, 1] = 5.0  # asarray of a float64 array aliases; Tensor copies on detach
-    d = t.detach()
-    t.data[0, 1] = 7.0
-    assert d.data[0, 1] == 1.0
 
 
 def test_requires_grad_propagates_through_frozen_inputs():
@@ -139,7 +135,6 @@ def test_nonlinearity_gradients_seeded():
         _fd_check(lambda ts: T.tsum(T.exp(ts[0])), [x])
         _fd_check(lambda ts: T.tsum(T.log(ts[0])), [np.abs(x) + 0.2])
         _fd_check(lambda ts: T.tsum(T.sqrt(ts[0])), [np.abs(x) + 0.2])
-        _fd_check(lambda ts: T.tsum(T.tanh(ts[0])), [x])
         _fd_check(lambda ts: T.tsum(T.sigmoid(ts[0])), [x])
 
 
@@ -153,16 +148,8 @@ def test_reduction_and_shape_gradients_seeded():
         )
         _fd_check(lambda ts: T.square(T.tmean(ts[0])), [x])
         _fd_check(
-            lambda ts: T.tsum(
-                T.square(T.permute(T.reshape(ts[0], (4, 3, 2)), (1, 2, 0)))
-            ),
-            [x],
+            lambda ts: T.tsum(T.square(T.reshape(ts[0], (4, 3, 2)))), [x]
         )
-        _fd_check(lambda ts: T.tsum(T.square(ts[0][:, 1:, ::2])), [x])
-        _fd_check(
-            lambda ts: T.tsum(T.square(T.concat([ts[0], ts[0]], axis=1))), [x]
-        )
-        _fd_check(lambda ts: T.tsum(T.square(T.pad2d(ts[0], 2))), [x])
 
 
 def test_matmul_gradients_seeded():
@@ -170,14 +157,14 @@ def test_matmul_gradients_seeded():
         r = Rng(derive_seed(404, trial))
         a = r.gaussian(6).reshape(2, 3)
         b = r.gaussian(12).reshape(3, 4)
-        v3 = r.gaussian(3)
         batched = r.gaussian(24).reshape(2, 3, 4)
         rhs = r.gaussian(20).reshape(4, 5)
+        square = r.gaussian(9).reshape(3, 3)
         loss = lambda ts: T.tsum(T.square(T.matmul(ts[0], ts[1])))
         _fd_check(loss, [a, b])
-        _fd_check(loss, [v3, b])
-        _fd_check(loss, [a, v3])
         _fd_check(loss, [batched, rhs])
+        # a matrix against a stack, as the taped DFT multiplies
+        _fd_check(loss, [square, batched])
 
 
 def test_conv_gradients_seeded():
@@ -309,25 +296,7 @@ def test_pool_and_upsample_gradients_seeded():
     for trial in range(20):
         r = Rng(derive_seed(606, trial))
         x = r.gaussian(2 * 3 * 4 * 4).reshape(2, 3, 4, 4)
-        _fd_check(lambda ts: T.tsum(T.square(T.avg_pool2d(ts[0], 2))), [x])
-        _fd_check(lambda ts: T.tsum(T.square(T.avg_pool2d(ts[0], 2, stride=1))), [x])
         _fd_check(lambda ts: T.tsum(T.square(T.upsample_nearest(ts[0], 3))), [x])
-
-
-def test_max_pool_gradients_route_to_argmax():
-    x = T.Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]), requires_grad=True)
-    out = T.max_pool2d(x, 2)
-    assert out.data[0, 0, 0, 0] == 4.0
-    T.backward(T.tsum(out))
-    assert np.array_equal(x.grad[0, 0], [[0.0, 0.0], [0.0, 1.0]])
-    # seeded checks away from ties
-    for trial in range(20):
-        r = Rng(derive_seed(989, trial))
-        xa = r.gaussian(2 * 2 * 6 * 6).reshape(2, 2, 6, 6)
-        _fd_check(lambda ts: T.tsum(T.square(T.max_pool2d(ts[0], 2))), [xa])
-        _fd_check(
-            lambda ts: T.tsum(T.square(T.max_pool2d(ts[0], 3, stride=2))), [xa]
-        )
 
 
 def test_softmax_rows_sum_to_one_and_match_shifted_form():
@@ -358,19 +327,6 @@ def test_upsample_forward_blocks():
     assert y.shape == (1, 1, 4, 4)
     assert np.array_equal(y[0, 0, :2, :2], np.zeros((2, 2)))
     assert np.array_equal(y[0, 0, 2:, 2:], np.full((2, 2), 3.0))
-
-
-def test_avg_pool_forward_value():
-    x = T.Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
-    y = T.avg_pool2d(x, 2).data
-    assert np.allclose(y[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-    # trailing cells that do not fill a window are dropped
-    odd = T.avg_pool2d(T.Tensor(np.zeros((1, 1, 5, 5))), 2)
-    assert odd.shape == (1, 1, 2, 2)
-    assert T.pool2d("avg", x, 2).data[0, 0, 0, 0] == 2.5
-    assert T.pool2d("max", x, 2).data[0, 0, 0, 0] == 5.0
-    with pytest.raises(ValueError):
-        T.pool2d("median", x, 2)
 
 
 def test_backward_detached_loss_raises():
