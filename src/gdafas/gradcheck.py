@@ -151,6 +151,24 @@ def _check_upsample(rng):
             [_u(rng, (1, 2, 3, 3))])
 
 
+def _normalize_case(rng, moment_batch):
+    """x [3,2,3,3] against moments [moment_batch,2,1,1], gamma and beta [2]."""
+    arrays = [_u(rng, (3, 2, 3, 3)),
+              _u(rng, (moment_batch, 2, 1, 1), -0.5, 0.5),
+              _u(rng, (moment_batch, 2, 1, 1), 0.2, 1.5),
+              _u(rng, (2,), 0.5, 1.5),
+              _u(rng, (2,))]
+    return (lambda ts: T.tsum(T.square(T.normalize(*ts, eps=1e-5))), arrays)
+
+
+def _check_normalize(rng):
+    return _normalize_case(rng, 1)  # batch-norm moments [1,C,1,1]
+
+
+def _check_normalize_instance(rng):
+    return _normalize_case(rng, 3)  # instance-norm moments [B,C,1,1]
+
+
 def _check_softmax(rng):
     return (lambda ts: T.tsum(T.square(T.softmax(ts[0], axis=1))),
             [_u(rng, (3, 4), -2.0, 2.0)])
@@ -254,6 +272,8 @@ CHECKS = (
     ("conv2d", _check_conv2d),
     ("conv2d_strided", _check_conv2d_strided),
     ("upsample_nearest", _check_upsample),
+    ("normalize", _check_normalize),
+    ("normalize_instance", _check_normalize_instance),
     ("softmax", _check_softmax),
     ("log_softmax", _check_log_softmax),
     ("loss_stat_consistency", _check_stat_consistency),

@@ -1,13 +1,16 @@
 """Neural network layers and the Adam optimizer.
 
 Layers own their parameters as Tensors and expose them through ``params()``.
-Batch normalization carries running statistics as plain state (never taped,
-never touched by the optimizer) and distinguishes three forward modes:
+Both normalization layers take their moments with taped ``tmean`` ops and
+apply them with the one-node ``tensor.normalize``. Batch normalization
+carries running statistics as plain state (never taped, never touched by
+the optimizer) and distinguishes three forward modes:
 
 * ``train``: normalize with batch moments, update the running averages.
 * ``stats``: normalize with batch moments, leave the running averages alone.
   The batch moments stay on the tape, so losses defined on them can push
-  gradient back to whatever produced the input.
+  gradient back to whatever produced the input. They are kept in the
+  [1,C,1,1] shape they are computed in, so reading them tapes nothing more.
 * ``eval``: normalize with the running averages; input moments are recorded
   untaped for later distribution-shift inspection.
 """
@@ -82,7 +85,7 @@ class BatchNorm2d:
         self.num_updates = 0
         self.eps = eps
         self.momentum = momentum
-        self.last_batch_mean = None  # Tensor [C], set by train/stats forward
+        self.last_batch_mean = None  # Tensor [1,C,1,1], train/stats forward
         self.last_batch_var = None
         self.last_input_mean = None  # ndarray [C], set by eval forward
         self.last_input_var = None
@@ -109,8 +112,8 @@ class BatchNorm2d:
             mean = T.tmean(x, axes=(0, 2, 3), keepdims=True)
             var = T.tmean(T.square(T.sub(x, mean)), axes=(0, 2, 3),
                           keepdims=True)
-            self.last_batch_mean = T.reshape(mean, (c,))
-            self.last_batch_var = T.reshape(var, (c,))
+            self.last_batch_mean = mean
+            self.last_batch_var = var
             if mode == "train":
                 m = self.momentum
                 self.running_mean = (1.0 - m) * self.running_mean \
@@ -118,10 +121,7 @@ class BatchNorm2d:
                 self.running_var = (1.0 - m) * self.running_var \
                     + m * var.data.reshape(c)
                 self.num_updates += 1
-        xhat = T.div(T.sub(x, mean), T.sqrt(T.add(var, self.eps)))
-        gamma = T.reshape(self.gamma, (1, c, 1, 1))
-        beta = T.reshape(self.beta, (1, c, 1, 1))
-        return T.add(T.mul(xhat, gamma), beta)
+        return T.normalize(x, mean, var, self.gamma, self.beta, self.eps)
 
 
 class InstanceNorm2d:
@@ -136,13 +136,9 @@ class InstanceNorm2d:
         return [self.gamma, self.beta]
 
     def forward(self, x):
-        c = x.shape[1]
         mean = T.tmean(x, axes=(2, 3), keepdims=True)
         var = T.tmean(T.square(T.sub(x, mean)), axes=(2, 3), keepdims=True)
-        xhat = T.div(T.sub(x, mean), T.sqrt(T.add(var, self.eps)))
-        gamma = T.reshape(self.gamma, (1, c, 1, 1))
-        beta = T.reshape(self.beta, (1, c, 1, 1))
-        return T.add(T.mul(xhat, gamma), beta)
+        return T.normalize(x, mean, var, self.gamma, self.beta, self.eps)
 
 
 def collect_params(layers):

@@ -39,8 +39,8 @@ def stat_consistency_loss(batch_stats, stored_stats) -> T.Tensor:
 
     Both arguments are aligned lists of (mean, variance) pairs, one entry per
     batch-norm layer; batch entries are tensors so the gradient reaches the
-    generator, stored entries are plain arrays. Variances are compared as
-    standard deviations sqrt(var + 1e-12) on both sides.
+    generator, stored entries are plain arrays of the same size. Variances
+    are compared as standard deviations sqrt(var + 1e-12) on both sides.
     """
     if len(batch_stats) != len(stored_stats):
         raise ValueError(
@@ -50,8 +50,10 @@ def stat_consistency_loss(batch_stats, stored_stats) -> T.Tensor:
     terms = []
     for (b_mean, b_var), (s_mean, s_var) in zip(batch_stats, stored_stats):
         b_std = T.sqrt(T.add(b_var, _VAR_EPS))
-        s_std = np.sqrt(np.asarray(s_var) + _VAR_EPS)
-        terms.append(T.add(_l2_norm(T.sub(b_mean, np.asarray(s_mean))),
+        # stored [C] entries take the batch entries' shape ([1,C,1,1] from BN)
+        s_mean = np.asarray(s_mean).reshape(b_mean.shape)
+        s_std = np.sqrt(np.asarray(s_var) + _VAR_EPS).reshape(b_var.shape)
+        terms.append(T.add(_l2_norm(T.sub(b_mean, s_mean)),
                            _l2_norm(T.sub(b_std, s_std))))
     total = terms[0]
     for t in terms[1:]:

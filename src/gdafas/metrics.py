@@ -49,37 +49,55 @@ def _rates(scores, labels, threshold: float):
     return far, frr
 
 
-def roc_points(scores, labels):
-    """(FAR, TPR) pairs swept over all score thresholds, FAR ascending."""
+def _sweep(scores, labels):
+    """Thresholds +inf then every distinct score descending, with the FAR and
+    FRR arrays of `live iff score >= threshold` at each.
+
+    One sort (``np.unique``) buckets the scores; each class's acceptance
+    count at a threshold is the reversed cumulative sum of its bucket counts.
+    A NaN score is never accepted, so its bucket counts zero.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    thresholds = np.concatenate(
-        [[np.inf], np.unique(scores)[::-1]]
-    )
-    points = []
-    for th in thresholds:
-        far, frr = _rates(scores, labels, th)
-        points.append((far, 1.0 - frr))
-    return points
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("ROC needs at least one live and one spoof score")
+    distinct, bucket = np.unique(scores, return_inverse=True)
+    nan = np.isnan(distinct)
+
+    def accepted(cls):
+        counts = np.bincount(bucket[labels == cls], minlength=len(distinct))
+        counts[nan] = 0
+        at_inf = counts[distinct == np.inf].sum()
+        return np.concatenate([[at_inf], np.cumsum(counts[::-1])])
+
+    thresholds = np.concatenate([[np.inf], distinct[::-1]])
+    far = accepted(0) / n_neg
+    frr = (n_pos - accepted(1)) / n_pos
+    return thresholds, far, frr
+
+
+def roc_points(scores, labels):
+    """(FAR, TPR) pairs swept over all score thresholds, FAR ascending."""
+    _, far, frr = _sweep(scores, labels)
+    return list(zip(far.tolist(), (1.0 - frr).tolist()))
 
 
 def eer_threshold(scores, labels):
     """Threshold where FAR and FRR cross, with its rates.
 
     Returns (threshold, far, frr) at the sweep point minimizing |FAR - FRR|;
-    the first such point in descending-threshold order wins ties.
+    the first such point in descending-threshold order wins ties, where a
+    later gap must undercut the best so far by more than 1e-15 to replace it.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    candidates = np.concatenate([[np.inf], np.unique(scores)[::-1]])
-    best = None
-    for th in candidates:
-        far, frr = _rates(scores, labels, th)
-        gap = abs(far - frr)
-        if best is None or gap < best[0] - 1e-15:
-            best = (gap, th, far, frr)
-    _, th, far, frr = best
-    return th, far, frr
+    thresholds, far, frr = _sweep(scores, labels)
+    gaps = np.abs(far - frr).tolist()
+    best = 0
+    for i, gap in enumerate(gaps):
+        if gap < gaps[best] - 1e-15:
+            best = i
+    return (thresholds[best], far[best].item(), frr[best].item())
 
 
 def hter(scores, labels, threshold: float) -> float:

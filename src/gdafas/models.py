@@ -236,8 +236,8 @@ def forward_source(bundle: ModelBundle, x, mode: str):
 
     Returns (logits [B,2], depth logit map [B,1,8,8], bn batch stats,
     block features [b1, b2, b3]). The stats list pairs each BN layer's batch
-    (mean, variance) in registry order; it is empty in eval mode, where
-    running statistics are used instead.
+    (mean, variance), each a [1,C,1,1] tensor, in registry order; it is
+    empty in eval mode, where running statistics are used instead.
     """
     x = T.as_tensor(x)
     if x.ndim != 4 or x.shape[1:] != IMAGE_SHAPE:

@@ -214,7 +214,6 @@ def adapt_generator(config: TrainConfig, bundle, target_dataset,
 
     if generator is None:
         generator = bundle.G or models.build_generator(config.seed)
-    bundle.G = generator
     models.freeze(bundle, ["F", "H", "R", "phi"])
     snapshot = _frozen_snapshot(bundle)
 
@@ -259,6 +258,8 @@ def adapt_generator(config: TrainConfig, bundle, target_dataset,
         opt.step()
 
     _verify_snapshot(bundle, snapshot)
+    # only a run that finished with the source model intact hands G over
+    bundle.G = generator
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -12,10 +12,11 @@ frozen weight therefore still passes gradient back to the op's other inputs.
 
 The op set is the one the two training stages use: elementwise arithmetic,
 relu/exp/log/sqrt/sigmoid, sum/mean reductions, reshape, matmul over
-operands of at least two dimensions, conv2d and nearest upsampling, plus the
-composed softmax/log_softmax. There is no pooling, padding, slicing,
-concatenation or transposition op; every op has a check in
-:mod:`gdafas.gradcheck`.
+operands of at least two dimensions, conv2d, nearest upsampling and
+``normalize`` (the affine normalization step of batch and instance norm, one
+node with a closed-form backward), plus the composed softmax/log_softmax.
+There is no pooling, padding, slicing, concatenation or transposition op;
+every op has a check in :mod:`gdafas.gradcheck`.
 """
 
 import contextlib
@@ -380,74 +381,121 @@ def _fill_cols(cols: np.ndarray, xp: np.ndarray, start: int, stride: int):
                                v:v + wo * stride:stride].transpose(1, 0, 2, 3)
 
 
-def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of [B,Cin,H,W] with [Cout,Cin,kh,kw] filters.
+def _chunk_images(b: int, k: int, pix: int) -> int:
+    """Images per column block of k rows and pix output pixels per image."""
+    return max(1, min(b, _COL_BLOCK_BYTES // (8 * k * pix)))
 
-    An im2col GEMM over the batch in chunks. Each chunk's images are unfolded
-    into one reused column block [Cin*kh*kw, n*Ho*Wo] of at most
-    ``_COL_BLOCK_BYTES``, multiplied by the [Cout, Cin*kh*kw] filter matrix
-    in one GEMM, and written back transposed into the [B,Cout,Ho,Wo] output.
-    Only the padded input is kept for backward: it rebuilds each chunk's
-    column block for the weight gradient instead of taping column blocks,
-    and scatters the column gradient back with one strided add per kernel
-    offset. A gradient that no tensor can receive (an input or weight whose
-    ``requires_grad`` is off) is not computed.
+
+def _correlate(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
+    """Cross-correlate padded images xp [B,Cin,Hp,Wp] with w [Cout,Cin,kh,kw].
+
+    The batch is walked in chunks: each chunk's images are unfolded into one
+    reused column block [Cin*kh*kw, n*Ho*Wo] of at most ``_COL_BLOCK_BYTES``,
+    multiplied by the [Cout, Cin*kh*kw] filter matrix in one GEMM, and
+    written back transposed into the [B,Cout,Ho,Wo] result.
     """
-    x, weight = as_tensor(x), as_tensor(weight)
-    b, cin = x.shape[0], x.shape[1]
-    cout, _, kh, kw = weight.shape
-    xp = x.data
-    if padding:
-        xp = np.pad(xp, [(0, 0), (0, 0), (padding, padding), (padding, padding)])
+    b, cin = xp.shape[0], xp.shape[1]
+    cout, _, kh, kw = w.shape
     ho = (xp.shape[2] - kh) // stride + 1
     wo = (xp.shape[3] - kw) // stride + 1
     k, pix = cin * kh * kw, ho * wo
-    chunk = max(1, min(b, _COL_BLOCK_BYTES // (8 * k * pix)))
-    w2 = weight.data.reshape(cout, k)
-
+    chunk = _chunk_images(b, k, pix)
+    w2 = w.reshape(cout, k)
     col_buf = np.empty(k * chunk * pix)
     y_buf = np.empty(cout * chunk * pix)
-    out_data = np.empty((b, cout, ho, wo))
+    out = np.empty((b, cout, ho, wo))
     for s in range(0, b, chunk):
         n = min(chunk, b - s)
         cols = col_buf[:k * n * pix].reshape(cin, kh, kw, n, ho, wo)
         _fill_cols(cols, xp, s, stride)
         y = np.matmul(w2, cols.reshape(k, n * pix),
                       out=y_buf[:cout * n * pix].reshape(cout, n * pix))
-        out_data[s:s + n] = y.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3)
+        out[s:s + n] = y.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3)
+    return out
+
+
+def _column_grads(g, xp, w, stride, want_w: bool, want_x: bool):
+    """Weight gradient and col2im input gradient of a correlation, by chunk.
+
+    Each chunk's column block is rebuilt from the padded input xp for
+    ``gW += gᵀ·colsᵀ``; the spent block's buffer then takes the column
+    gradient ``Wᵀ·g``, scattered back with one strided add per kernel
+    offset. Returns (gW or None, gradient of xp or None).
+    """
+    b, cin = xp.shape[0], xp.shape[1]
+    cout, _, kh, kw = w.shape
+    ho, wo = g.shape[2], g.shape[3]
+    k, pix = cin * kh * kw, ho * wo
+    chunk = _chunk_images(b, k, pix)
+    w2 = w.reshape(cout, k)
+    gw2 = np.zeros((cout, k)) if want_w else None
+    gxp = np.zeros(xp.shape) if want_x else None
+    col_buf = np.empty(k * chunk * pix)
+    gy_buf = np.empty(cout * chunk * pix)
+    for s in range(0, b, chunk):
+        n = min(chunk, b - s)
+        gy = gy_buf[:cout * n * pix].reshape(cout, n, ho, wo)
+        gy[...] = g[s:s + n].transpose(1, 0, 2, 3)
+        gy = gy.reshape(cout, n * pix)
+        cols = col_buf[:k * n * pix].reshape(cin, kh, kw, n, ho, wo)
+        if want_w:
+            _fill_cols(cols, xp, s, stride)
+            gw2 += gy @ cols.reshape(k, n * pix).T
+        if want_x:
+            np.matmul(w2.T, gy, out=cols.reshape(k, n * pix))
+            for u in range(kh):
+                for v in range(kw):
+                    gxp[s:s + n, :, u:u + ho * stride:stride,
+                        v:v + wo * stride:stride] += \
+                        cols[:, u, v].transpose(1, 0, 2, 3)
+    return (None if gw2 is None else gw2.reshape(w.shape)), gxp
+
+
+def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
+    """Cross-correlation of [B,Cin,H,W] with [Cout,Cin,kh,kw] filters.
+
+    The forward is one chunked im2col GEMM (``_correlate``). Only the padded
+    input is kept for backward: ``_column_grads`` rebuilds each chunk's
+    column block for the weight gradient instead of taping column blocks.
+
+    The input gradient at stride 1 with padding p <= k-1 is itself a
+    stride-1 correlation: the output gradient padded by k-1-p, against the
+    kernel flipped in both spatial axes with Cin and Cout swapped. It runs
+    through the same GEMM as the forward. A strided conv (or a padding
+    larger than k-1) instead multiplies the column gradient out per chunk
+    and scatters it back with one strided add per kernel offset (col2im):
+    as a correlation it would need a zero-dilated output gradient, with
+    stride² times the GEMM work spent on zeros. A gradient that no tensor
+    can receive (an input or weight whose ``requires_grad`` is off) is not
+    computed.
+    """
+    x, weight = as_tensor(x), as_tensor(weight)
+    kh, kw = weight.shape[2], weight.shape[3]
+    xp = x.data
+    if padding:
+        xp = np.pad(xp, [(0, 0), (0, 0), (padding, padding), (padding, padding)])
+    out_data = _correlate(xp, weight.data, stride)
     if bias is not None:
         bias = as_tensor(bias)
         out_data += bias.data[:, None, None]
     out = Tensor(out_data)
     inputs = (x, weight) if bias is None else (x, weight, bias)
+    direct = stride == 1 and padding < min(kh, kw)
 
     def fn(g):
-        gxp = np.zeros(xp.shape) if x.requires_grad else None
-        gw2 = np.zeros((cout, k)) if weight.requires_grad else None
-        col_buf = np.empty(k * chunk * pix)
-        gy_buf = np.empty(cout * chunk * pix)
-        for s in range(0, b, chunk):
-            n = min(chunk, b - s)
-            gy = gy_buf[:cout * n * pix].reshape(cout, n, ho, wo)
-            gy[...] = g[s:s + n].transpose(1, 0, 2, 3)
-            gy = gy.reshape(cout, n * pix)
-            cols = col_buf[:k * n * pix].reshape(cin, kh, kw, n, ho, wo)
-            if gw2 is not None:
-                _fill_cols(cols, xp, s, stride)
-                gw2 += gy @ cols.reshape(k, n * pix).T
-            if gxp is not None:
-                # the column block is spent; its buffer takes the column gradient
-                np.matmul(w2.T, gy, out=cols.reshape(k, n * pix))
-                for u in range(kh):
-                    for v in range(kw):
-                        gxp[s:s + n, :, u:u + ho * stride:stride,
-                            v:v + wo * stride:stride] += \
-                            cols[:, u, v].transpose(1, 0, 2, 3)
         gx = gw = None
-        if gxp is not None:
-            gx = gxp if padding == 0 else gxp[:, :, padding:-padding, padding:-padding]
-        if gw2 is not None:
-            gw = gw2.reshape(weight.shape)
+        if x.requires_grad and direct:
+            ph, pw = kh - 1 - padding, kw - 1 - padding
+            flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            gx = _correlate(np.pad(g, [(0, 0), (0, 0), (ph, ph), (pw, pw)]),
+                            flipped, 1)
+        scatter = x.requires_grad and not direct
+        if weight.requires_grad or scatter:
+            gw, gxp = _column_grads(g, xp, weight.data, stride,
+                                    weight.requires_grad, scatter)
+            if scatter:
+                gx = gxp if padding == 0 else \
+                    gxp[:, :, padding:-padding, padding:-padding]
         if bias is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))
@@ -456,15 +504,86 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
 
 
 def upsample_nearest(x, factor: int) -> Tensor:
-    """Repeat each pixel of a [B,C,H,W] tensor into a factor x factor block."""
+    """Repeat each pixel of a [B,C,H,W] tensor into a factor x factor block.
+
+    Backward adds the factor² strided slices of the output gradient, one
+    per offset inside the block: each block row's slices first, then the
+    rows. That is the order numpy's ``reshape(...).sum(axis=(3, 5))`` adds
+    them in, so the result has the same bits without its strided reduction.
+    """
     x = as_tensor(x)
     out = Tensor(x.data.repeat(factor, axis=2).repeat(factor, axis=3))
 
     def fn(g):
-        b, c, h, w = x.shape
-        return (g.reshape(b, c, h, factor, w, factor).sum(axis=(3, 5)),)
+        gx = None
+        for u in range(factor):
+            row = g[:, :, u::factor, ::factor].copy()
+            for v in range(1, factor):
+                row += g[:, :, u::factor, v::factor]
+            if gx is None:
+                gx = row
+            else:
+                gx += row
+        return (gx,)
 
     return _record(out, (x,), fn)
+
+
+# ---------------------------------------------------------------------------
+# normalization
+
+
+def normalize(x, mean, var, gamma, beta, eps: float) -> Tensor:
+    """(x - mean) / sqrt(var + eps) * gamma + beta as one taped op.
+
+    ``x`` is [B,C,H,W]; ``mean`` and ``var`` are [1,C,1,1] (batch norm) or
+    [B,C,1,1] (instance norm); ``gamma`` and ``beta`` are [C]. The forward
+    runs the float operations of the composed ``add``/``sqrt``/``sub``/
+    ``div``/``mul``/``add`` chain in the same order, so its output has the
+    same bits. Backward, with s = sqrt(var + eps) and xhat = (x - mean) / s,
+    and sums taken over the axes each operand was broadcast along:
+
+        dx = g*gamma/s           dmean = -sum(g)*gamma/s
+        dgamma = sum(g*xhat)     dvar = -0.5*sum(g*xhat)*gamma/s²
+        dbeta = sum(g)
+
+    The moments' own dependence on x is left to the ops that computed them.
+    As in ``div``, a standard deviation below 1e-12 is floored and passes
+    no gradient to ``var``.
+    """
+    x, mean, var = as_tensor(x), as_tensor(mean), as_tensor(var)
+    gamma, beta = as_tensor(gamma), as_tensor(beta)
+    c = x.shape[1]
+    if mean.shape != var.shape or mean.shape not in ((1, c, 1, 1),
+                                                     (x.shape[0], c, 1, 1)):
+        raise ValueError(
+            f"moments of shape {mean.shape}/{var.shape} do not fit {x.shape}"
+        )
+    std = np.sqrt(np.maximum(var.data + eps, 0.0))
+    safe = _safe_denominator(std)
+    xhat = x.data - mean.data
+    xhat /= safe
+    scale = gamma.data.reshape(1, c, 1, 1)
+    out_data = xhat * scale
+    out_data += beta.data.reshape(1, c, 1, 1)
+    out = Tensor(out_data)
+
+    def fn(g):
+        g_sum = unbroadcast(g, mean.shape)
+        gxhat_sum = unbroadcast(g * xhat, mean.shape)
+        gain = scale / safe
+        gx = g * gain if x.requires_grad else None
+        gmean = -g_sum * gain
+        gvar = np.where(std < _DIV_FLOOR, 0.0,
+                        -0.5 * gxhat_sum * gain / safe)
+        ggamma = gbeta = None
+        if gamma.requires_grad:
+            ggamma = gxhat_sum.sum(axis=0).reshape(c)
+        if beta.requires_grad:
+            gbeta = g_sum.sum(axis=0).reshape(c)
+        return gx, gmean, gvar, ggamma, gbeta
+
+    return _record(out, (x, mean, var, gamma, beta), fn)
 
 
 # ---------------------------------------------------------------------------

@@ -33,3 +33,38 @@ def roc_auc_pairs(scores, labels) -> float:
             elif p == n:
                 total += 0.5
     return total / (len(pos_scores) * len(neg_scores))
+
+
+def _rates_at(scores, labels, threshold):
+    """(FAR, FRR) of `live iff score >= threshold`, counted directly."""
+    accepted = scores >= threshold
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    far = float(np.sum(accepted & (labels == 0))) / n_neg
+    frr = float(np.sum(~accepted & (labels == 1))) / n_pos
+    return far, frr
+
+
+def roc_points_sweep(scores, labels):
+    """(FAR, TPR) at +inf and every distinct score descending, O(n^2)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    points = []
+    for th in np.concatenate([[np.inf], np.unique(scores)[::-1]]):
+        far, frr = _rates_at(scores, labels, th)
+        points.append((far, 1.0 - frr))
+    return points
+
+
+def eer_threshold_sweep(scores, labels):
+    """(threshold, FAR, FRR) at the first sweep point whose |FAR - FRR| no
+    later point undercuts by more than 1e-15, O(n^2)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    best = None
+    for th in np.concatenate([[np.inf], np.unique(scores)[::-1]]):
+        far, frr = _rates_at(scores, labels, th)
+        gap = abs(far - frr)
+        if best is None or gap < best[0] - 1e-15:
+            best = (gap, th, far, frr)
+    return best[1:]

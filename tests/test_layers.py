@@ -85,7 +85,9 @@ def test_batchnorm_stats_mode_leaves_running_state_alone():
     assert np.array_equal(bn.running_mean, mean_after_train)
     assert np.array_equal(bn.running_var, var_after_train)
     assert bn.num_updates == 1
-    assert np.allclose(bn.last_batch_mean.data, y.data.mean(axis=(0, 2, 3)))
+    assert bn.last_batch_mean.shape == bn.last_batch_var.shape == (1, 2, 1, 1)
+    assert np.allclose(bn.last_batch_mean.data,
+                       y.data.mean(axis=(0, 2, 3), keepdims=True))
 
 
 def test_batchnorm_eval_records_input_moments():
@@ -163,6 +165,53 @@ def test_instance_norm_gradients_seeded():
 
         _fd_check(build, [x, r.gaussian(2, mean=1.0, std=0.1),
                           r.gaussian(2, std=0.1)])
+
+
+def _composed_norm_forward(layer, x, mode):
+    """The normalization layers' forward as a chain of elementwise ops."""
+    c = x.shape[1]
+    if mode == "eval":
+        mean = T.Tensor(layer.running_mean.reshape(1, c, 1, 1))
+        var = T.Tensor(layer.running_var.reshape(1, c, 1, 1))
+    else:
+        axes = (2, 3) if mode == "instance" else (0, 2, 3)
+        mean = T.tmean(x, axes=axes, keepdims=True)
+        var = T.tmean(T.square(T.sub(x, mean)), axes=axes, keepdims=True)
+    xhat = T.div(T.sub(x, mean), T.sqrt(T.add(var, layer.eps)))
+    return T.add(T.mul(xhat, T.reshape(layer.gamma, (1, c, 1, 1))),
+                 T.reshape(layer.beta, (1, c, 1, 1)))
+
+
+@pytest.mark.parametrize("mode", ["train", "stats", "eval", "instance"])
+def test_norm_layers_match_composed_chain(mode):
+    r = Rng(derive_seed(717, mode))
+    x = r.gaussian(6 * 3 * 5 * 5, mean=1.0, std=3.0).reshape(6, 3, 5, 5)
+    g = r.gaussian(x.size).reshape(x.shape)
+    gamma, beta = r.gaussian(3, mean=1.0, std=0.3), r.gaussian(3, std=0.3)
+    results = []
+    for fused in (False, True):
+        if mode == "instance":
+            layer = InstanceNorm2d(3)
+        else:
+            layer = BatchNorm2d(3)
+            with T.no_grad():
+                layer.forward(T.Tensor(x[::-1] * 0.5 + 1.0), mode="train")
+        layer.gamma = T.Tensor(gamma, requires_grad=True)
+        layer.beta = T.Tensor(beta, requires_grad=True)
+        tx = T.Tensor(x, requires_grad=True)
+        if not fused:
+            out = _composed_norm_forward(layer, tx, mode)
+        elif mode == "instance":
+            out = layer.forward(tx)
+        else:
+            out = layer.forward(tx, mode=mode)
+        T.backward(T.tsum(T.mul(out, g)))
+        grads = [tx.grad, layer.gamma.grad, layer.beta.grad]
+        results.append((out.data, grads))
+    (want, want_grads), (have, have_grads) = results
+    assert np.array_equal(have, want)
+    for gh, gw in zip(have_grads, want_grads):
+        assert np.abs(gh - gw).max() <= 1e-12 * np.abs(gw).max()
 
 
 def test_conv_and_dense_shapes():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gdafas.metrics as M
-from oracles import roc_auc_pairs
+from oracles import eer_threshold_sweep, roc_auc_pairs, roc_points_sweep
 
 
 def test_auc_pinned_cases():
@@ -53,6 +53,43 @@ def test_roc_points_monotone_and_anchored():
         tprs = [p[1] for p in points]
         assert all(b >= a - 1e-12 for a, b in zip(fars, fars[1:]))
         assert all(b >= a - 1e-12 for a, b in zip(tprs, tprs[1:]))
+
+
+def _sweep_cases():
+    """Score sets with ties, infinities, NaNs, unbalanced classes and an
+    unlabeled record, plus class sizes whose rates tie up to rounding."""
+    rng = np.random.default_rng(19)
+    for trial in range(200):
+        n = int(rng.integers(2, 60))
+        labels = rng.integers(0, 2, size=n)
+        labels[0], labels[1] = 0, 1
+        scores = np.round(rng.uniform(size=n), int(rng.integers(1, 4)))
+        if trial % 4 == 1:
+            scores[rng.integers(0, n, size=2)] = [np.inf, -np.inf]
+        if trial % 4 == 2:
+            scores[rng.integers(0, n)] = np.nan
+        if trial % 4 == 3:
+            labels[-1] = -1
+        yield scores, labels
+    # 3 lives and 6 spoofs: FAR 1/6 against FRR 1/3 - 1/6 and the like
+    yield np.array([0.9, 0.5, 0.2, 0.8, 0.6, 0.4, 0.3, 0.1, 0.05]), \
+        np.array([1, 1, 1, 0, 0, 0, 0, 0, 0])
+
+
+def test_roc_sweep_matches_threshold_loop_exactly():
+    for scores, labels in _sweep_cases():
+        assert M.roc_points(scores, labels) == roc_points_sweep(scores, labels)
+        got = M.eer_threshold(scores, labels)
+        want = eer_threshold_sweep(scores, labels)
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1:] == want[1:]
+        assert all(type(v) is float for v in got[1:])
+
+
+def test_roc_sweep_requires_both_classes():
+    for fn in (M.roc_points, M.eer_threshold):
+        with pytest.raises(ValueError):
+            fn([0.1, 0.2], [1, 1])
 
 
 def test_hter_pinned_example():

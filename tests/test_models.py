@@ -87,8 +87,12 @@ def test_train_mode_stats_match_recomputed_moments():
         pre_bn = bundle.F.conv1.forward(x)
         _, _, stats, _ = forward_source(bundle, x, "stats")
     mean, var = stats[0]
-    assert np.allclose(mean.data, pre_bn.data.mean(axis=(0, 2, 3)), atol=1e-12)
-    assert np.allclose(var.data, pre_bn.data.var(axis=(0, 2, 3)), atol=1e-12)
+    assert mean.shape == var.shape == (1, 32, 1, 1)
+    axes = (0, 2, 3)
+    assert np.allclose(mean.data, pre_bn.data.mean(axis=axes, keepdims=True),
+                       atol=1e-12)
+    assert np.allclose(var.data, pre_bn.data.var(axis=axes, keepdims=True),
+                       atol=1e-12)
 
 
 def test_phi_is_frozen_and_invariant():

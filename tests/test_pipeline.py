@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gdafas.data as D
+import gdafas.layers as layers
 import gdafas.models as models
 import gdafas.pipeline as P
 import gdafas.tensor as T
@@ -152,6 +153,30 @@ def test_adapt_log_totals_match_declared_weights(workspace):
         assert abs(total - expected) < 1e-9
 
 
+def test_stage2_step_tapes_at_most_five_nodes_per_norm_layer(workspace,
+                                                             monkeypatch):
+    # moments (tmean, sub, square, tmean) plus one normalize node
+    grown = []
+
+    def spy(forward):
+        def wrapped(self, *args, **kwargs):
+            before = T.tape_size()
+            out = forward(self, *args, **kwargs)
+            grown.append((type(self).__name__, T.tape_size() - before))
+            return out
+        return wrapped
+
+    for cls in (layers.BatchNorm2d, layers.InstanceNorm2d):
+        monkeypatch.setattr(cls, "forward", spy(cls.forward))
+    config = P.TrainConfig(batch_size=8, stage2_steps=1, seed=12)
+    P.adapt_generator(config, workspace["bundle"], workspace["tgt"],
+                      generator=models.build_generator(12))
+    assert sorted({name for name, _ in grown}) == ["BatchNorm2d",
+                                                   "InstanceNorm2d"]
+    assert len(grown) == 13  # 8 in G, 5 in F and R
+    assert all(n <= 5 for _, n in grown), grown
+
+
 def test_adapt_requires_trained_statistics(workspace):
     fresh = models.build_source_bundle(1)
     config = P.TrainConfig(stage2_steps=1)
@@ -163,10 +188,13 @@ def test_adapt_aborts_on_non_finite(workspace):
     generator = models.build_generator(5)
     generator.head.weight.data[0, 0, 0, 0] = np.nan
     config = P.TrainConfig(batch_size=8, stage2_steps=1, seed=2)
+    before = workspace["bundle"].G
     with pytest.raises(RuntimeError, match="non-finite"):
         P.adapt_generator(config, workspace["bundle"], workspace["tgt"],
                           generator=generator)
     assert T.tape_size() == 0
+    # the caller's bundle never takes on the poisoned generator
+    assert workspace["bundle"].G is before
 
 
 def test_adapt_rejects_stage2_batch_below_four(workspace):

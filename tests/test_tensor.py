@@ -228,6 +228,7 @@ _CONV_CASES = [
     (20, 3, 31, 4, 3, 2, 0, False),
     (6, 5, 9, 3, 1, 1, 0, True),      # 1x1 kernel
     (6, 5, 9, 3, 1, 2, 0, False),
+    (6, 5, 9, 3, 1, 1, 1, True),      # padding > k-1: col2im at stride 1
 ]
 
 
@@ -267,6 +268,22 @@ def test_conv_matches_einsum_reference(case):
         assert np.abs(have - want).max() / scale < 1e-12
 
 
+@pytest.mark.parametrize("case", _CONV_CASES)
+def test_conv_input_gradient_path(case, monkeypatch):
+    # stride 1 with padding <= k-1 correlates the output gradient through
+    # the forward GEMM; every other conv scatters it back with col2im
+    x, w, b, stride, padding = _conv_case(3, case)
+    calls = []
+    correlate = T._correlate
+    monkeypatch.setattr(T, "_correlate",
+                        lambda *a: calls.append(a) or correlate(*a))
+    tx = T.Tensor(x, requires_grad=True)
+    T.backward(T.tsum(T.conv2d(tx, T.Tensor(w), b, stride=stride,
+                               padding=padding)))
+    direct = stride == 1 and padding <= w.shape[2] - 1
+    assert len(calls) == (2 if direct else 1)
+
+
 def test_conv_gradient_reaches_inputs_past_frozen_operand():
     x, w, b, stride, padding = _conv_case(2, _CONV_CASES[1])
     for x_grad, w_grad in ((True, False), (False, True)):
@@ -297,6 +314,62 @@ def test_pool_and_upsample_gradients_seeded():
         r = Rng(derive_seed(606, trial))
         x = r.gaussian(2 * 3 * 4 * 4).reshape(2, 3, 4, 4)
         _fd_check(lambda ts: T.tsum(T.square(T.upsample_nearest(ts[0], 3))), [x])
+
+
+@pytest.mark.parametrize("factor", [2, 3])
+def test_upsample_backward_matches_reshape_sum(factor):
+    r = Rng(derive_seed(808, factor))
+    x = T.Tensor(r.gaussian(4 * 6 * 5 * 7).reshape(4, 6, 5, 7),
+                 requires_grad=True)
+    out = T.upsample_nearest(x, factor)
+    g = r.gaussian(out.size).reshape(out.shape)
+    T.backward(T.tsum(T.mul(out, g)))
+    want = g.reshape(4, 6, 5, factor, 7, factor).sum(axis=(3, 5))
+    assert np.array_equal(x.grad, want)
+
+
+def _composed_normalize(x, mean, var, gamma, beta, eps):
+    """The sub/add/sqrt/div/mul/add chain normalize replaces."""
+    c = x.shape[1]
+    xhat = T.div(T.sub(x, mean), T.sqrt(T.add(var, eps)))
+    return T.add(T.mul(xhat, T.reshape(gamma, (1, c, 1, 1))),
+                 T.reshape(beta, (1, c, 1, 1)))
+
+
+@pytest.mark.parametrize("moment_batch", [1, 5])
+def test_normalize_matches_composed_chain(moment_batch):
+    r = Rng(derive_seed(909, moment_batch))
+    x = r.gaussian(5 * 3 * 4 * 4, mean=0.5, std=2.0).reshape(5, 3, 4, 4)
+    axes = (0, 2, 3) if moment_batch == 1 else (2, 3)
+    mean = x.mean(axis=axes, keepdims=True)
+    var = ((x - mean) ** 2).mean(axis=axes, keepdims=True)
+    arrays = [x, mean, var, r.gaussian(3, mean=1.0), r.gaussian(3)]
+    g = r.gaussian(x.size).reshape(x.shape)
+    results = []
+    for op in (_composed_normalize, T.normalize):
+        ts = [T.Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*ts, 1e-5)
+        T.backward(T.tsum(T.mul(out, g)))
+        results.append((out.data, [t.grad for t in ts]))
+    (want, want_grads), (have, have_grads) = results
+    assert np.array_equal(have, want)
+    for gh, gw in zip(have_grads, want_grads):
+        assert gh.shape == gw.shape
+        assert np.abs(gh - gw).max() <= 1e-12 * np.abs(gw).max()
+
+
+def test_normalize_is_one_node_and_checks_moment_shapes():
+    x = T.Tensor(np.arange(8.0).reshape(2, 1, 2, 2), requires_grad=True)
+    mean = T.Tensor(np.full((1, 1, 1, 1), 3.5))
+    var = T.Tensor(np.full((1, 1, 1, 1), 5.25))
+    gamma, beta = T.Tensor(np.ones(1)), T.Tensor(np.zeros(1))
+    out = T.normalize(x, mean, var, gamma, beta, 1e-5)
+    assert T.tape_size() == 1
+    T.backward(T.tsum(T.square(out)))
+    assert x.grad is not None
+    with pytest.raises(ValueError, match="moments"):
+        T.normalize(x, T.Tensor(np.zeros(1)), T.Tensor(np.ones(1)), gamma,
+                    beta, 1e-5)
 
 
 def test_softmax_rows_sum_to_one_and_match_shifted_form():
