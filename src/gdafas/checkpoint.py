@@ -17,6 +17,8 @@ a valid CRC is still not trusted: every read is checked against the body's
 end, and the last entry must end exactly where the CRC begins. Weights are
 stored at 32-bit precision; loading widens back to 64-bit.
 
+Entries are ``ModelBundle.state()`` in its order: every persistent layer
+field of F, H, R, phi and, when present, G, named like ``F.bn1.running_var``.
 Version 2 dropped the perceptual net's third conv layer, which no forward
 pass used. Version 1 files are rejected with ``VersionError``.
 """
@@ -27,13 +29,7 @@ import zlib
 
 import numpy as np
 
-from .layers import BatchNorm2d, Conv2d, Dense, InstanceNorm2d
-from .models import (
-    ModelBundle,
-    ResidualBlock,
-    build_generator,
-    build_source_bundle,
-)
+from .models import ModelBundle, build_generator, build_source_bundle
 
 MAGIC = b"GDAC"
 VERSION = 2
@@ -68,76 +64,12 @@ class MalformedError(CheckpointError):
     """The body does not parse to exactly its declared entries."""
 
 
-def _layer_entries(layer):
-    """(suffix, getter, setter) triples for one layer's persistent arrays."""
-    if isinstance(layer, (Conv2d, Dense)):
-        return [
-            ("weight", lambda l=layer: l.weight.data,
-             lambda v, l=layer: setattr(l.weight, "data", v)),
-            ("bias", lambda l=layer: l.bias.data,
-             lambda v, l=layer: setattr(l.bias, "data", v)),
-        ]
-    if isinstance(layer, BatchNorm2d):
-        def set_updates(v, l=layer):
-            l.num_updates = int(round(float(v[0])))
-
-        return [
-            ("gamma", lambda l=layer: l.gamma.data,
-             lambda v, l=layer: setattr(l.gamma, "data", v)),
-            ("beta", lambda l=layer: l.beta.data,
-             lambda v, l=layer: setattr(l.beta, "data", v)),
-            ("running_mean", lambda l=layer: l.running_mean,
-             lambda v, l=layer: setattr(l, "running_mean", v)),
-            ("running_var", lambda l=layer: l.running_var,
-             lambda v, l=layer: setattr(l, "running_var", v)),
-            ("num_updates",
-             lambda l=layer: np.array([float(l.num_updates)]), set_updates),
-        ]
-    if isinstance(layer, InstanceNorm2d):
-        return [
-            ("gamma", lambda l=layer: l.gamma.data,
-             lambda v, l=layer: setattr(l.gamma, "data", v)),
-            ("beta", lambda l=layer: l.beta.data,
-             lambda v, l=layer: setattr(l.beta, "data", v)),
-        ]
-    raise TypeError(f"unsupported layer type {type(layer).__name__}")
-
-
-def _net_layers(net):
-    """Named layers of a network, in stable definition order."""
-    out = []
-    for attr, value in vars(net).items():
-        if isinstance(value, (Conv2d, Dense, BatchNorm2d, InstanceNorm2d)):
-            out.append((attr, value))
-        elif isinstance(value, ResidualBlock):
-            for sub_attr, sub_value in vars(value).items():
-                if isinstance(sub_value,
-                              (Conv2d, Dense, BatchNorm2d, InstanceNorm2d)):
-                    out.append((f"{attr}.{sub_attr}", sub_value))
-    return out
-
-
-def _bundle_entries(bundle: ModelBundle):
-    """Flat (name, getter, setter) list over every present network."""
-    entries = []
-    nets = [("F", bundle.F), ("H", bundle.H), ("R", bundle.R),
-            ("phi", bundle.phi)]
-    if bundle.G is not None:
-        nets.append(("G", bundle.G))
-    for net_name, net in nets:
-        for layer_name, layer in _net_layers(net):
-            for suffix, get, put in _layer_entries(layer):
-                entries.append((f"{net_name}.{layer_name}.{suffix}", get, put))
-    return entries
-
-
 def save_checkpoint(bundle: ModelBundle, path: str):
-    entries = _bundle_entries(bundle)
+    entries = bundle.state()
     blob = bytearray()
     blob += MAGIC
     blob += struct.pack("<HI", VERSION, len(entries))
-    for name, get, _ in entries:
-        arr = np.asarray(get())
+    for name, arr in entries.items():
         if arr.ndim > 255 or any(d >= 1 << 32 for d in arr.shape):
             raise DimOverflowError(f"tensor {name} has unserializable shape")
         encoded = name.encode("utf-8")
@@ -211,20 +143,18 @@ def load_checkpoint(path: str) -> ModelBundle:
     bundle = build_source_bundle(0)
     if any(name.startswith("G.") for name in tensors):
         bundle.G = build_generator(0)
-    entries = _bundle_entries(bundle)
-    expected = {name for name, _, _ in entries}
-    missing = expected - set(tensors)
+    expected = bundle.state()
+    missing = expected.keys() - tensors.keys()
     if missing:
         raise MissingTensorError(f"missing tensors: {sorted(missing)[:5]}")
-    unknown = set(tensors) - expected
+    unknown = tensors.keys() - expected.keys()
     if unknown:
         raise MissingTensorError(f"unknown tensors: {sorted(unknown)[:5]}")
-    for name, get, put in entries:
-        current = np.asarray(get())
-        incoming = tensors[name]
-        if incoming.shape != current.shape:
+    for name, current in expected.items():
+        if tensors[name].shape != current.shape:
             raise MissingTensorError(
-                f"tensor {name} shape {incoming.shape} != {current.shape}"
+                f"tensor {name} shape {tensors[name].shape} != "
+                f"{current.shape}"
             )
-        put(incoming)
+    bundle.load_state(tensors)
     return bundle

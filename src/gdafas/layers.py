@@ -1,18 +1,21 @@
 """Neural network layers and the Adam optimizer.
 
-Layers own their parameters as Tensors and expose them through ``params()``.
-Both normalization layers take their moments with taped ``tmean`` ops and
-apply them with the one-node ``tensor.normalize``. Batch normalization
-carries running statistics as plain state (never taped, never touched by
-the optimizer) and distinguishes three forward modes:
+Each layer class names its persistent fields once, in ``STATE``: Tensor
+fields are trainable parameters, ndarray and int fields are plain state.
+:mod:`gdafas.models` walks the layers and reads ``STATE`` for parameter
+lists, state copies and checkpoints. Both normalization layers take their
+moments with taped ``tmean`` ops and apply them with the one-node
+``tensor.normalize``. Batch normalization carries running statistics as
+plain state (never taped, never touched by the optimizer), returns the
+moments it saw with its output, and distinguishes three forward modes:
 
 * ``train``: normalize with batch moments, update the running averages.
 * ``stats``: normalize with batch moments, leave the running averages alone.
-  The batch moments stay on the tape, so losses defined on them can push
-  gradient back to whatever produced the input. They are kept in the
-  [1,C,1,1] shape they are computed in, so reading them tapes nothing more.
-* ``eval``: normalize with the running averages; input moments are recorded
-  untaped for later distribution-shift inspection.
+  The returned batch moments stay on the tape, so losses defined on them can
+  push gradient back to whatever produced the input. They keep the
+  [1,C,1,1] shape they are computed in, so returning them tapes nothing more.
+* ``eval``: normalize with the running averages; the returned input moments
+  are untaped [C] arrays, for distribution-shift inspection.
 """
 
 import numpy as np
@@ -23,6 +26,8 @@ from .rng import Rng
 
 class Conv2d:
     """2-d convolution with He-normal weight init."""
+
+    STATE = ("weight", "bias")
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  stride: int = 1, padding: int = 0, rng: Rng = None):
@@ -37,9 +42,6 @@ class Conv2d:
         self.stride = stride
         self.padding = padding
 
-    def params(self):
-        return [self.weight, self.bias]
-
     def forward(self, x):
         return T.conv2d(x, self.weight, self.bias,
                         stride=self.stride, padding=self.padding)
@@ -48,15 +50,14 @@ class Conv2d:
 class Dense:
     """Affine map on [B, in] inputs."""
 
+    STATE = ("weight", "bias")
+
     def __init__(self, in_features: int, out_features: int, rng: Rng = None):
         scale = np.sqrt(1.0 / in_features)
         w = rng.gaussian(in_features * out_features, std=scale)
         self.weight = T.Tensor(w.reshape(in_features, out_features),
                                requires_grad=True)
         self.bias = T.Tensor(np.zeros(out_features), requires_grad=True)
-
-    def params(self):
-        return [self.weight, self.bias]
 
     def forward(self, x):
         return T.add(T.matmul(x, self.weight), self.bias)
@@ -73,8 +74,10 @@ class BatchNorm2d:
 
     ``num_updates`` counts train-mode forwards; eval mode before the first
     update is an error because the running averages would still be the
-    arbitrary init values.
+    arbitrary init values. ``forward`` returns ``(output, (mean, var))``.
     """
+
+    STATE = ("gamma", "beta", "running_mean", "running_var", "num_updates")
 
     def __init__(self, num_channels: int, eps: float = 1e-5,
                  momentum: float = 0.1):
@@ -85,13 +88,6 @@ class BatchNorm2d:
         self.num_updates = 0
         self.eps = eps
         self.momentum = momentum
-        self.last_batch_mean = None  # Tensor [1,C,1,1], train/stats forward
-        self.last_batch_var = None
-        self.last_input_mean = None  # ndarray [C], set by eval forward
-        self.last_input_var = None
-
-    def params(self):
-        return [self.gamma, self.beta]
 
     def forward(self, x, mode: str = "train"):
         if mode not in ("train", "stats", "eval"):
@@ -102,8 +98,8 @@ class BatchNorm2d:
                 raise RuntimeError(
                     "batchnorm eval before any running-average update"
                 )
-            self.last_input_mean = x.data.mean(axis=(0, 2, 3))
-            self.last_input_var = x.data.var(axis=(0, 2, 3))
+            moments = (x.data.mean(axis=(0, 2, 3)),
+                       x.data.var(axis=(0, 2, 3)))
             mean = T.Tensor(self.running_mean.reshape(1, c, 1, 1))
             var = T.Tensor(self.running_var.reshape(1, c, 1, 1))
         else:
@@ -112,8 +108,7 @@ class BatchNorm2d:
             mean = T.tmean(x, axes=(0, 2, 3), keepdims=True)
             var = T.tmean(T.square(T.sub(x, mean)), axes=(0, 2, 3),
                           keepdims=True)
-            self.last_batch_mean = mean
-            self.last_batch_var = var
+            moments = (mean, var)
             if mode == "train":
                 m = self.momentum
                 self.running_mean = (1.0 - m) * self.running_mean \
@@ -121,36 +116,24 @@ class BatchNorm2d:
                 self.running_var = (1.0 - m) * self.running_var \
                     + m * var.data.reshape(c)
                 self.num_updates += 1
-        return T.normalize(x, mean, var, self.gamma, self.beta, self.eps)
+        out = T.normalize(x, mean, var, self.gamma, self.beta, self.eps)
+        return out, moments
 
 
 class InstanceNorm2d:
     """Per-sample, per-channel normalization over the spatial axes."""
+
+    STATE = ("gamma", "beta")
 
     def __init__(self, num_channels: int, eps: float = 1e-5):
         self.gamma = T.Tensor(np.ones(num_channels), requires_grad=True)
         self.beta = T.Tensor(np.zeros(num_channels), requires_grad=True)
         self.eps = eps
 
-    def params(self):
-        return [self.gamma, self.beta]
-
     def forward(self, x):
         mean = T.tmean(x, axes=(2, 3), keepdims=True)
         var = T.tmean(T.square(T.sub(x, mean)), axes=(2, 3), keepdims=True)
         return T.normalize(x, mean, var, self.gamma, self.beta, self.eps)
-
-
-def collect_params(layers):
-    out = []
-    for layer in layers:
-        out.extend(layer.params())
-    return out
-
-
-def set_requires_grad(params, flag: bool):
-    for p in params:
-        p.requires_grad = flag
 
 
 class Adam:

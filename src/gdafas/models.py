@@ -9,6 +9,10 @@ feature space. The generator G is an encoder/residual/decoder network with
 instance normalization and a near-identity start: its head's small-logit
 output is added to the logit of the input image before the final sigmoid, so
 an untrained G approximately reproduces its input.
+
+Every network derives from :class:`Network`, whose one definition-order walk
+over layer attributes is the registry of what a network owns: its trainable
+parameters, its state copies (what a checkpoint stores) and its BN layers.
 """
 
 from dataclasses import dataclass
@@ -17,22 +21,72 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .layers import (
-    BatchNorm2d,
-    Conv2d,
-    Dense,
-    InstanceNorm2d,
-    collect_params,
-    set_requires_grad,
-)
+from .layers import BatchNorm2d, Conv2d, Dense, InstanceNorm2d
 from .rng import Rng, derive_seed
 
 IMAGE_SHAPE = (3, 32, 32)
 DEPTH_SHAPE = (1, 8, 8)
+NETS = ("F", "H", "R", "phi", "G")
 
 
-class FeatureExtractor:
-    """Three stride-2 conv/BN/relu blocks: 3 -> 32 -> 64 -> 128 channels."""
+class Network:
+    """Base of every network and of the model bundle.
+
+    Layers (objects whose class names its persistent fields in ``STATE``) and
+    sub-networks are attributes; ``layers`` walks them in definition order.
+    """
+
+    def layers(self, prefix: str = ""):
+        """(dotted name, layer) pairs, sub-networks inlined under their
+        attribute name."""
+        out = []
+        for attr, value in vars(self).items():
+            if isinstance(value, Network):
+                out.extend(value.layers(f"{prefix}{attr}."))
+            elif hasattr(value, "STATE"):
+                out.append((prefix + attr, value))
+        return out
+
+    def _fields(self):
+        for name, layer in self.layers():
+            for field in layer.STATE:
+                yield f"{name}.{field}", layer, field
+
+    def params(self):
+        """The Tensor fields of every layer's ``STATE``, in walk order."""
+        fields = (getattr(layer, f) for _, layer, f in self._fields())
+        return [v for v in fields if isinstance(v, T.Tensor)]
+
+    def state(self):
+        """{dotted name: float64 copy} of every persistent field, in walk
+        order; an int field is a one-element array."""
+        out = {}
+        for name, layer, field in self._fields():
+            value = getattr(layer, field)
+            if isinstance(value, T.Tensor):
+                value = value.data
+            out[name] = np.array(value, dtype=np.float64, ndmin=1)
+        return out
+
+    def load_state(self, state):
+        """Set every persistent field from a :meth:`state`-shaped dict; the
+        arrays are taken over, not copied."""
+        for name, layer, field in self._fields():
+            value = state[name]
+            current = getattr(layer, field)
+            if isinstance(current, T.Tensor):
+                current.data = value
+            elif isinstance(current, int):
+                setattr(layer, field, int(round(float(value[0]))))
+            else:
+                setattr(layer, field, value)
+
+
+class FeatureExtractor(Network):
+    """Three stride-2 conv/BN/relu blocks: 3 -> 32 -> 64 -> 128 channels.
+
+    ``forward`` returns the three block outputs and each BN layer's moments.
+    """
 
     def __init__(self, rng: Rng):
         self.conv1 = Conv2d(3, 32, 3, stride=2, padding=1, rng=rng)
@@ -43,21 +97,15 @@ class FeatureExtractor:
         self.bn3 = BatchNorm2d(128)
 
     def forward(self, x, mode: str):
-        b1 = T.relu(self.bn1.forward(self.conv1.forward(x), mode))
-        b2 = T.relu(self.bn2.forward(self.conv2.forward(b1), mode))
-        b3 = T.relu(self.bn3.forward(self.conv3.forward(b2), mode))
-        return b1, b2, b3
-
-    def params(self):
-        return collect_params(
-            [self.conv1, self.bn1, self.conv2, self.bn2, self.conv3, self.bn3]
-        )
-
-    def bn_layers(self):
-        return [self.bn1, self.bn2, self.bn3]
+        h1, m1 = self.bn1.forward(self.conv1.forward(x), mode)
+        b1 = T.relu(h1)
+        h2, m2 = self.bn2.forward(self.conv2.forward(b1), mode)
+        b2 = T.relu(h2)
+        h3, m3 = self.bn3.forward(self.conv3.forward(b2), mode)
+        return (b1, b2, T.relu(h3)), [m1, m2, m3]
 
 
-class ClassifierHead:
+class ClassifierHead(Network):
     """Global average pooling over the last block, then a dense map to 2."""
 
     def __init__(self, rng: Rng):
@@ -66,15 +114,12 @@ class ClassifierHead:
     def forward(self, b3):
         return self.dense.forward(T.tmean(b3, axes=(2, 3)))
 
-    def params(self):
-        return self.dense.params()
 
-    def bn_layers(self):
-        return []
+class DepthEstimator(Network):
+    """Two conv/BN/relu blocks plus a 1x1 conv onto a [B,1,8,8] logit map.
 
-
-class DepthEstimator:
-    """Two conv/BN/relu blocks plus a 1x1 conv onto a [B,1,8,8] logit map."""
+    ``forward`` returns the map and each BN layer's moments.
+    """
 
     def __init__(self, rng: Rng):
         self.conv1 = Conv2d(64, 64, 3, stride=1, padding=1, rng=rng)
@@ -84,20 +129,12 @@ class DepthEstimator:
         self.conv3 = Conv2d(32, 1, 1, stride=1, padding=0, rng=rng)
 
     def forward(self, b2, mode: str):
-        h = T.relu(self.bn1.forward(self.conv1.forward(b2), mode))
-        h = T.relu(self.bn2.forward(self.conv2.forward(h), mode))
-        return self.conv3.forward(h)
-
-    def params(self):
-        return collect_params(
-            [self.conv1, self.bn1, self.conv2, self.bn2, self.conv3]
-        )
-
-    def bn_layers(self):
-        return [self.bn1, self.bn2]
+        h, m1 = self.bn1.forward(self.conv1.forward(b2), mode)
+        h, m2 = self.bn2.forward(self.conv2.forward(T.relu(h)), mode)
+        return self.conv3.forward(T.relu(h)), [m1, m2]
 
 
-class PerceptualNet:
+class PerceptualNet(Network):
     """Two seeded conv/relu stages; their output is the content feature."""
 
     def __init__(self, rng: Rng):
@@ -108,14 +145,8 @@ class PerceptualNet:
         h = T.relu(self.conv1.forward(x))
         return T.relu(self.conv2.forward(h))
 
-    def params(self):
-        return collect_params([self.conv1, self.conv2])
 
-    def bn_layers(self):
-        return []
-
-
-class ResidualBlock:
+class ResidualBlock(Network):
     def __init__(self, channels: int, rng: Rng):
         self.conv1 = Conv2d(channels, channels, 3, stride=1, padding=1, rng=rng)
         self.norm1 = InstanceNorm2d(channels)
@@ -126,11 +157,8 @@ class ResidualBlock:
         h = T.relu(self.norm1.forward(self.conv1.forward(x)))
         return T.add(x, self.norm2.forward(self.conv2.forward(h)))
 
-    def params(self):
-        return collect_params([self.conv1, self.norm1, self.conv2, self.norm2])
 
-
-class Generator:
+class Generator(Network):
     """Stride-2 encoder, two residual blocks, nearest-upsampling decoder.
 
     Instance normalization keeps every statistic per-sample, so the only
@@ -167,17 +195,14 @@ class Generator:
         skip = np.log(clipped) - np.log1p(-clipped)
         return T.sigmoid(T.add(logits, T.Tensor(skip)))
 
-    def params(self):
-        return collect_params(
-            [self.enc1, self.norm1, self.enc2, self.norm2]
-        ) + self.res1.params() + self.res2.params() + collect_params(
-            [self.dec1, self.norm3, self.dec2, self.norm4, self.head]
-        )
-
 
 @dataclass
-class ModelBundle:
-    """The five networks; a parameter's ``requires_grad`` says if it trains."""
+class ModelBundle(Network):
+    """The five networks; a parameter's ``requires_grad`` says if it trains.
+
+    The walk names every layer under its network (``F.bn1``); an absent
+    generator contributes nothing.
+    """
 
     F: FeatureExtractor
     H: ClassifierHead
@@ -186,23 +211,19 @@ class ModelBundle:
     G: Optional[Generator] = None
 
     def net(self, name: str):
-        nets = {"F": self.F, "H": self.H, "R": self.R, "phi": self.phi,
-                "G": self.G}
-        if name not in nets:
+        if name not in NETS:
             raise ValueError(f"unknown network name: {name!r}")
-        return nets[name]
+        return getattr(self, name)
 
     def bn_layers(self):
-        """All source-side BN layers in fixed definition order (F then R)."""
-        return self.F.bn_layers() + self.H.bn_layers() + self.R.bn_layers()
+        """All BN layers in walk order (F then R; no other network has one)."""
+        return [layer for _, layer in self.layers()
+                if isinstance(layer, BatchNorm2d)]
 
-    def params(self, names=("F", "H", "R", "phi", "G")):
-        out = []
-        for name in names:
-            net = self.net(name)
-            if net is not None:
-                out.extend(net.params())
-        return out
+    def params(self, names=NETS):
+        """Trainable tensors of the named, present networks, in that order."""
+        return [p for name in names if self.net(name) is not None
+                for p in self.net(name).params()]
 
 
 def freeze(bundle: ModelBundle, names) -> ModelBundle:
@@ -211,7 +232,8 @@ def freeze(bundle: ModelBundle, names) -> ModelBundle:
         net = bundle.net(name)
         if net is None:
             raise ValueError(f"cannot freeze absent network {name!r}")
-        set_requires_grad(net.params(), False)
+        for p in net.params():
+            p.requires_grad = False
     return bundle
 
 
@@ -234,10 +256,11 @@ def build_generator(seed: int) -> Generator:
 def forward_source(bundle: ModelBundle, x, mode: str):
     """Run F, H, R on a [B,3,32,32] batch.
 
-    Returns (logits [B,2], depth logit map [B,1,8,8], bn batch stats,
-    block features [b1, b2, b3]). The stats list pairs each BN layer's batch
-    (mean, variance), each a [1,C,1,1] tensor, in registry order; it is
-    empty in eval mode, where running statistics are used instead.
+    Returns (logits [B,2], depth logit map [B,1,8,8], bn stats, block
+    features [b1, b2, b3]). The stats list holds, in ``bn_layers`` order, the
+    (mean, variance) pair each BN layer returned: taped [1,C,1,1] batch
+    moments in train and stats mode, untaped [C] input moments in eval mode
+    (where the layers normalize with their running statistics).
     """
     x = T.as_tensor(x)
     if x.ndim != 4 or x.shape[1:] != IMAGE_SHAPE:
@@ -245,12 +268,7 @@ def forward_source(bundle: ModelBundle, x, mode: str):
             f"expected input [B,{','.join(map(str, IMAGE_SHAPE))}], "
             f"got {x.shape}"
         )
-    b1, b2, b3 = bundle.F.forward(x, mode)
+    (b1, b2, b3), f_stats = bundle.F.forward(x, mode)
     logits = bundle.H.forward(b3)
-    depth = bundle.R.forward(b2, mode)
-    if mode == "eval":
-        stats = []
-    else:
-        stats = [(bn.last_batch_mean, bn.last_batch_var)
-                 for bn in bundle.bn_layers()]
-    return logits, depth, stats, [b1, b2, b3]
+    depth, r_stats = bundle.R.forward(b2, mode)
+    return logits, depth, f_stats + r_stats, [b1, b2, b3]

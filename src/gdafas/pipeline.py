@@ -19,10 +19,10 @@ from . import spectrum as S
 from . import tensor as T
 from .checkpoint import save_checkpoint
 from .data import Dataset, batch_iterator, merge_datasets
-from .layers import Adam
+from .layers import Adam, BatchNorm2d
 from .rng import Rng, derive_seed
 
-BN_LAYER_NAMES = ("F.bn1", "F.bn2", "F.bn3", "R.bn1", "R.bn2")
+FROZEN = ("F", "H", "R", "phi")
 BLOCK_NAMES = ("b1", "b2", "b3")
 
 
@@ -155,22 +155,12 @@ def train_source(config: TrainConfig, datasets, out_dir: str = None):
 # stage 2: generator adaptation
 
 
-def _frozen_snapshot(bundle):
-    arrays = []
-    for name in ("F", "H", "R", "phi"):
-        for p in bundle.net(name).params():
-            arrays.append(p.data.copy())
-    for bn in bundle.bn_layers():
-        arrays.append(bn.running_mean.copy())
-        arrays.append(bn.running_var.copy())
-        arrays.append(np.array([float(bn.num_updates)]))
-    return arrays
-
-
 def _verify_snapshot(bundle, snapshot):
-    current = _frozen_snapshot(bundle)
-    for before, after in zip(snapshot, current):
-        if not np.array_equal(before, after):
+    """Raise unless every frozen network's state equals ``snapshot``, a list
+    of their ``state()`` dicts taken in ``FROZEN`` order."""
+    for name, before in zip(FROZEN, snapshot):
+        after = bundle.net(name).state()
+        if not all(np.array_equal(v, after[k]) for k, v in before.items()):
             raise RuntimeError(
                 "frozen source model was mutated during adaptation"
             )
@@ -195,8 +185,11 @@ def adapt_generator(config: TrainConfig, bundle, target_dataset,
     stylize with G, run the frozen model collecting per-layer batch
     statistics (running statistics untouched), assemble the statistic,
     content, and entropy objectives, and take an Adam step on G alone. The
-    frozen parameters and running statistics are snapshot before the run and
-    verified bitwise after it.
+    frozen networks' state is copied before the run and verified bitwise
+    after it. A passed ``generator`` is trained in place; without one, a
+    copy of ``bundle.G`` (or a fresh seeded generator) is. The bundle
+    receives the trained generator only after that check passes, so an
+    aborted run leaves ``bundle.G`` as it was.
     """
     if len(bundle.bn_layers()) == 0:
         raise ValueError("bundle has no batch-norm registry to align against")
@@ -213,9 +206,11 @@ def adapt_generator(config: TrainConfig, bundle, target_dataset,
         raise ValueError("adaptation needs at least two target images")
 
     if generator is None:
-        generator = bundle.G or models.build_generator(config.seed)
-    models.freeze(bundle, ["F", "H", "R", "phi"])
-    snapshot = _frozen_snapshot(bundle)
+        generator = models.build_generator(config.seed)
+        if bundle.G is not None:
+            generator.load_state(bundle.G.state())
+    models.freeze(bundle, FROZEN)
+    snapshot = [bundle.net(name).state() for name in FROZEN]
 
     opt = Adam(generator.params(), lr=config.lr)
     weights = config.weights()
@@ -362,30 +357,28 @@ def dataset_bn_moments(bundle, dataset: Dataset, generator=None,
     """Dataset-level (mean, variance) of each BN layer's input, streamed.
 
     The model runs in eval mode (normalizing with its stored statistics, as
-    at inference), while each layer records its input moments per batch.
+    at inference), and each layer returns its input moments per batch.
     Those are pooled exactly via E[x^2] - E[x]^2 with batch-size weights, so
     the result is independent of the streaming batch size. Running
     statistics are never touched.
     """
-    layers = bundle.bn_layers()
+    n_layers = len(bundle.bn_layers())
     weight_sum = 0.0
-    mean_acc = [0.0] * len(layers)
-    sq_acc = [0.0] * len(layers)
+    mean_acc = [0.0] * n_layers
+    sq_acc = [0.0] * n_layers
     with T.no_grad():
         for start in range(0, len(dataset.images), batch_size):
             x = dataset.images[start:start + batch_size]
             if generator is not None:
                 x = _stylize(generator, x)
-            models.forward_source(bundle, x, mode="eval")
+            _, _, stats, _ = models.forward_source(bundle, x, mode="eval")
             w = float(x.shape[0])
             weight_sum += w
-            for i, bn in enumerate(layers):
-                mean = bn.last_input_mean
-                var = bn.last_input_var
+            for i, (mean, var) in enumerate(stats):
                 mean_acc[i] = mean_acc[i] + w * mean
                 sq_acc[i] = sq_acc[i] + w * (var + mean * mean)
     out = []
-    for i in range(len(layers)):
+    for i in range(n_layers):
         mean = mean_acc[i] / weight_sum
         var = sq_acc[i] / weight_sum - mean * mean
         out.append((mean, np.maximum(var, 0.0)))
@@ -401,8 +394,9 @@ def bn_discrepancy(bundle, dataset: Dataset, generator=None,
     """
     moments = dataset_bn_moments(bundle, dataset, generator, batch_size)
     rows = []
-    for name, bn, (mean, var) in zip(BN_LAYER_NAMES, bundle.bn_layers(),
-                                     moments):
+    named = [(name, layer) for name, layer in bundle.layers()
+             if isinstance(layer, BatchNorm2d)]
+    for (name, bn), (mean, var) in zip(named, moments):
         d_mean = float(np.mean(np.abs(mean - bn.running_mean)))
         d_var = float(np.mean(np.abs(var - bn.running_var)))
         rows.append((name, d_mean, d_var))

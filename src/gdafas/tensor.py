@@ -11,11 +11,11 @@ the flag only controls whether a gradient is accumulated on that tensor. A
 frozen weight therefore still passes gradient back to the op's other inputs.
 
 The op set is the one the two training stages use: elementwise arithmetic,
-relu/exp/log/sqrt/sigmoid, sum/mean reductions, reshape, matmul over
-operands of at least two dimensions, conv2d, nearest upsampling and
-``normalize`` (the affine normalization step of batch and instance norm, one
-node with a closed-form backward), plus the composed softmax/log_softmax.
-There is no pooling, padding, slicing, concatenation or transposition op;
+relu/exp/log/sqrt/sigmoid, sum/mean reductions, matmul over operands of at
+least two dimensions, conv2d, nearest upsampling and ``normalize`` (the
+affine normalization step of batch and instance norm, one node with a
+closed-form backward), plus the composed softmax/log_softmax. There is no
+reshape, pooling, padding, slicing, concatenation or transposition op;
 every op has a check in :mod:`gdafas.gradcheck`.
 """
 
@@ -339,16 +339,6 @@ def tmean(a, axes=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g / count, a.shape).copy(),)
 
     return _record(out, (a,), fn)
-
-
-# ---------------------------------------------------------------------------
-# shape manipulation
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape))
-    return _record(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
 # ---------------------------------------------------------------------------

@@ -176,8 +176,9 @@ def test_running_average_recurrence(capsys):
                 np.abs(bn.running_var - var_closed).max())
 
     with T.no_grad():
-        out = bn.forward(T.Tensor(3.0 * rng.normal(size=(8, 3, 8, 8))),
-                         mode="train").data
+        out, _ = bn.forward(T.Tensor(3.0 * rng.normal(size=(8, 3, 8, 8))),
+                            mode="train")
+    out = out.data
     out_mean = np.abs(out.mean(axis=(0, 2, 3))).max()
     out_var = np.abs(out.var(axis=(0, 2, 3)) - 1.0).max()
 

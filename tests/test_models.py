@@ -73,9 +73,17 @@ def test_forward_source_eval_is_deterministic_and_statless():
     bundle = build_source_bundle(7)
     x = _warm_bn(bundle)
     with T.no_grad():
-        l1, d1, stats, _ = forward_source(bundle, x, "eval")
+        l1, d1, stats, feats = forward_source(bundle, x, "eval")
         l2, d2, _, _ = forward_source(bundle, x, "eval")
-    assert stats == []
+    # eval normalizes with running statistics; its stats are the untaped
+    # [C] moments of each BN layer's input, for the discrepancy analyses
+    assert len(stats) == 5
+    mean, var = stats[1]  # F.bn2's input is conv2 of block 1
+    with T.no_grad():
+        pre_bn = bundle.F.conv2.forward(feats[0]).data
+    assert isinstance(mean, np.ndarray) and mean.shape == (64,)
+    assert np.array_equal(mean, pre_bn.mean(axis=(0, 2, 3)))
+    assert np.array_equal(var, pre_bn.var(axis=(0, 2, 3)))
     assert np.array_equal(l1.data, l2.data)
     assert np.array_equal(d1.data, d2.data)
 
@@ -278,3 +286,88 @@ def test_checkpoint_missing_tensor(tmp_path):
     bad.write_bytes(_reseal(bytes(blob[:-4])))
     with pytest.raises(MissingTensorError):
         load_checkpoint(str(bad))
+
+
+def _conv(name, cout, cin, k):
+    return [(f"{name}.weight", (cout, cin, k, k)), (f"{name}.bias", (cout,))]
+
+
+def _bn(name, c):
+    return [(f"{name}.{field}", (c,))
+            for field in ("gamma", "beta", "running_mean", "running_var")] \
+        + [(f"{name}.num_updates", (1,))]
+
+
+def _inorm(name, c):
+    return [(f"{name}.gamma", (c,)), (f"{name}.beta", (c,))]
+
+
+_SOURCE_ENTRIES = (
+    _conv("F.conv1", 32, 3, 3) + _bn("F.bn1", 32)
+    + _conv("F.conv2", 64, 32, 3) + _bn("F.bn2", 64)
+    + _conv("F.conv3", 128, 64, 3) + _bn("F.bn3", 128)
+    + [("H.dense.weight", (128, 2)), ("H.dense.bias", (2,))]
+    + _conv("R.conv1", 64, 64, 3) + _bn("R.bn1", 64)
+    + _conv("R.conv2", 32, 64, 3) + _bn("R.bn2", 32)
+    + _conv("R.conv3", 1, 32, 1)
+    + _conv("phi.conv1", 16, 3, 3) + _conv("phi.conv2", 32, 16, 3)
+)
+_GENERATOR_ENTRIES = (
+    _conv("G.enc1", 32, 3, 3) + _inorm("G.norm1", 32)
+    + _conv("G.enc2", 64, 32, 3) + _inorm("G.norm2", 64)
+    + [entry for block in ("G.res1", "G.res2")
+       for entry in _conv(f"{block}.conv1", 64, 64, 3)
+       + _inorm(f"{block}.norm1", 64) + _conv(f"{block}.conv2", 64, 64, 3)
+       + _inorm(f"{block}.norm2", 64)]
+    + _conv("G.dec1", 32, 64, 3) + _inorm("G.norm3", 32)
+    + _conv("G.dec2", 16, 32, 3) + _inorm("G.norm4", 16)
+    + _conv("G.head", 3, 16, 3)
+)
+
+
+@pytest.mark.parametrize("with_generator", [False, True])
+def test_checkpoint_entries_are_pinned(tmp_path, with_generator):
+    # the .gdac entry list, in file order: a rename, reorder, addition or
+    # drop of any layer field changes the format and must bump VERSION
+    bundle = build_source_bundle(11)
+    want = _SOURCE_ENTRIES
+    if with_generator:
+        bundle.G = build_generator(11)
+        want = _SOURCE_ENTRIES + _GENERATOR_ENTRIES
+    assert len(want) == (77 if with_generator else 43)
+    path = tmp_path / "model.gdac"
+    save_checkpoint(bundle, str(path))
+    blob = path.read_bytes()
+    body, pos, entries = blob[:-4], 10, []
+    while pos < len(body):
+        (name_len,) = struct.unpack("<H", body[pos:pos + 2])
+        name = body[pos + 2:pos + 2 + name_len].decode("utf-8")
+        pos += 2 + name_len
+        ndim = body[pos]
+        dims = struct.unpack(f"<{ndim}I", body[pos + 1:pos + 1 + 4 * ndim])
+        pos += 1 + 4 * ndim + 4 * int(np.prod(dims))
+        entries.append((name, dims))
+    assert struct.unpack("<I", blob[6:10])[0] == len(entries)
+    assert entries == want
+    assert [(k, v.shape) for k, v in bundle.state().items()] == want
+
+
+def test_every_layer_array_is_registered():
+    # a Tensor or array a layer holds outside STATE would be left out of
+    # parameter lists, checkpoints and the frozen-model check
+    bundle = build_source_bundle(11)
+    bundle.G = build_generator(11)
+    walked = bundle.layers()
+    assert len(walked) == 31  # 14 source-side layers, 17 in G
+    for name, layer in walked:
+        arrays = {attr for attr, value in vars(layer).items()
+                  if isinstance(value, (T.Tensor, np.ndarray))}
+        assert arrays <= set(layer.STATE), (name, arrays - set(layer.STATE))
+        assert set(layer.STATE) <= set(vars(layer)), name
+    # every network attribute is a layer or a sub-network the walk enters
+    nets = [bundle.net(n) for n in ("F", "H", "R", "phi", "G")]
+    nets += [bundle.G.res1, bundle.G.res2]
+    known = {id(obj) for obj in nets} | {id(layer) for _, layer in walked}
+    for net in nets:
+        for attr, value in vars(net).items():
+            assert id(value) in known, attr

