@@ -14,8 +14,10 @@ Layout (all integers little-endian):
 The CRC is verified before any parsing, so a truncated or corrupted file
 fails with a checksum error rather than a confusing parse error. A body with
 a valid CRC is still not trusted: every read is checked against the body's
-end, and the last entry must end exactly where the CRC begins. Weights are
-stored at 32-bit precision; loading widens back to 64-bit.
+end, the last entry must end exactly where the CRC begins, and no entry name
+may repeat. Weights are stored at 32-bit precision, the precision the
+pipeline computes in (``tensor.COMPUTE``), and load as float32 arrays: a
+float32 bundle round-trips bit for bit.
 
 Entries are ``ModelBundle.state()`` in its order: every persistent layer
 field of F, H, R, phi and, when present, G, named like ``F.bn1.running_var``.
@@ -29,6 +31,7 @@ import zlib
 
 import numpy as np
 
+from . import tensor as T
 from .models import ModelBundle, build_generator, build_source_bundle
 
 MAGIC = b"GDAC"
@@ -115,6 +118,8 @@ def _parse(blob: bytes):
             name = take(name_len).decode("utf-8")
         except UnicodeDecodeError:
             raise MalformedError(f"entry {len(tensors)} has a non-utf-8 name")
+        if name in tensors:
+            raise MalformedError(f"entry name {name!r} appears more than once")
         (ndim,) = take(1)
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
         n = math.prod(dims)
@@ -123,7 +128,7 @@ def _parse(blob: bytes):
                 f"tensor {name} declares {n} elements, over the parse limit"
             )
         raw = np.frombuffer(take(4 * n), dtype="<f4")
-        tensors[name] = raw.astype(np.float64).reshape(dims)
+        tensors[name] = raw.astype(T.COMPUTE).reshape(dims)
     if pos != len(body):
         raise MalformedError(
             f"{len(body) - pos} bytes follow the last of {count} entries"

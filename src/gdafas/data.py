@@ -8,8 +8,9 @@ passes, sensor noise) is applied around the class signal so that styles
 shift image statistics without destroying separability.
 
 Files are binary PPM (images) and PGM (depth); a JSON manifest lists every
-record. Rendering is a pure function of (label, spec, seed), so datasets are
-byte-identical across machines and reruns.
+record; reading one decodes its pixels to ``tensor.COMPUTE`` (float32) in
+[0, 1]. Rendering is a pure function of (label, spec, seed), so datasets
+are byte-identical across machines and reruns.
 """
 
 import json
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import Rng, derive_seed
+from .tensor import COMPUTE
 
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -186,12 +188,12 @@ def _read_netpbm(path: str, magic: bytes, channels: int):
 
 def ppm_read(path: str) -> np.ndarray:
     raw, h, w = _read_netpbm(path, b"P6", 3)
-    return raw.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
+    return raw.reshape(h, w, 3).transpose(2, 0, 1).astype(COMPUTE) / 255.0
 
 
 def pgm_read(path: str) -> np.ndarray:
     raw, h, w = _read_netpbm(path, b"P5", 1)
-    return raw.reshape(1, h, w).astype(np.float64) / 255.0
+    return raw.reshape(1, h, w).astype(COMPUTE) / 255.0
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +273,7 @@ def load_dataset(root: str) -> Dataset:
         if "depth" in rec:
             depths.append(pgm_read(os.path.join(root, rec["depth"])))
         else:
-            depths.append(np.zeros((1, 8, 8)))
+            depths.append(np.zeros((1, 8, 8), COMPUTE))
         splits.append(rec["split"])
         domains.append(rec["domain"])
         paths.append(rec["image"])

@@ -5,9 +5,12 @@ fields are trainable parameters, ndarray and int fields are plain state.
 :mod:`gdafas.models` walks the layers and reads ``STATE`` for parameter
 lists, state copies and checkpoints. Both normalization layers take their
 moments with taped ``tmean`` ops and apply them with the one-node
-``tensor.normalize``. Batch normalization carries running statistics as
-plain state (never taped, never touched by the optimizer), returns the
-moments it saw with its output, and distinguishes three forward modes:
+``tensor.normalize``. Weights and running statistics are held in
+``tensor.COMPUTE`` (float32), and Adam moments in their parameter's dtype;
+the Rng draws init values in float64 and each layer casts them once.
+Batch normalization carries running statistics as plain state (never
+taped, never touched by the optimizer), returns the moments it saw with
+its output, and distinguishes three forward modes:
 
 * ``train``: normalize with batch moments, update the running averages.
 * ``stats``: normalize with batch moments, leave the running averages alone.
@@ -15,7 +18,7 @@ moments it saw with its output, and distinguishes three forward modes:
   push gradient back to whatever produced the input. They keep the
   [1,C,1,1] shape they are computed in, so returning them tapes nothing more.
 * ``eval``: normalize with the running averages; the returned input moments
-  are untaped [C] arrays, for distribution-shift inspection.
+  are untaped float64 [C] arrays, for distribution-shift inspection.
 """
 
 import numpy as np
@@ -35,10 +38,12 @@ class Conv2d:
         scale = np.sqrt(2.0 / fan_in)
         w = rng.gaussian(out_channels * fan_in, std=scale)
         self.weight = T.Tensor(
-            w.reshape(out_channels, in_channels, kernel, kernel),
+            w.reshape(out_channels, in_channels, kernel, kernel)
+            .astype(T.COMPUTE),
             requires_grad=True,
         )
-        self.bias = T.Tensor(np.zeros(out_channels), requires_grad=True)
+        self.bias = T.Tensor(np.zeros(out_channels, T.COMPUTE),
+                             requires_grad=True)
         self.stride = stride
         self.padding = padding
 
@@ -55,9 +60,12 @@ class Dense:
     def __init__(self, in_features: int, out_features: int, rng: Rng = None):
         scale = np.sqrt(1.0 / in_features)
         w = rng.gaussian(in_features * out_features, std=scale)
-        self.weight = T.Tensor(w.reshape(in_features, out_features),
-                               requires_grad=True)
-        self.bias = T.Tensor(np.zeros(out_features), requires_grad=True)
+        self.weight = T.Tensor(
+            w.reshape(in_features, out_features).astype(T.COMPUTE),
+            requires_grad=True,
+        )
+        self.bias = T.Tensor(np.zeros(out_features, T.COMPUTE),
+                             requires_grad=True)
 
     def forward(self, x):
         return T.add(T.matmul(x, self.weight), self.bias)
@@ -81,10 +89,12 @@ class BatchNorm2d:
 
     def __init__(self, num_channels: int, eps: float = 1e-5,
                  momentum: float = 0.1):
-        self.gamma = T.Tensor(np.ones(num_channels), requires_grad=True)
-        self.beta = T.Tensor(np.zeros(num_channels), requires_grad=True)
-        self.running_mean = np.zeros(num_channels)
-        self.running_var = np.ones(num_channels)
+        self.gamma = T.Tensor(np.ones(num_channels, T.COMPUTE),
+                              requires_grad=True)
+        self.beta = T.Tensor(np.zeros(num_channels, T.COMPUTE),
+                             requires_grad=True)
+        self.running_mean = np.zeros(num_channels, T.COMPUTE)
+        self.running_var = np.ones(num_channels, T.COMPUTE)
         self.num_updates = 0
         self.eps = eps
         self.momentum = momentum
@@ -98,8 +108,9 @@ class BatchNorm2d:
                 raise RuntimeError(
                     "batchnorm eval before any running-average update"
                 )
-            moments = (x.data.mean(axis=(0, 2, 3)),
-                       x.data.var(axis=(0, 2, 3)))
+            # float64 accumulation: the analyses pool these across batches
+            moments = (x.data.mean(axis=(0, 2, 3), dtype=np.float64),
+                       x.data.var(axis=(0, 2, 3), dtype=np.float64))
             mean = T.Tensor(self.running_mean.reshape(1, c, 1, 1))
             var = T.Tensor(self.running_var.reshape(1, c, 1, 1))
         else:
@@ -126,8 +137,10 @@ class InstanceNorm2d:
     STATE = ("gamma", "beta")
 
     def __init__(self, num_channels: int, eps: float = 1e-5):
-        self.gamma = T.Tensor(np.ones(num_channels), requires_grad=True)
-        self.beta = T.Tensor(np.zeros(num_channels), requires_grad=True)
+        self.gamma = T.Tensor(np.ones(num_channels, T.COMPUTE),
+                              requires_grad=True)
+        self.beta = T.Tensor(np.zeros(num_channels, T.COMPUTE),
+                             requires_grad=True)
         self.eps = eps
 
     def forward(self, x):

@@ -98,7 +98,7 @@ def cross_entropy_loss(logits: T.Tensor, labels) -> T.Tensor:
     """Softmax cross-entropy, mean over the batch; integer labels."""
     labels = np.asarray(labels)
     b, c = logits.shape
-    onehot = np.zeros((b, c))
+    onehot = np.zeros((b, c), logits.data.dtype)
     onehot[np.arange(b), labels] = 1.0
     picked = T.tsum(T.mul(T.log_softmax(logits, axis=1), T.Tensor(onehot)),
                     axes=1)

@@ -21,18 +21,14 @@ def roc_auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs at least one live and one spoof score")
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    ranks[order] = np.arange(1, len(scores) + 1)
-    # average the ranks inside each tie group
+    # each run of equal sorted scores (NaNs never equal, so each is a run
+    # of its own) shares the mean of its 1-based positions i+1..j+1
     sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
+    starts = np.flatnonzero(
+        np.concatenate([[True], sorted_scores[1:] != sorted_scores[:-1]]))
+    ends = np.append(starts[1:], len(scores)) - 1
+    ranks = np.empty(len(scores), dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends + 1), ends - starts + 1)
     rank_sum = ranks[pos].sum()
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -110,21 +106,52 @@ def hter(scores, labels, threshold: float) -> float:
 # maximum mean discrepancy
 
 
+# Bytes of one row block of temporaries while a squared-distance matrix is
+# finished in place, so the matrix is never held twice over.
+_ROW_BLOCK_BYTES = 4 * 1024 * 1024
+
+
 def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max(|a_i|² + |b_j|² - 2 a_i·b_j, 0) for every row pair.
+
+    One GEMM writes the whole matrix (a row-block GEMM would round some
+    entries differently, and ``a @ a.T`` would take numpy's symmetric
+    path); the rest is applied in place, one row block at a time.
+    """
     aa = (a * a).sum(axis=1)[:, None]
     bb = (b * b).sum(axis=1)[None, :]
-    return np.maximum(aa + bb - 2.0 * a @ b.T, 0.0)
+    out = 2.0 * a @ b.T
+    step = max(1, _ROW_BLOCK_BYTES // (8 * max(1, len(b))))
+    for i in range(0, len(a), step):
+        block = out[i:i + step]
+        np.subtract(aa[i:i + step] + bb, block, out=block)
+        np.maximum(block, 0.0, out=block)
+    return out
 
 
 def median_bandwidth(a: np.ndarray, b: np.ndarray) -> float:
-    """Median pairwise distance over the pooled samples; 1.0 if degenerate."""
+    """Median pairwise distance over the pooled samples; 1.0 if degenerate.
+
+    The distances above the diagonal are packed, one row block at a time,
+    to the front of the pooled matrix's own buffer, so no second
+    matrix-sized array is made. A block's packed values end before the next
+    block's rows begin, so no value is overwritten before it is read.
+    """
     pooled = np.concatenate([a, b], axis=0)
+    n = len(pooled)
     d2 = _pairwise_sq_dists(pooled, pooled)
-    # a boolean mask takes one byte per pair, where triu_indices takes 16
-    upper = d2[np.triu(np.ones(d2.shape, dtype=bool), k=1)]
+    flat = d2.reshape(-1)
+    cols = np.arange(n)
+    step = max(1, _ROW_BLOCK_BYTES // (8 * max(1, n)))
+    at = 0
+    for i in range(0, n, step):
+        rows = d2[i:i + step]
+        kept = rows[cols > np.arange(i, i + len(rows))[:, None]]
+        flat[at:at + kept.size] = kept
+        at += kept.size
     med = 0.0
-    if upper.size:
-        med = float(np.sqrt(np.median(upper, overwrite_input=True)))
+    if at:
+        med = float(np.sqrt(np.median(flat[:at], overwrite_input=True)))
     return med if med > 0.0 else 1.0
 
 

@@ -58,21 +58,21 @@ class Network:
         return [v for v in fields if isinstance(v, T.Tensor)]
 
     def state(self):
-        """{dotted name: float64 copy} of every persistent field, in walk
-        order; an int field is a one-element array."""
+        """{dotted name: ``tensor.COMPUTE`` copy} of every persistent field,
+        in walk order; an int field is a one-element array."""
         out = {}
         for name, layer, field in self._fields():
             value = getattr(layer, field)
             if isinstance(value, T.Tensor):
                 value = value.data
-            out[name] = np.array(value, dtype=np.float64, ndmin=1)
+            out[name] = np.array(value, dtype=T.COMPUTE, ndmin=1)
         return out
 
     def load_state(self, state):
         """Set every persistent field from a :meth:`state`-shaped dict; the
-        arrays are taken over, not copied."""
+        arrays are taken over, not copied, once in ``tensor.COMPUTE``."""
         for name, layer, field in self._fields():
-            value = state[name]
+            value = np.asarray(state[name], dtype=T.COMPUTE)
             current = getattr(layer, field)
             if isinstance(current, T.Tensor):
                 current.data = value

@@ -279,7 +279,8 @@ def _stylize(generator, images: np.ndarray) -> np.ndarray:
 
 def predict_scores(bundle, dataset: Dataset, generator=None,
                    batch_size: int = 64) -> np.ndarray:
-    """Live-class probabilities for every record, in manifest order."""
+    """Live-class probabilities (float64) for every record, in manifest
+    order."""
     scores = []
     with T.no_grad():
         for start in range(0, len(dataset.images), batch_size):
@@ -287,7 +288,8 @@ def predict_scores(bundle, dataset: Dataset, generator=None,
             if generator is not None:
                 x = _stylize(generator, x)
             logits, _, _, _ = models.forward_source(bundle, x, mode="eval")
-            p = T.softmax(logits, axis=1).data
+            # float64, so float32 rounding cannot tie scores near saturation
+            p = T.softmax(logits.data.astype(np.float64), axis=1).data
             scores.append(p[:, 1])
     return np.concatenate(scores)
 

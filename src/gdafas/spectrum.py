@@ -47,21 +47,24 @@ def reconstruct(amp: np.ndarray, phase: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def dft_matrices(h: int, w: int):
-    """Cosine/sine factor matrices for the matrix-product DFT."""
+def dft_matrices(h: int, w: int, dtype):
+    """Cosine/sine factor matrices for the matrix-product DFT, computed in
+    float64 and cast to ``dtype`` (one cached set per dtype)."""
     km = np.outer(np.arange(h), np.arange(h)) * (2.0 * np.pi / h)
     ln = np.outer(np.arange(w), np.arange(w)) * (2.0 * np.pi / w)
-    return np.cos(km), np.sin(km), np.cos(ln), np.sin(ln)
+    return tuple(m.astype(dtype) for m in
+                 (np.cos(km), np.sin(km), np.cos(ln), np.sin(ln)))
 
 
 def dft2d_taped(x: T.Tensor):
     """Differentiable DFT of a [..., H, W] tensor as (real, imag) tensors.
 
     With row factor A = cos - i sin and column factor B likewise,
-    A x B = (Ca x Cb - Sa x Sb) - i (Ca x Sb + Sa x Cb).
+    A x B = (Ca x Cb - Sa x Sb) - i (Ca x Sb + Sa x Cb). The factor
+    matrices take x's dtype.
     """
     h, w = x.shape[-2], x.shape[-1]
-    ca, sa, cb, sb = dft_matrices(h, w)
+    ca, sa, cb, sb = dft_matrices(h, w, x.data.dtype.type)
     ca, sa, cb, sb = T.Tensor(ca), T.Tensor(sa), T.Tensor(cb), T.Tensor(sb)
     cax = T.matmul(ca, x)
     sax = T.matmul(sa, x)
@@ -86,7 +89,7 @@ def specmix(x: np.ndarray, x_ref: np.ndarray, lam: np.ndarray) -> np.ndarray:
     w = lam.reshape(-1, *([1] * (x.ndim - 1)))
     mixed_amp = (1.0 - w) * own_amp + w * ref_amp
     out = reconstruct(mixed_amp, own_phase)
-    return np.clip(out, 0.0, 1.0)
+    return np.clip(out, 0.0, 1.0).astype(x.dtype, copy=False)
 
 
 def specmix_batch(x: np.ndarray, rng: Rng, eta: float):
@@ -107,6 +110,8 @@ def phase_alignment_loss(x_ref: np.ndarray, x: T.Tensor) -> T.Tensor:
     is held constant, as is the whole reference branch. The result is the
     per-image sum over bins, averaged over the batch, negated, so perfect
     phase agreement on all kept bins of [B, C, H, W] input reaches -C*H*W.
+    The reference spectrum is taken in float64; its unit vectors and the
+    mask are cast to x's dtype.
     """
     ref = dft2d(np.asarray(x_ref, dtype=np.float64))
     ref_norm = np.hypot(ref.real, ref.imag)
@@ -115,9 +120,10 @@ def phase_alignment_loss(x_ref: np.ndarray, x: T.Tensor) -> T.Tensor:
     mask = (ref_norm >= _NORM_FLOOR) & (norm.data >= _NORM_FLOOR)
     # unit reference vectors; masked bins get zeroed afterwards anyway
     safe = np.where(ref_norm < _NORM_FLOOR, 1.0, ref_norm)
-    u_real = np.where(mask, ref.real / safe, 0.0)
-    u_imag = np.where(mask, ref.imag / safe, 0.0)
+    dtype = x.data.dtype
+    u_real = np.where(mask, ref.real / safe, 0.0).astype(dtype)
+    u_imag = np.where(mask, ref.imag / safe, 0.0).astype(dtype)
     dot = T.add(T.mul(real, T.Tensor(u_real)), T.mul(imag, T.Tensor(u_imag)))
-    cos = T.mul(T.div(dot, norm), T.Tensor(mask.astype(np.float64)))
+    cos = T.mul(T.div(dot, norm), T.Tensor(mask.astype(dtype)))
     per_image = T.tsum(cos, axes=tuple(range(1, x.ndim)))
     return T.neg(T.tmean(per_image))

@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over float64 numpy arrays.
+"""Reverse-mode automatic differentiation over float32 or float64 numpy arrays.
 
 A single module-level tape records every operation whose result needs a
 gradient. ``backward`` on a scalar walks that tape once in reverse, deposits
@@ -17,6 +17,18 @@ affine normalization step of batch and instance norm, one node with a
 closed-form backward), plus the composed softmax/log_softmax. There is no
 reshape, pooling, padding, slicing, concatenation or transposition op;
 every op has a check in :mod:`gdafas.gradcheck`.
+
+Precision policy: an op computes in the dtype numpy promotes its operands
+to, so float32 operands give float32 results and buffers, and a float64
+operand anywhere gives float64. A Python number takes the dtype of the
+tensor it meets (numpy's weak-scalar rule). ``COMPUTE`` (float32) is the
+dtype the pipeline builds its weights, optimizer state and decoded images
+in; the gradient checks and finite-difference tests build float64 arrays
+and so run in float64 throughout. Two places widen on purpose: a full
+reduction (``tsum``/``tmean`` over every axis) accumulates and returns
+float64, so loss totals add up exactly, and ``backward`` stores each
+gradient in its tensor's dtype, so such a float64 scalar never widens the
+gradients upstream of it.
 """
 
 import contextlib
@@ -24,8 +36,10 @@ import itertools
 
 import numpy as np
 
+COMPUTE = np.float32
 _LOG_FLOOR = 1e-12
 _DIV_FLOOR = 1e-12
+_FLOATS = (np.float32, np.float64)
 
 _tape = []
 _grad_enabled = True
@@ -38,7 +52,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "uid")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         self.requires_grad = requires_grad
         self.grad = None
         self.uid = next(_uid_counter)
@@ -126,6 +141,15 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _operands(a, b):
+    """Both operands as tensors; a Python number takes the other's dtype."""
+    if isinstance(a, (int, float)) and isinstance(b, Tensor):
+        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
+    if isinstance(b, (int, float)) and isinstance(a, Tensor):
+        return a, Tensor(np.asarray(b, dtype=a.data.dtype))
+    return as_tensor(a), as_tensor(b)
+
+
 def _record(out: Tensor, inputs, fn):
     """Tape the op if grad mode is on and any input participates."""
     if _grad_enabled and any(t.requires_grad for t in inputs):
@@ -149,6 +173,7 @@ def backward(loss: Tensor):
     """Accumulate gradients of a scalar into every taped requires_grad tensor.
 
     The tape is consumed: it is cleared before returning, also on error.
+    Each gradient is cast to its tensor's dtype before it is passed on.
     """
     if loss.data.size != 1:
         clear_tape()
@@ -166,6 +191,8 @@ def backward(loss: Tensor):
             for t, g in zip(node.inputs, node.fn(gout)):
                 if g is None:
                     continue
+                if g.dtype != t.data.dtype:
+                    g = g.astype(t.data.dtype)
                 if t.uid in grads:
                     grads[t.uid] = grads[t.uid] + g
                 else:
@@ -186,7 +213,7 @@ def backward(loss: Tensor):
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.data + b.data)
     return _record(
         out,
@@ -196,7 +223,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.data - b.data)
     return _record(
         out,
@@ -206,7 +233,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.data * b.data)
     return _record(
         out,
@@ -224,7 +251,7 @@ def _safe_denominator(d: np.ndarray) -> np.ndarray:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     safe = _safe_denominator(b.data)
     out = Tensor(a.data / safe)
 
@@ -312,31 +339,45 @@ def _normalize_axes(axes, ndim):
     return tuple(ax % ndim for ax in axes)
 
 
+def _accumulator(a: Tensor, axes_n):
+    """float64 for a reduction over every axis, else None: the input's dtype."""
+    return np.float64 if len(axes_n) == a.ndim else None
+
+
+def _spread(g: np.ndarray, a: Tensor) -> np.ndarray:
+    """A reduction's gradient broadcast back over its input, in its dtype."""
+    return np.broadcast_to(g.astype(a.data.dtype, copy=False), a.shape).copy()
+
+
 def tsum(a, axes=None, keepdims: bool = False) -> Tensor:
+    """Sum over axes; over every axis it accumulates and returns float64."""
     a = as_tensor(a)
     axes_n = _normalize_axes(axes, a.ndim)
-    out = Tensor(a.data.sum(axis=axes_n, keepdims=keepdims))
+    out = Tensor(a.data.sum(axis=axes_n, keepdims=keepdims,
+                            dtype=_accumulator(a, axes_n)))
 
     def fn(g):
         if not keepdims:
             g = np.expand_dims(g, axes_n)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (_spread(g, a),)
 
     return _record(out, (a,), fn)
 
 
 def tmean(a, axes=None, keepdims: bool = False) -> Tensor:
+    """Mean over axes; over every axis it accumulates and returns float64."""
     a = as_tensor(a)
     axes_n = _normalize_axes(axes, a.ndim)
     count = 1
     for ax in axes_n:
         count *= a.shape[ax]
-    out = Tensor(a.data.mean(axis=axes_n, keepdims=keepdims))
+    out = Tensor(a.data.mean(axis=axes_n, keepdims=keepdims,
+                             dtype=_accumulator(a, axes_n)))
 
     def fn(g):
         if not keepdims:
             g = np.expand_dims(g, axes_n)
-        return (np.broadcast_to(g / count, a.shape).copy(),)
+        return (_spread(g / count, a),)
 
     return _record(out, (a,), fn)
 
@@ -371,9 +412,18 @@ def _fill_cols(cols: np.ndarray, xp: np.ndarray, start: int, stride: int):
                                v:v + wo * stride:stride].transpose(1, 0, 2, 3)
 
 
-def _chunk_images(b: int, k: int, pix: int) -> int:
+def _chunk_images(b: int, k: int, pix: int, itemsize: int) -> int:
     """Images per column block of k rows and pix output pixels per image."""
-    return max(1, min(b, _COL_BLOCK_BYTES // (8 * k * pix)))
+    return max(1, min(b, _COL_BLOCK_BYTES // (itemsize * k * pix)))
+
+
+def _pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Zero-pad the two spatial axes of [B,C,H,W] (np.pad's result, without
+    its general-purpose overhead)."""
+    b, c, h, w = x.shape
+    out = np.zeros((b, c, h + 2 * ph, w + 2 * pw), x.dtype)
+    out[:, :, ph:ph + h, pw:pw + w] = x
+    return out
 
 
 def _correlate(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
@@ -389,11 +439,12 @@ def _correlate(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     ho = (xp.shape[2] - kh) // stride + 1
     wo = (xp.shape[3] - kw) // stride + 1
     k, pix = cin * kh * kw, ho * wo
-    chunk = _chunk_images(b, k, pix)
+    dtype = np.result_type(xp, w)
+    chunk = _chunk_images(b, k, pix, dtype.itemsize)
     w2 = w.reshape(cout, k)
-    col_buf = np.empty(k * chunk * pix)
-    y_buf = np.empty(cout * chunk * pix)
-    out = np.empty((b, cout, ho, wo))
+    col_buf = np.empty(k * chunk * pix, dtype)
+    y_buf = np.empty(cout * chunk * pix, dtype)
+    out = np.empty((b, cout, ho, wo), dtype)
     for s in range(0, b, chunk):
         n = min(chunk, b - s)
         cols = col_buf[:k * n * pix].reshape(cin, kh, kw, n, ho, wo)
@@ -416,12 +467,13 @@ def _column_grads(g, xp, w, stride, want_w: bool, want_x: bool):
     cout, _, kh, kw = w.shape
     ho, wo = g.shape[2], g.shape[3]
     k, pix = cin * kh * kw, ho * wo
-    chunk = _chunk_images(b, k, pix)
+    dtype = np.result_type(g, xp, w)
+    chunk = _chunk_images(b, k, pix, dtype.itemsize)
     w2 = w.reshape(cout, k)
-    gw2 = np.zeros((cout, k)) if want_w else None
-    gxp = np.zeros(xp.shape) if want_x else None
-    col_buf = np.empty(k * chunk * pix)
-    gy_buf = np.empty(cout * chunk * pix)
+    gw2 = np.zeros((cout, k), dtype) if want_w else None
+    gxp = np.zeros(xp.shape, dtype) if want_x else None
+    col_buf = np.empty(k * chunk * pix, dtype)
+    gy_buf = np.empty(cout * chunk * pix, dtype)
     for s in range(0, b, chunk):
         n = min(chunk, b - s)
         gy = gy_buf[:cout * n * pix].reshape(cout, n, ho, wo)
@@ -463,7 +515,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     kh, kw = weight.shape[2], weight.shape[3]
     xp = x.data
     if padding:
-        xp = np.pad(xp, [(0, 0), (0, 0), (padding, padding), (padding, padding)])
+        xp = _pad(xp, padding, padding)
     out_data = _correlate(xp, weight.data, stride)
     if bias is not None:
         bias = as_tensor(bias)
@@ -477,8 +529,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         if x.requires_grad and direct:
             ph, pw = kh - 1 - padding, kw - 1 - padding
             flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx = _correlate(np.pad(g, [(0, 0), (0, 0), (ph, ph), (pw, pw)]),
-                            flipped, 1)
+            gx = _correlate(_pad(g, ph, pw), flipped, 1)
         scatter = x.requires_grad and not direct
         if weight.requires_grad or scatter:
             gw, gxp = _column_grads(g, xp, weight.data, stride,

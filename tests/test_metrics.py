@@ -208,3 +208,91 @@ def test_median_bandwidth_matches_index_form_bitwise():
         _median_bandwidth_indices(rounded[:9], rounded[9:])
     same = np.ones((4, 3))
     assert M.median_bandwidth(same, same) == 1.0
+
+
+def _pairwise_sq_dists_full(a, b):
+    """The one-expression form the row blocks replaced."""
+    aa = (a * a).sum(axis=1)[:, None]
+    bb = (b * b).sum(axis=1)[None, :]
+    return np.maximum(aa + bb - 2.0 * a @ b.T, 0.0)
+
+
+@pytest.mark.parametrize("block_bytes", [64, 1000, None])
+def test_pairwise_sq_dists_row_blocks_match_full_form_bitwise(monkeypatch,
+                                                              block_bytes):
+    if block_bytes is not None:  # None keeps the module's block size
+        monkeypatch.setattr(M, "_ROW_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(12)
+    for m, n, d in [(1, 1, 3), (7, 5, 4), (64, 80, 16), (300, 129, 128)]:
+        a = rng.normal(size=(m, d))
+        b = rng.normal(size=(n, d)) + 0.5
+        want = _pairwise_sq_dists_full(a, b)
+        assert M._pairwise_sq_dists(a, b).tobytes() == want.tobytes()
+        pooled = np.concatenate([a, b])
+        assert M.median_bandwidth(a, b) == _median_bandwidth_indices(a, b)
+        assert M._pairwise_sq_dists(pooled, pooled).tobytes() == \
+            _pairwise_sq_dists_full(pooled, pooled).tobytes()
+
+
+def test_rbf_mmd_peak_memory_under_one_and_a_half_pooled_matrices():
+    import tracemalloc
+
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(1024, 128))
+    b = rng.normal(size=(1024, 128)) + 0.1
+    pooled_bytes = (2 * 1024) ** 2 * 8
+    for call in (lambda: M.mmd(a, b, kernel="rbf"),
+                 lambda: M._pairwise_sq_dists(np.concatenate([a, b]),
+                                              np.concatenate([a, b]))):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * pooled_bytes, (peak, pooled_bytes)
+
+
+def _roc_auc_loop(scores, labels):
+    """Average tied ranks with the per-element loop the run boundaries
+    replaced."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    pos = labels == 1
+    n_pos = int(pos.sum())
+    n_neg = len(labels) - n_pos
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores), dtype=np.float64)
+    ranks[order] = np.arange(1, len(scores) + 1)
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        if j > i:
+            ranks[order[i : j + 1]] = 0.5 * (i + 1 + j + 1)
+        i = j + 1
+    rank_sum = ranks[pos].sum()
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def test_auc_tie_runs_equal_loop_and_pair_oracle_exactly():
+    rng = np.random.default_rng(14)
+    for trial in range(200):
+        n = int(rng.integers(2, 300))
+        labels = rng.integers(0, 2, size=n)
+        labels[0], labels[-1] = 0, 1
+        # saturating float32 probabilities: most scores tie at 0 or 1
+        logits = rng.normal(scale=float(rng.choice([1.0, 20.0, 80.0])),
+                            size=n)
+        scores = (1.0 / (1.0 + np.exp(-logits))).astype(np.float32)
+        if trial % 4 == 0:
+            scores = np.round(scores, 1)
+        fast = M.roc_auc(scores, labels)
+        assert fast == _roc_auc_loop(scores, labels)
+        assert fast == roc_auc_pairs(scores, labels)
+    with_nan = np.array([0.5, np.nan, 0.5, np.nan, 0.2, 0.9])
+    nan_labels = np.array([1, 0, 0, 1, 0, 1])
+    assert M.roc_auc(with_nan, nan_labels) == _roc_auc_loop(with_nan,
+                                                            nan_labels)

@@ -235,13 +235,27 @@ def _count_plus_one(body: bytes) -> bytes:
     return body[:6] + struct.pack("<I", count + 1) + body[10:]
 
 
+def _first_entry_twice(body: bytes) -> bytes:
+    """F.conv1.weight written twice, the second copy filled with 7.0."""
+    (name_len,) = struct.unpack("<H", body[10:12])
+    assert body[12:12 + name_len] == b"F.conv1.weight"
+    at = 12 + name_len
+    ndim = body[at]
+    dims = struct.unpack(f"<{ndim}I", body[at + 1:at + 1 + 4 * ndim])
+    head = at + 1 + 4 * ndim
+    end = head + 4 * int(np.prod(dims))
+    again = body[10:head] + np.full(dims, 7.0, "<f4").tobytes()
+    return _count_plus_one(body[:end] + again + body[end:])
+
+
 @pytest.mark.parametrize("damage", [
     _count_plus_one,
     lambda body: body + b"\x00" * 7,    # trailing bytes after the last entry
     lambda body: body[:-2],              # last payload cut short
     lambda body: body[:12] + b"\xff" + body[13:],  # first name not utf-8
+    _first_entry_twice,
 ], ids=["count_plus_one", "trailing_bytes", "truncated_payload",
-        "non_utf8_name"])
+        "non_utf8_name", "repeated_entry_name"])
 def test_resealed_malformed_body_is_rejected(tmp_path, capsys, damage):
     bundle = build_source_bundle(11)
     path = tmp_path / "model.gdac"

@@ -8,6 +8,7 @@ import gdafas.layers as layers
 import gdafas.models as models
 import gdafas.pipeline as P
 import gdafas.tensor as T
+from gdafas.checkpoint import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +181,81 @@ def test_stage2_step_tapes_at_most_five_nodes_per_norm_layer(workspace,
                                                    "InstanceNorm2d"]
     assert len(grown) == 13  # 8 in G, 5 in F and R
     assert all(n <= 5 for _, n in grown), grown
+
+
+def _spy_float32(monkeypatch):
+    """Record the tape at every backward and check, after every Adam step,
+    that each trainable parameter, gradient and moment is float32."""
+    tapes, steps = [], []
+    backward, step = T.backward, layers.Adam.step
+
+    def spy_backward(loss):
+        tapes.append([(node.out.data.dtype, node.out.shape)
+                      for node in T._tape])
+        backward(loss)
+
+    def spy_step(self):
+        step(self)
+        arrays = [a for p in self.params for a in (p.data, p.grad)]
+        arrays += self.m + self.v
+        steps.append(all(a.dtype == np.float32 for a in arrays))
+
+    monkeypatch.setattr(T, "backward", spy_backward)
+    monkeypatch.setattr(layers.Adam, "step", spy_step)
+    return tapes, steps
+
+
+def _wide_nodes_are_float32(tape):
+    # every [B,C,H,W] activation; only scalar loss arithmetic is float64
+    return all(dtype == np.float32 for dtype, shape in tape
+               if len(shape) == 4 and shape[2] * shape[3] > 1)
+
+
+def test_real_steps_compute_in_float32(workspace, monkeypatch):
+    tapes, steps = _spy_float32(monkeypatch)
+    config = P.TrainConfig(batch_size=8, stage1_epochs=1, stage2_steps=1,
+                           seed=13)
+    bundle, log = P.train_source(config, workspace["src"])
+    P.adapt_generator(config, bundle, workspace["tgt"])
+    monkeypatch.undo()
+    assert len(steps) == len(tapes) == len(log) + 1
+    assert [len(tape) for tape in tapes] == [52] * len(log) + [215]
+    assert all(_wide_nodes_are_float32(tape) for tape in tapes)
+    assert all(steps)
+    # the adapted generator and the bundle's running statistics too
+    assert all(p.data.dtype == np.float32 for p in bundle.params())
+    assert all(bn.running_mean.dtype == bn.running_var.dtype == np.float32
+               for bn in bundle.bn_layers())
+
+
+def _layer_arrays(net):
+    """(dotted name, array) of every Tensor or ndarray persistent field."""
+    for name, layer in net.layers():
+        for field in layer.STATE:
+            value = getattr(layer, field)
+            if isinstance(value, T.Tensor):
+                value = value.data
+            if isinstance(value, np.ndarray):
+                yield f"{name}.{field}", value
+
+
+def test_loaded_bundle_and_generator_copy_stay_float32(workspace, tmp_path,
+                                                       monkeypatch):
+    bundle = _copy_source(workspace["bundle"])
+    bundle.G = models.build_generator(6)
+    path = str(tmp_path / "model.gdac")
+    save_checkpoint(bundle, path)
+    loaded = load_checkpoint(path)
+    wide = [name for name, a in _layer_arrays(loaded) if a.dtype != np.float32]
+    assert not wide
+    # adaptation without a generator argument trains a copy of loaded.G
+    _, steps = _spy_float32(monkeypatch)
+    config = P.TrainConfig(batch_size=8, stage2_steps=2, lr=1e-2, seed=6)
+    P.adapt_generator(config, loaded, workspace["tgt"])
+    monkeypatch.undo()
+    assert steps == [True, True]
+    wide = [name for name, a in _layer_arrays(loaded) if a.dtype != np.float32]
+    assert not wide
 
 
 def test_adapt_requires_trained_statistics(workspace):
