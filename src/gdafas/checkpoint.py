@@ -139,15 +139,15 @@ def _parse(blob: bytes):
 def load_checkpoint(path: str) -> ModelBundle:
     """Rebuild a bundle from a checkpoint file.
 
-    The architecture is fixed, so a skeleton is constructed and filled by
-    name; a generator is attached iff the file carries G tensors.
+    The architecture is fixed, so an undrawn skeleton is constructed and
+    filled by name; a generator is attached iff the file carries G tensors.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     tensors = _parse(blob)
-    bundle = build_source_bundle(0)
+    bundle = build_source_bundle(None)
     if any(name.startswith("G.") for name in tensors):
-        bundle.G = build_generator(0)
+        bundle.G = build_generator(None)
     expected = bundle.state()
     missing = expected.keys() - tensors.keys()
     if missing:

@@ -7,24 +7,40 @@ lists, state copies and checkpoints. Both normalization layers take their
 moments with taped ``tmean`` ops and apply them with the one-node
 ``tensor.normalize``. Weights and running statistics are held in
 ``tensor.COMPUTE`` (float32), and Adam moments in their parameter's dtype;
-the Rng draws init values in float64 and each layer casts them once.
+the Rng draws init values in float64 and each layer casts them once. A
+weighted layer built without an Rng draws nothing and holds zeros: a
+skeleton of the right shapes for a state to be loaded into.
 Batch normalization carries running statistics as plain state (never
-taped, never touched by the optimizer), returns the moments it saw with
-its output, and distinguishes three forward modes:
+taped, never touched by the optimizer) and distinguishes three forward
+modes:
 
 * ``train``: normalize with batch moments, update the running averages.
 * ``stats``: normalize with batch moments, leave the running averages alone.
   The returned batch moments stay on the tape, so losses defined on them can
   push gradient back to whatever produced the input. They keep the
   [1,C,1,1] shape they are computed in, so returning them tapes nothing more.
-* ``eval``: normalize with the running averages; the returned input moments
-  are untaped float64 [C] arrays, for distribution-shift inspection.
+* ``eval``: normalize with the running averages and take no moments; the
+  input array it normalized comes back untaped, so a distribution-shift
+  analysis can take its moments and every other caller pays nothing.
 """
+
+import math
 
 import numpy as np
 
 from . import tensor as T
 from .rng import Rng
+
+
+def _init_weight(rng, shape, std):
+    """A trainable weight of ``shape`` drawn from N(0, std^2) in float64 and
+    cast once; zeros, with no draw, when ``rng`` is None."""
+    if rng is None:
+        w = np.zeros(shape, T.COMPUTE)
+    else:
+        w = rng.gaussian(math.prod(shape), std=std).reshape(shape) \
+            .astype(T.COMPUTE)
+    return T.Tensor(w, requires_grad=True)
 
 
 class Conv2d:
@@ -35,13 +51,9 @@ class Conv2d:
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  stride: int = 1, padding: int = 0, rng: Rng = None):
         fan_in = in_channels * kernel * kernel
-        scale = np.sqrt(2.0 / fan_in)
-        w = rng.gaussian(out_channels * fan_in, std=scale)
-        self.weight = T.Tensor(
-            w.reshape(out_channels, in_channels, kernel, kernel)
-            .astype(T.COMPUTE),
-            requires_grad=True,
-        )
+        self.weight = _init_weight(
+            rng, (out_channels, in_channels, kernel, kernel),
+            np.sqrt(2.0 / fan_in))
         self.bias = T.Tensor(np.zeros(out_channels, T.COMPUTE),
                              requires_grad=True)
         self.stride = stride
@@ -58,12 +70,8 @@ class Dense:
     STATE = ("weight", "bias")
 
     def __init__(self, in_features: int, out_features: int, rng: Rng = None):
-        scale = np.sqrt(1.0 / in_features)
-        w = rng.gaussian(in_features * out_features, std=scale)
-        self.weight = T.Tensor(
-            w.reshape(in_features, out_features).astype(T.COMPUTE),
-            requires_grad=True,
-        )
+        self.weight = _init_weight(rng, (in_features, out_features),
+                                   np.sqrt(1.0 / in_features))
         self.bias = T.Tensor(np.zeros(out_features, T.COMPUTE),
                              requires_grad=True)
 
@@ -82,7 +90,9 @@ class BatchNorm2d:
 
     ``num_updates`` counts train-mode forwards; eval mode before the first
     update is an error because the running averages would still be the
-    arbitrary init values. ``forward`` returns ``(output, (mean, var))``.
+    arbitrary init values. ``forward`` returns ``(output, seen)``: ``seen``
+    is the taped ``(mean, var)`` batch-moment pair in train and stats mode,
+    and the untaped input array in eval mode.
     """
 
     STATE = ("gamma", "beta", "running_mean", "running_var", "num_updates")
@@ -108,9 +118,7 @@ class BatchNorm2d:
                 raise RuntimeError(
                     "batchnorm eval before any running-average update"
                 )
-            # float64 accumulation: the analyses pool these across batches
-            moments = (x.data.mean(axis=(0, 2, 3), dtype=np.float64),
-                       x.data.var(axis=(0, 2, 3), dtype=np.float64))
+            seen = x.data
             mean = T.Tensor(self.running_mean.reshape(1, c, 1, 1))
             var = T.Tensor(self.running_var.reshape(1, c, 1, 1))
         else:
@@ -119,7 +127,7 @@ class BatchNorm2d:
             mean = T.tmean(x, axes=(0, 2, 3), keepdims=True)
             var = T.tmean(T.square(T.sub(x, mean)), axes=(0, 2, 3),
                           keepdims=True)
-            moments = (mean, var)
+            seen = (mean, var)
             if mode == "train":
                 m = self.momentum
                 self.running_mean = (1.0 - m) * self.running_mean \
@@ -128,7 +136,7 @@ class BatchNorm2d:
                     + m * var.data.reshape(c)
                 self.num_updates += 1
         out = T.normalize(x, mean, var, self.gamma, self.beta, self.eps)
-        return out, moments
+        return out, seen
 
 
 class InstanceNorm2d:

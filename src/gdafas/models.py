@@ -13,6 +13,10 @@ an untrained G approximately reproduces its input.
 Every network derives from :class:`Network`, whose one definition-order walk
 over layer attributes is the registry of what a network owns: its trainable
 parameters, its state copies (what a checkpoint stores) and its BN layers.
+Each head takes F's block outputs and reads the block it is wired to, so a
+caller that needs only F, or F and one head, runs just those. A network
+built without an Rng (``build_source_bundle(None)``, ``build_generator(None)``)
+draws nothing and holds zero weights, ready for ``load_state``.
 """
 
 from dataclasses import dataclass
@@ -85,10 +89,12 @@ class Network:
 class FeatureExtractor(Network):
     """Three stride-2 conv/BN/relu blocks: 3 -> 32 -> 64 -> 128 channels.
 
-    ``forward`` returns the three block outputs and each BN layer's moments.
+    ``forward`` checks that its input is a [B,3,32,32] image batch (every
+    source-side path starts here) and returns the three block outputs and
+    what each BN layer returned besides its output.
     """
 
-    def __init__(self, rng: Rng):
+    def __init__(self, rng: Optional[Rng]):
         self.conv1 = Conv2d(3, 32, 3, stride=2, padding=1, rng=rng)
         self.bn1 = BatchNorm2d(32)
         self.conv2 = Conv2d(32, 64, 3, stride=2, padding=1, rng=rng)
@@ -97,6 +103,12 @@ class FeatureExtractor(Network):
         self.bn3 = BatchNorm2d(128)
 
     def forward(self, x, mode: str):
+        x = T.as_tensor(x)
+        if x.ndim != 4 or x.shape[1:] != IMAGE_SHAPE:
+            raise ValueError(
+                f"expected input [B,{','.join(map(str, IMAGE_SHAPE))}], "
+                f"got {x.shape}"
+            )
         h1, m1 = self.bn1.forward(self.conv1.forward(x), mode)
         b1 = T.relu(h1)
         h2, m2 = self.bn2.forward(self.conv2.forward(b1), mode)
@@ -108,28 +120,30 @@ class FeatureExtractor(Network):
 class ClassifierHead(Network):
     """Global average pooling over the last block, then a dense map to 2."""
 
-    def __init__(self, rng: Rng):
+    def __init__(self, rng: Optional[Rng]):
         self.dense = Dense(128, 2, rng=rng)
 
-    def forward(self, b3):
-        return self.dense.forward(T.tmean(b3, axes=(2, 3)))
+    def forward(self, blocks):
+        return self.dense.forward(T.tmean(blocks[2], axes=(2, 3)))
 
 
 class DepthEstimator(Network):
-    """Two conv/BN/relu blocks plus a 1x1 conv onto a [B,1,8,8] logit map.
+    """Two conv/BN/relu blocks plus a 1x1 conv onto a [B,1,8,8] logit map,
+    read from F's mid-level block.
 
-    ``forward`` returns the map and each BN layer's moments.
+    ``forward`` returns the map and what each BN layer returned besides its
+    output.
     """
 
-    def __init__(self, rng: Rng):
+    def __init__(self, rng: Optional[Rng]):
         self.conv1 = Conv2d(64, 64, 3, stride=1, padding=1, rng=rng)
         self.bn1 = BatchNorm2d(64)
         self.conv2 = Conv2d(64, 32, 3, stride=1, padding=1, rng=rng)
         self.bn2 = BatchNorm2d(32)
         self.conv3 = Conv2d(32, 1, 1, stride=1, padding=0, rng=rng)
 
-    def forward(self, b2, mode: str):
-        h, m1 = self.bn1.forward(self.conv1.forward(b2), mode)
+    def forward(self, blocks, mode: str):
+        h, m1 = self.bn1.forward(self.conv1.forward(blocks[1]), mode)
         h, m2 = self.bn2.forward(self.conv2.forward(T.relu(h)), mode)
         return self.conv3.forward(T.relu(h)), [m1, m2]
 
@@ -137,7 +151,7 @@ class DepthEstimator(Network):
 class PerceptualNet(Network):
     """Two seeded conv/relu stages; their output is the content feature."""
 
-    def __init__(self, rng: Rng):
+    def __init__(self, rng: Optional[Rng]):
         self.conv1 = Conv2d(3, 16, 3, stride=1, padding=1, rng=rng)
         self.conv2 = Conv2d(16, 32, 3, stride=2, padding=1, rng=rng)
 
@@ -147,7 +161,7 @@ class PerceptualNet(Network):
 
 
 class ResidualBlock(Network):
-    def __init__(self, channels: int, rng: Rng):
+    def __init__(self, channels: int, rng: Optional[Rng]):
         self.conv1 = Conv2d(channels, channels, 3, stride=1, padding=1, rng=rng)
         self.norm1 = InstanceNorm2d(channels)
         self.conv2 = Conv2d(channels, channels, 3, stride=1, padding=1, rng=rng)
@@ -168,7 +182,7 @@ class Generator(Network):
     identity map while leaving every parameter with a live gradient path.
     """
 
-    def __init__(self, rng: Rng):
+    def __init__(self, rng: Optional[Rng]):
         self.enc1 = Conv2d(3, 32, 3, stride=2, padding=1, rng=rng)
         self.norm1 = InstanceNorm2d(32)
         self.enc2 = Conv2d(32, 64, 3, stride=2, padding=1, rng=rng)
@@ -237,38 +251,43 @@ def freeze(bundle: ModelBundle, names) -> ModelBundle:
     return bundle
 
 
-def build_source_bundle(seed: int) -> ModelBundle:
-    """Fresh F, H, R (trainable) and a frozen seeded phi; no generator."""
+def _rng(seed: Optional[int], stream: int) -> Optional[Rng]:
+    return None if seed is None else Rng(derive_seed(seed, stream))
+
+
+def build_source_bundle(seed: Optional[int]) -> ModelBundle:
+    """Fresh F, H, R (trainable) and a frozen seeded phi; no generator.
+
+    With ``seed`` None nothing is drawn: every weight is zero, a skeleton
+    for a loaded state.
+    """
     bundle = ModelBundle(
-        F=FeatureExtractor(Rng(derive_seed(seed, 1))),
-        H=ClassifierHead(Rng(derive_seed(seed, 2))),
-        R=DepthEstimator(Rng(derive_seed(seed, 3))),
-        phi=PerceptualNet(Rng(derive_seed(seed, 4))),
+        F=FeatureExtractor(_rng(seed, 1)),
+        H=ClassifierHead(_rng(seed, 2)),
+        R=DepthEstimator(_rng(seed, 3)),
+        phi=PerceptualNet(_rng(seed, 4)),
     )
     freeze(bundle, ["phi"])
     return bundle
 
 
-def build_generator(seed: int) -> Generator:
-    return Generator(Rng(derive_seed(seed, 5)))
+def build_generator(seed: Optional[int]) -> Generator:
+    """A seeded generator, or with ``seed`` None an undrawn skeleton."""
+    return Generator(_rng(seed, 5))
 
 
 def forward_source(bundle: ModelBundle, x, mode: str):
-    """Run F, H, R on a [B,3,32,32] batch.
+    """Run F, H, R on a [B,3,32,32] batch: the training and adaptation pass.
 
     Returns (logits [B,2], depth logit map [B,1,8,8], bn stats, block
-    features [b1, b2, b3]). The stats list holds, in ``bn_layers`` order, the
-    (mean, variance) pair each BN layer returned: taped [1,C,1,1] batch
-    moments in train and stats mode, untaped [C] input moments in eval mode
-    (where the layers normalize with their running statistics).
+    features [b1, b2, b3]). The stats list holds, in ``bn_layers`` order,
+    what each BN layer returned besides its output: the taped [1,C,1,1]
+    (mean, variance) batch moments in train and stats mode, the untaped
+    input array in eval mode (where the layers normalize with their running
+    statistics). Scoring and the analyses call F and the one head they read
+    directly, so no eval path pays for a network it discards.
     """
-    x = T.as_tensor(x)
-    if x.ndim != 4 or x.shape[1:] != IMAGE_SHAPE:
-        raise ValueError(
-            f"expected input [B,{','.join(map(str, IMAGE_SHAPE))}], "
-            f"got {x.shape}"
-        )
-    (b1, b2, b3), f_stats = bundle.F.forward(x, mode)
-    logits = bundle.H.forward(b3)
-    depth, r_stats = bundle.R.forward(b2, mode)
-    return logits, depth, f_stats + r_stats, [b1, b2, b3]
+    blocks, f_stats = bundle.F.forward(x, mode)
+    logits = bundle.H.forward(blocks)
+    depth, r_stats = bundle.R.forward(blocks, mode)
+    return logits, depth, f_stats + r_stats, list(blocks)

@@ -205,10 +205,11 @@ def adapt_generator(config: TrainConfig, bundle, target_dataset,
     if len(pool.images) < 2:
         raise ValueError("adaptation needs at least two target images")
 
-    if generator is None:
+    if generator is None and bundle.G is None:
         generator = models.build_generator(config.seed)
-        if bundle.G is not None:
-            generator.load_state(bundle.G.state())
+    elif generator is None:
+        generator = models.build_generator(None)
+        generator.load_state(bundle.G.state())
     models.freeze(bundle, FROZEN)
     snapshot = [bundle.net(name).state() for name in FROZEN]
 
@@ -272,22 +273,25 @@ def adapt_generator(config: TrainConfig, bundle, target_dataset,
 # evaluation
 
 
-def _stylize(generator, images: np.ndarray) -> np.ndarray:
-    with T.no_grad():
-        return generator.forward(T.Tensor(images)).data
+def _eval_batches(dataset: Dataset, generator, batch_size: int):
+    """The dataset's images in manifest-order batches, stylized by
+    ``generator`` when one is given; call it under ``T.no_grad``."""
+    if len(dataset.images) == 0:
+        raise ValueError("dataset is empty: no records to run the model on")
+    for start in range(0, len(dataset.images), batch_size):
+        x = dataset.images[start:start + batch_size]
+        yield x if generator is None else generator.forward(T.Tensor(x)).data
 
 
 def predict_scores(bundle, dataset: Dataset, generator=None,
                    batch_size: int = 64) -> np.ndarray:
     """Live-class probabilities (float64) for every record, in manifest
-    order."""
+    order. Runs F and the classifier head only."""
     scores = []
     with T.no_grad():
-        for start in range(0, len(dataset.images), batch_size):
-            x = dataset.images[start:start + batch_size]
-            if generator is not None:
-                x = _stylize(generator, x)
-            logits, _, _, _ = models.forward_source(bundle, x, mode="eval")
+        for x in _eval_batches(dataset, generator, batch_size):
+            blocks, _ = bundle.F.forward(x, "eval")
+            logits = bundle.H.forward(blocks)
             # float64, so float32 rounding cannot tie scores near saturation
             p = T.softmax(logits.data.astype(np.float64), axis=1).data
             scores.append(p[:, 1])
@@ -358,25 +362,26 @@ def dataset_bn_moments(bundle, dataset: Dataset, generator=None,
                        batch_size: int = 32):
     """Dataset-level (mean, variance) of each BN layer's input, streamed.
 
-    The model runs in eval mode (normalizing with its stored statistics, as
-    at inference), and each layer returns its input moments per batch.
-    Those are pooled exactly via E[x^2] - E[x]^2 with batch-size weights, so
-    the result is independent of the streaming batch size. Running
-    statistics are never touched.
+    F and the depth head (the networks that hold BN layers) run in eval mode,
+    normalizing with their stored statistics as at inference; the classifier
+    head is not run. Each BN layer returns the input it normalized, whose
+    per-batch float64 moments are pooled exactly via E[x^2] - E[x]^2 with
+    batch-size weights, so the result is independent of the streaming batch
+    size. Running statistics are never touched.
     """
     n_layers = len(bundle.bn_layers())
     weight_sum = 0.0
     mean_acc = [0.0] * n_layers
     sq_acc = [0.0] * n_layers
     with T.no_grad():
-        for start in range(0, len(dataset.images), batch_size):
-            x = dataset.images[start:start + batch_size]
-            if generator is not None:
-                x = _stylize(generator, x)
-            _, _, stats, _ = models.forward_source(bundle, x, mode="eval")
+        for x in _eval_batches(dataset, generator, batch_size):
+            blocks, f_inputs = bundle.F.forward(x, "eval")
+            _, r_inputs = bundle.R.forward(blocks, "eval")
             w = float(x.shape[0])
             weight_sum += w
-            for i, (mean, var) in enumerate(stats):
+            for i, a in enumerate(f_inputs + r_inputs):
+                mean = a.mean(axis=(0, 2, 3), dtype=np.float64)
+                var = a.var(axis=(0, 2, 3), dtype=np.float64)
                 mean_acc[i] = mean_acc[i] + w * mean
                 sq_acc[i] = sq_acc[i] + w * (var + mean * mean)
     out = []
@@ -407,14 +412,12 @@ def bn_discrepancy(bundle, dataset: Dataset, generator=None,
 
 def block_features(bundle, dataset: Dataset, generator=None,
                    batch_size: int = 64):
-    """Spatially pooled per-block features for every record: {block: [N,C]}."""
+    """Spatially pooled per-block features for every record: {block: [N,C]}.
+    Runs F only."""
     collected = {name: [] for name in BLOCK_NAMES}
     with T.no_grad():
-        for start in range(0, len(dataset.images), batch_size):
-            x = dataset.images[start:start + batch_size]
-            if generator is not None:
-                x = _stylize(generator, x)
-            _, _, _, blocks = models.forward_source(bundle, x, mode="eval")
+        for x in _eval_batches(dataset, generator, batch_size):
+            blocks, _ = bundle.F.forward(x, "eval")
             for name, feat in zip(BLOCK_NAMES, blocks):
                 collected[name].append(feat.data.mean(axis=(2, 3)))
     return {name: np.concatenate(parts) for name, parts in collected.items()}

@@ -2,6 +2,9 @@
 
 import numpy as np
 
+from gdafas import models
+from gdafas import tensor as T
+
 
 def naive_dft2d(x: np.ndarray) -> np.ndarray:
     """Literal double-sum complex DFT of one [H, W] array."""
@@ -68,3 +71,44 @@ def eer_threshold_sweep(scores, labels):
         if best is None or gap < best[0] - 1e-15:
             best = (gap, th, far, frr)
     return best[1:]
+
+
+def full_eval_pass(bundle, dataset, generator=None, batch_size=64):
+    """Scores, pooled BN input moments and pooled block features of a
+    dataset, each batch run through F, H and R together.
+
+    Every batch (stylized by ``generator`` when given) takes one
+    ``forward_source(mode="eval")``; the float64 moments of each BN layer's
+    input are taken inline and pooled with batch-size weights. Returns
+    (live scores [N], [(mean, var)] per BN layer, [pooled block [N, C]]).
+    """
+    scores, pooled = [], [[], [], []]
+    n = 0.0
+    mean_acc = sq_acc = None
+    with T.no_grad():
+        for start in range(0, len(dataset.images), batch_size):
+            x = dataset.images[start:start + batch_size]
+            if generator is not None:
+                x = generator.forward(T.Tensor(x)).data
+            logits, _, inputs, blocks = models.forward_source(bundle, x,
+                                                              "eval")
+            p = T.softmax(logits.data.astype(np.float64), axis=1).data
+            scores.append(p[:, 1])
+            for out, block in zip(pooled, blocks):
+                out.append(block.data.mean(axis=(2, 3)))
+            w = float(x.shape[0])
+            n += w
+            means = [a.mean(axis=(0, 2, 3), dtype=np.float64) for a in inputs]
+            sqs = [a.var(axis=(0, 2, 3), dtype=np.float64) + m * m
+                   for a, m in zip(inputs, means)]
+            if mean_acc is None:
+                mean_acc = [0.0] * len(inputs)
+                sq_acc = [0.0] * len(inputs)
+            mean_acc = [acc + w * m for acc, m in zip(mean_acc, means)]
+            sq_acc = [acc + w * q for acc, q in zip(sq_acc, sqs)]
+    moments = []
+    for m_sum, q_sum in zip(mean_acc, sq_acc):
+        mean = m_sum / n
+        moments.append((mean, np.maximum(q_sum / n - mean * mean, 0.0)))
+    return (np.concatenate(scores), moments,
+            [np.concatenate(parts) for parts in pooled])

@@ -90,24 +90,35 @@ def test_batchnorm_stats_mode_leaves_running_state_alone():
                        y.data.mean(axis=(0, 2, 3), keepdims=True))
 
 
-def test_batchnorm_eval_records_input_moments():
+def test_batchnorm_eval_returns_its_input_untaped():
     r = Rng(41)
     bn = BatchNorm2d(2)
     with T.no_grad():
         bn.forward(
             T.Tensor(r.gaussian(4 * 2 * 3 * 3).reshape(4, 2, 3, 3)), mode="train"
         )
-        x = T.Tensor(r.gaussian(4 * 2 * 3 * 3, mean=1.0).reshape(4, 2, 3, 3))
-        out, (mean, var) = bn.forward(x, mode="eval")
-        out = out.data
-    # untaped [C] arrays: eval moments feed analyses, never a loss
-    assert isinstance(mean, np.ndarray) and isinstance(var, np.ndarray)
-    assert np.allclose(mean, x.data.mean(axis=(0, 2, 3)))
-    assert np.allclose(var, x.data.var(axis=(0, 2, 3)))
-    expect = (x.data - bn.running_mean.reshape(1, 2, 1, 1)) / np.sqrt(
+    state = {k: v.copy() for k, v in (("mean", bn.running_mean),
+                                      ("var", bn.running_var))}
+    x = T.Tensor(r.gaussian(4 * 2 * 3 * 3, mean=1.0).reshape(4, 2, 3, 3)
+                 .astype(T.COMPUTE), requires_grad=True)
+    before = x.data.copy()
+    out, seen = bn.forward(x, mode="eval")
+    # the array it normalized, not a Tensor and not a moment: an analysis
+    # takes the moments it wants, every other caller takes none
+    assert type(seen) is np.ndarray and seen is x.data
+    assert np.array_equal(seen, before) and seen.dtype == T.COMPUTE
+    assert np.array_equal(bn.running_mean, state["mean"])
+    assert np.array_equal(bn.running_var, state["var"])
+    assert bn.num_updates == 1
+    expect = (before - bn.running_mean.reshape(1, 2, 1, 1)) / np.sqrt(
         bn.running_var.reshape(1, 2, 1, 1) + bn.eps
     )
-    assert np.allclose(out, expect)
+    assert np.allclose(out.data, expect, atol=1e-6)
+    # taped from x through the running statistics only: a loss on the
+    # output reaches x, nothing reaches the returned array
+    T.backward(T.tmean(out))
+    assert x.grad is not None and x.grad.shape == x.shape
+    assert np.array_equal(seen, before)
 
 
 def test_batchnorm_gradients_seeded():

@@ -1,5 +1,6 @@
 """Model bundle construction, forward contracts, freezing, checkpoints."""
 
+import hashlib
 import struct
 import zlib
 
@@ -53,6 +54,38 @@ def test_build_is_deterministic():
     assert any(diffs)
 
 
+def _state_digest(net) -> str:
+    h = hashlib.sha256()
+    for name, arr in net.state().items():
+        h.update(f"{name}:{arr.dtype.str}:{arr.shape};".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "063e54b8e887c19b604a61bbdb9ce1d9ed9aeae97fd2c6a018ebcf3d3ed1cc16"),
+    (7, "dfbb42ab8d458934fb5b1edcd92cfae44587b482bdbba48fce3764fbee29d36d"),
+])
+def test_seeded_init_state_is_pinned(seed, digest):
+    # every init byte of F, H, R, phi and G, in walk order, for two seeds
+    bundle = build_source_bundle(seed)
+    bundle.G = build_generator(seed)
+    assert _state_digest(bundle) == digest
+
+
+def test_skeleton_has_the_seeded_layout_and_zero_weights():
+    seeded, skeleton = build_source_bundle(3), build_source_bundle(None)
+    seeded.G, skeleton.G = build_generator(3), build_generator(None)
+    a, b = seeded.state(), skeleton.state()
+    assert list(a) == list(b)
+    assert all(a[k].shape == b[k].shape and a[k].dtype == b[k].dtype
+               for k in a)
+    weights = [k for k in b if k.endswith(".weight")]
+    assert len(weights) == 18 and not any(b[k].any() for k in weights)
+    assert [p.requires_grad for p in seeded.params()] == \
+        [p.requires_grad for p in skeleton.params()]
+
+
 def test_forward_source_shapes_and_stats():
     bundle = build_source_bundle(7)
     x = T.Tensor(Rng(1).uniform(4 * 3 * 32 * 32).reshape(4, 3, 32, 32))
@@ -69,21 +102,30 @@ def test_forward_source_shapes_and_stats():
         forward_source(bundle, T.Tensor(np.zeros((2, 3, 16, 16))), "train")
 
 
-def test_forward_source_eval_is_deterministic_and_statless():
+def test_forward_source_eval_is_deterministic_and_returns_bn_inputs():
     bundle = build_source_bundle(7)
     x = _warm_bn(bundle)
+    running = [(bn.running_mean.copy(), bn.running_var.copy())
+               for bn in bundle.bn_layers()]
     with T.no_grad():
         l1, d1, stats, feats = forward_source(bundle, x, "eval")
         l2, d2, _, _ = forward_source(bundle, x, "eval")
-    # eval normalizes with running statistics; its stats are the untaped
-    # [C] moments of each BN layer's input, for the discrepancy analyses
-    assert len(stats) == 5
-    mean, var = stats[1]  # F.bn2's input is conv2 of block 1
+    # eval normalizes with running statistics and takes no moments; its
+    # stats are the untaped arrays each BN layer normalized, in walk order
     with T.no_grad():
-        pre_bn = bundle.F.conv2.forward(feats[0]).data
-    assert isinstance(mean, np.ndarray) and mean.shape == (64,)
-    assert np.array_equal(mean, pre_bn.mean(axis=(0, 2, 3)))
-    assert np.array_equal(var, pre_bn.var(axis=(0, 2, 3)))
+        f, r = bundle.F, bundle.R
+        pre_bn = [f.conv1.forward(x), f.conv2.forward(feats[0]),
+                  f.conv3.forward(feats[1]), r.conv1.forward(feats[1])]
+        h = T.relu(r.bn1.forward(pre_bn[3], "eval")[0])
+        pre_bn.append(r.conv2.forward(h))
+    assert len(stats) == 5
+    for seen, want, bn in zip(stats, pre_bn, bundle.bn_layers()):
+        assert type(seen) is np.ndarray
+        assert seen.shape[:2] == (4, bn.running_mean.shape[0])
+        assert np.array_equal(seen, want.data)
+    assert all(np.array_equal(bn.running_mean, m) and
+               np.array_equal(bn.running_var, v)
+               for bn, (m, v) in zip(bundle.bn_layers(), running))
     assert np.array_equal(l1.data, l2.data)
     assert np.array_equal(d1.data, d2.data)
 

@@ -9,6 +9,8 @@ import gdafas.models as models
 import gdafas.pipeline as P
 import gdafas.tensor as T
 from gdafas.checkpoint import load_checkpoint, save_checkpoint
+from gdafas.rng import Rng
+from oracles import full_eval_pass
 
 
 @pytest.fixture(scope="module")
@@ -400,6 +402,146 @@ def test_bn_discrepancy_orders_source_below_target(workspace):
     mean_src = np.mean([r[1] for r in rows_src])
     mean_tgt = np.mean([r[1] for r in rows_tgt])
     assert mean_src < mean_tgt
+
+
+@pytest.mark.parametrize("batches", [(64, 32), (12, 10)],
+                         ids=["default", "streamed"])
+@pytest.mark.parametrize("stylized", [False, True], ids=["raw", "stylized"])
+def test_eval_paths_match_full_pass_bitwise(workspace, stylized, batches):
+    # every scoring and analysis path runs only part of F/H/R, on the same
+    # arrays as the full pass, so each number is the full pass's, bit for bit
+    bundle, data = workspace["bundle"], workspace["tgt"]
+    generator = models.build_generator(4) if stylized else None
+    wide, narrow = batches
+    kw = {} if wide == 64 else {"batch_size": wide}
+    kw_bn = {} if narrow == 32 else {"batch_size": narrow}
+    scores, _, pooled = full_eval_pass(bundle, data, generator, wide)
+    _, moments, _ = full_eval_pass(bundle, data, generator, narrow)
+    assert np.array_equal(P.predict_scores(bundle, data, generator, **kw),
+                          scores)
+    feats = P.block_features(bundle, data, generator, **kw)
+    for name, want in zip(P.BLOCK_NAMES, pooled):
+        assert np.array_equal(feats[name], want)
+    got = P.dataset_bn_moments(bundle, data, generator, **kw_bn)
+    assert len(got) == len(moments) == 5
+    for (mean, var), (want_mean, want_var) in zip(got, moments):
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(var, want_var)
+    named = [(n, bn) for n, bn in bundle.layers()
+             if isinstance(bn, layers.BatchNorm2d)]
+    want_rows = [(n, float(np.mean(np.abs(m - bn.running_mean))),
+                  float(np.mean(np.abs(v - bn.running_var))))
+                 for (n, bn), (m, v) in zip(named, moments)]
+    assert P.bn_discrepancy(bundle, data, generator, **kw_bn) == want_rows
+
+
+class _MomentSpy(np.ndarray):
+    """A BN layer's returned input that counts moments taken of it."""
+
+    taken = 0
+
+    def _take(self, moment, *args, **kwargs):
+        _MomentSpy.taken += 1
+        return moment(self.view(np.ndarray), *args, **kwargs)
+
+    def mean(self, *args, **kwargs):
+        return self._take(np.ndarray.mean, *args, **kwargs)
+
+    def var(self, *args, **kwargs):
+        return self._take(np.ndarray.var, *args, **kwargs)
+
+
+def _spy_networks(monkeypatch):
+    """Count F, H and R forwards and the moments taken of eval BN inputs."""
+    calls = {"F": 0, "H": 0, "R": 0}
+    for net, cls in (("F", models.FeatureExtractor),
+                     ("H", models.ClassifierHead),
+                     ("R", models.DepthEstimator)):
+        def counted(self, *args, _net=net, _real=cls.forward):
+            calls[_net] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(cls, "forward", counted)
+    real_bn = layers.BatchNorm2d.forward
+
+    def bn(self, x, mode="train"):
+        out, seen = real_bn(self, x, mode)
+        return out, (seen.view(_MomentSpy) if mode == "eval" else seen)
+
+    monkeypatch.setattr(layers.BatchNorm2d, "forward", bn)
+    _MomentSpy.taken = 0
+    return calls
+
+
+def test_eval_paths_run_only_what_they_read(workspace, monkeypatch):
+    bundle, data = workspace["bundle"], workspace["tgt"].subset("test")
+    src = workspace["src"]
+    generator = models.build_generator(4)
+    calls = _spy_networks(monkeypatch)
+    n = len(data.images)
+    P.evaluate(bundle, data)
+    P.evaluate(bundle, data, generator=generator)
+    assert calls == {"F": 2 * -(-n // 64), "H": 2 * -(-n // 64), "R": 0}
+    P.mmd_curve(bundle, src, data)
+    P.mmd_curve(bundle, src, data, generator=generator)
+    m = len(src.images)
+    assert calls["R"] == 0 and calls["H"] == 2 * -(-n // 64)
+    assert calls["F"] == 4 * -(-n // 64) + 2 * -(-m // 64)
+    assert _MomentSpy.taken == 0
+    calls.update(F=0, H=0, R=0)
+    for gen in (None, generator):
+        P.bn_discrepancy(bundle, data, generator=gen, batch_size=3)
+    batches = 2 * -(-n // 3)
+    assert calls == {"F": batches, "H": 0, "R": batches}
+    # one mean and one variance per BN layer per batch
+    assert _MomentSpy.taken == 2 * 5 * batches
+
+
+def test_eval_paths_reject_an_empty_dataset(workspace):
+    bundle, data = workspace["bundle"], workspace["tgt"]
+    empty = data.subset("no-such-split")
+    assert len(empty.images) == 0
+    for call in (lambda: P.predict_scores(bundle, empty),
+                 lambda: P.block_features(bundle, empty),
+                 lambda: P.dataset_bn_moments(bundle, empty),
+                 lambda: P.bn_discrepancy(bundle, empty),
+                 lambda: P.mmd_curve(bundle, data, empty),
+                 lambda: P.mmd_curve(bundle, empty, data),
+                 lambda: P.evaluate(bundle, empty)):
+        with pytest.raises(ValueError, match="empty"):
+            call()
+
+
+def _count_draws(monkeypatch):
+    draws = []
+    real = Rng.gaussian
+
+    def counted(self, n, *args, **kwargs):
+        draws.append(n)
+        return real(self, n, *args, **kwargs)
+
+    monkeypatch.setattr(Rng, "gaussian", counted)
+    return draws
+
+
+def test_copies_and_loads_build_networks_without_drawing(workspace, tmp_path,
+                                                          monkeypatch):
+    bundle = _copy_source(workspace["bundle"])
+    bundle.G = models.build_generator(3)
+    path = str(tmp_path / "model.gdac")
+    save_checkpoint(bundle, path)
+    g_convs = sum(isinstance(layer, layers.Conv2d)
+                  for _, layer in bundle.G.layers())
+    draws = _count_draws(monkeypatch)
+    loaded = load_checkpoint(path)
+    assert draws == []
+    assert _state_equal(loaded.state(), bundle.state())
+    config = P.TrainConfig(batch_size=8, stage2_steps=1, lr=1e-2, seed=8)
+    P.adapt_generator(config, loaded, workspace["tgt"])
+    assert draws == []
+    # without a generator to copy, a fresh seeded one is drawn
+    loaded.G = None
+    P.adapt_generator(config, loaded, workspace["tgt"])
+    assert len(draws) == g_convs
 
 
 def test_mmd_curve_contract(workspace):
