@@ -141,6 +141,14 @@ def _check_conv2d_strided(rng):
         T.conv2d(ts[0], ts[1], ts[2], stride=2, padding=1))), [x, w, b])
 
 
+def _check_upsample_conv2d(rng):
+    x = _u(rng, (2, 2, 3, 4))
+    w = _u(rng, (3, 2, 3, 3))
+    b = _u(rng, (3,))
+    return (lambda ts: T.tsum(T.square(T.upsample_conv2d(ts[0], ts[1],
+                                                         ts[2]))), [x, w, b])
+
+
 def _check_upsample(rng):
     return (lambda ts: T.tsum(T.square(T.upsample_nearest(ts[0], 2))),
             [_u(rng, (1, 2, 3, 3))])
@@ -266,6 +274,7 @@ CHECKS = (
     ("matmul_batched", _check_matmul_batched),
     ("conv2d", _check_conv2d),
     ("conv2d_strided", _check_conv2d_strided),
+    ("upsample_conv2d", _check_upsample_conv2d),
     ("upsample_nearest", _check_upsample),
     ("normalize", _check_normalize),
     ("normalize_instance", _check_normalize_instance),

@@ -180,6 +180,12 @@ class Generator(Network):
     source networks. The head starts near zero (weights scaled down at init),
     which combined with the input-logit skip makes the initial G close to the
     identity map while leaving every parameter with a live gradient path.
+
+    Each decoder conv (``dec1``, ``dec2``) is a 3x3 pad-1 conv over the 2x
+    nearest upsampling of its input, run by ``tensor.upsample_conv2d`` from
+    the low-res input without building the upsampled map. Both stay
+    ``Conv2d`` layers, so their state, checkpoint entries and init draws
+    are those of a plain conv; their ``forward`` is not called.
     """
 
     def __init__(self, rng: Optional[Rng]):
@@ -202,8 +208,9 @@ class Generator(Network):
         h = T.relu(self.norm2.forward(self.enc2.forward(h)))
         h = self.res1.forward(h)
         h = self.res2.forward(h)
-        h = T.relu(self.norm3.forward(self.dec1.forward(T.upsample_nearest(h, 2))))
-        h = T.relu(self.norm4.forward(self.dec2.forward(T.upsample_nearest(h, 2))))
+        for conv, norm in ((self.dec1, self.norm3), (self.dec2, self.norm4)):
+            h = T.relu(norm.forward(T.upsample_conv2d(h, conv.weight,
+                                                      conv.bias)))
         logits = self.head.forward(h)
         clipped = np.clip(x.data, 0.01, 0.99)
         skip = np.log(clipped) - np.log1p(-clipped)

@@ -192,6 +192,30 @@ def test_gradient_reaches_every_generator_parameter():
         assert np.abs(p.grad).max() > 0.0
 
 
+def test_generator_decoder_matches_composed_upsampling(monkeypatch):
+    # G in float64, with a head large enough that the decoder shows in its
+    # output: the fused decoder convs compute what upsample-then-conv did
+    def run():
+        g = build_generator(5)
+        g.head.weight.data = g.head.weight.data * 100.0
+        for p in g.params():
+            p.data = p.data.astype(np.float64)
+        x = T.Tensor(0.1 + 0.8 * Rng(6).uniform(4 * 3 * 32 * 32)
+                     .reshape(4, 3, 32, 32))
+        out = g.forward(x)
+        T.backward(T.tsum(T.mul(out, Rng(7).gaussian(out.size)
+                                .reshape(out.shape))))
+        return [out.data] + [p.grad for p in g.params()]
+
+    fused = run()
+    monkeypatch.setattr(T, "upsample_conv2d", lambda h, w, b: T.conv2d(
+        T.upsample_nearest(h, 2), w, b, stride=1, padding=1))
+    for have, want in zip(fused, run()):
+        # the conv biases that feed instance norm get rounding noise only
+        scale = max(1.0, np.abs(want).max())
+        assert np.abs(have - want).max() <= 1e-12 * scale
+
+
 def test_freeze_blocks_updates_and_is_idempotent():
     bundle = build_source_bundle(7)
     freeze(bundle, ["F", "H", "R"])

@@ -5,6 +5,7 @@ import pytest
 
 import gdafas.tensor as T
 from gdafas.rng import Rng, derive_seed
+from oracles import upsample_conv2d as composed_upsample_conv2d
 
 
 def _fd_check(build, arrays, tol=1e-5):
@@ -219,8 +220,8 @@ def _einsum_conv2d(x, w, b, stride, padding, g):
 
 # (batch, Cin, H=W, Cout, kernel, stride, padding, bias)
 _CONV_CASES = [
-    (20, 3, 32, 4, 3, 1, 1, True),    # chunks of 9, 9 and 2 images
-    (20, 16, 32, 4, 3, 2, 1, True),   # chunks of 7, 7 and 6 images
+    (22, 3, 32, 4, 3, 1, 1, True),    # five chunks of 4 images, then 2
+    (20, 16, 32, 4, 3, 2, 1, True),   # six chunks of 3 images, then 2
     (20, 3, 32, 4, 3, 1, 0, True),
     (20, 3, 31, 4, 3, 2, 0, False),
     (6, 5, 9, 3, 1, 1, 0, True),      # 1x1 kernel
@@ -323,6 +324,98 @@ def test_upsample_backward_matches_reshape_sum(factor):
     T.backward(T.tsum(T.mul(out, g)))
     want = g.reshape(4, 6, 5, factor, 7, factor).sum(axis=(3, 5))
     assert np.array_equal(x.grad, want)
+
+
+# (batch, Cin, H, W, Cout, bias)
+_UPCONV_CASES = [
+    (3, 4, 5, 7, 6, True),      # H != W
+    (4, 3, 1, 5, 2, False),     # H = 1, no bias
+    (2, 2, 6, 1, 3, True),      # W = 1
+    (30, 32, 12, 12, 8, True),  # forward and both backward GEMMs in chunks
+]
+
+
+def _upconv_case(case):
+    bsz, cin, h, w, cout, has_bias = case
+    r = Rng(derive_seed(919, *case[:5]))
+    x = r.gaussian(bsz * cin * h * w).reshape(bsz, cin, h, w)
+    wt = r.gaussian(cout * cin * 9).reshape(cout, cin, 3, 3)
+    b = r.gaussian(cout) if has_bias else None
+    g = r.gaussian(bsz * cout * 4 * h * w).reshape(bsz, cout, 2 * h, 2 * w)
+    return x, wt, b, g
+
+
+def test_upconv_chunked_case_spans_chunks():
+    bsz, cin, h, w, cout, _ = _UPCONV_CASES[-1]
+    phase = T._chunk_images(bsz, 4 * cin, h * w, 8)   # forward, weight grad
+    grad_x = T._chunk_images(bsz, 16 * cout, h * w, 8)  # input grad
+    assert -(-bsz // phase) >= 3 and -(-bsz // grad_x) >= 3
+
+
+@pytest.mark.parametrize("case", _UPCONV_CASES)
+def test_upsample_conv2d_matches_composed_reference(case):
+    x, w, b, g = _upconv_case(case)
+    tensors = [T.Tensor(a, requires_grad=True) for a in (x, w)]
+    tb = None if b is None else T.Tensor(b, requires_grad=True)
+    out = T.upsample_conv2d(tensors[0], tensors[1], tb)
+    T.backward(T.tsum(T.mul(out, g)))
+    got = (out.data, tensors[0].grad, tensors[1].grad,
+           None if tb is None else tb.grad)
+    for have, want in zip(got, composed_upsample_conv2d(x, w, b, g)):
+        if want is None:
+            assert have is None
+            continue
+        assert have.shape == want.shape and have.dtype == np.float64
+        assert np.abs(have - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cin,hw,cout", [(64, 8, 32), (32, 16, 16)])
+def test_upsample_conv2d_output_does_not_depend_on_batch(dtype, cin, hw,
+                                                         cout):
+    # the generator's two decoder shapes: an image's stylized output (and
+    # so its score) must not depend on the batch it is scored in
+    r = Rng(derive_seed(929, cin))
+    x = r.gaussian(20 * cin * hw * hw).reshape(20, cin, hw, hw).astype(dtype)
+    w = r.gaussian(cout * cin * 9).reshape(cout, cin, 3, 3).astype(dtype)
+    b = r.gaussian(cout).astype(dtype)
+    up = lambda imgs: T.upsample_conv2d(T.Tensor(imgs), T.Tensor(w),
+                                        T.Tensor(b)).data
+    full = up(x)
+    assert full.dtype == dtype
+    for lo, hi in ((0, 1), (3, 17), (11, 20)):
+        assert np.array_equal(up(x[lo:hi]), full[lo:hi])
+
+
+def test_upsample_conv2d_rejects_other_kernels():
+    with pytest.raises(ValueError, match="3x3"):
+        T.upsample_conv2d(T.Tensor(np.zeros((1, 2, 3, 3))),
+                          T.Tensor(np.zeros((4, 2, 5, 5))))
+
+
+@pytest.mark.parametrize("fused", [False, True])
+def test_frozen_operands_get_no_gradient(fused):
+    # an operand that cannot take a gradient gets None in its backward slot
+    x, w, b, g = _upconv_case(_UPCONV_CASES[0])
+    if fused:
+        op = lambda tx, tw, tb: T.upsample_conv2d(tx, tw, tb)
+        g_x, g_w, g_b = composed_upsample_conv2d(x, w, b, g)[1:]
+    else:
+        x = x.repeat(2, axis=2).repeat(2, axis=3)
+        op = lambda tx, tw, tb: T.conv2d(tx, tw, tb, stride=1, padding=1)
+        g_x, g_w, g_b = _einsum_conv2d(x, w, b, 1, 1, g)[1:]
+    for live in ((True, False, False), (False, True, False),
+                 (False, False, True)):
+        tx, tw, tb = (T.Tensor(a, requires_grad=f)
+                      for a, f in zip((x, w, b), live))
+        op(tx, tw, tb)
+        slots = T._tape[-1].fn(g)
+        T.clear_tape()
+        for slot, want, on in zip(slots, (g_x, g_w, g_b), live):
+            if on:
+                assert np.abs(slot - want).max() <= 1e-12 * np.abs(want).max()
+            else:
+                assert slot is None
 
 
 def _composed_normalize(x, mean, var, gamma, beta, eps):
