@@ -220,6 +220,10 @@ def _cmd_specmix(args, config):
             f"image shapes differ: {image.shape} vs {ref.shape}"
         )
     eta = float(merged["eta"])
+    try:
+        S.check_eta(eta)
+    except ValueError as err:
+        raise CliError(f"invalid --eta: {err}")
     lam = S.sample_lambda(Rng(int(merged["seed"])), 1, eta)
     mixed = S.specmix(image[None], ref[None], lam)[0]
     D.ppm_write(out, mixed)
@@ -231,8 +235,18 @@ def _cmd_analyze_stats(args, config):
     out = _require(merged, "out")
     bundle = _load_model(_require(merged, "model"))
     target = _load_dir(_require(merged, "data"))
+    source = None
+    if merged.get("source_data"):
+        source = _load_dir(merged["source_data"])
     _persist_config(merged, out)
 
+    # one pass per (dataset, generator): the target raw and stylized, each
+    # read for both curves, and the source once for its features
+    outputs = ("moments",) if source is None else ("moments", "features")
+    passes = [("raw", P.eval_pass(bundle, target, None, outputs))]
+    if bundle.G is not None:
+        passes.append(("stylized",
+                       P.eval_pass(bundle, target, bundle.G, outputs)))
     written = []
 
     def emit(name, header, rows):
@@ -240,18 +254,14 @@ def _cmd_analyze_stats(args, config):
         P.write_csv(path, header, rows)
         written.append(name)
 
-    emit("bn_raw.csv", ("layer", "d_mean", "d_var"),
-         P.bn_discrepancy(bundle, target))
-    if bundle.G is not None:
-        emit("bn_stylized.csv", ("layer", "d_mean", "d_var"),
-             P.bn_discrepancy(bundle, target, generator=bundle.G))
-    if merged.get("source_data"):
-        source = _load_dir(merged["source_data"])
-        emit("mmd_raw.csv", ("block", "mmd"),
-             P.mmd_curve(bundle, source, target))
-        if bundle.G is not None:
-            emit("mmd_stylized.csv", ("block", "mmd"),
-                 P.mmd_curve(bundle, source, target, generator=bundle.G))
+    for kind, result in passes:
+        emit(f"bn_{kind}.csv", ("layer", "d_mean", "d_var"),
+             P.bn_rows(bundle, result["moments"]))
+    if source is not None:
+        src = P.eval_pass(bundle, source, None, ("features",))["features"]
+        for kind, result in passes:
+            emit(f"mmd_{kind}.csv", ("block", "mmd"),
+                 P.mmd_rows(src, result["features"]))
     return {"command": "analyze-stats", "out": out, "files": written}
 
 

@@ -10,6 +10,7 @@ prediction entropies of the classifier and the depth head, and ``ph`` is the
 spectrum phase-alignment term from :mod:`gdafas.spectrum`.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,9 @@ class LossWeights:
     lambda_ph: float = 0.01
 
     def __post_init__(self):
-        if self.lambda_ent < 0 or self.lambda_ph < 0:
-            raise ValueError("loss weights must be nonnegative")
+        if not all(0 <= w < math.inf for w in (self.lambda_ent,
+                                                self.lambda_ph)):
+            raise ValueError("loss weights must be nonnegative and finite")
 
 
 def _l2_norm(diff: T.Tensor) -> T.Tensor:

@@ -155,36 +155,20 @@ def median_bandwidth(a: np.ndarray, b: np.ndarray) -> float:
     return med if med > 0.0 else 1.0
 
 
-def mmd(features_a, features_b, kernel: str = "linear",
-        unbiased: bool = False) -> float:
-    """Squared maximum mean discrepancy between two feature samples.
+def mmd(features_a, features_b) -> float:
+    """Squared maximum mean discrepancy between two feature samples under an
+    RBF kernel whose width is the pooled median distance.
 
-    The default is the biased V-statistic (mean-embedding distance), which
-    is exactly zero for identical samples and, under the linear kernel,
-    equals the squared mean difference. The unbiased U-statistic (diagonal
-    terms removed) is available for completeness but can go negative.
+    The biased V-statistic (mean-embedding distance), which is exactly zero
+    for identical samples and never negative.
     """
     a = np.asarray(features_a, dtype=np.float64)
     b = np.asarray(features_b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError("feature sets must be [N, D] with matching D")
-    if kernel == "linear":
-        kaa, kbb, kab = a @ a.T, b @ b.T, a @ b.T
-    elif kernel == "rbf":
-        width = median_bandwidth(a, b)
-        denom = 2.0 * width * width
-        kaa = np.exp(-_pairwise_sq_dists(a, a) / denom)
-        kbb = np.exp(-_pairwise_sq_dists(b, b) / denom)
-        kab = np.exp(-_pairwise_sq_dists(a, b) / denom)
-    else:
-        raise ValueError(f"unknown kernel: {kernel!r}")
-    m, n = len(a), len(b)
-    if unbiased:
-        if m < 2 or n < 2:
-            raise ValueError("unbiased estimate needs at least 2 per set")
-        term_a = (kaa.sum() - np.trace(kaa)) / (m * (m - 1))
-        term_b = (kbb.sum() - np.trace(kbb)) / (n * (n - 1))
-    else:
-        term_a = kaa.mean()
-        term_b = kbb.mean()
-    return float(term_a + term_b - 2.0 * kab.mean())
+    width = median_bandwidth(a, b)
+    denom = 2.0 * width * width
+    kaa = np.exp(-_pairwise_sq_dists(a, a) / denom)
+    kbb = np.exp(-_pairwise_sq_dists(b, b) / denom)
+    kab = np.exp(-_pairwise_sq_dists(a, b) / denom)
+    return float(kaa.mean() + kbb.mean() - 2.0 * kab.mean())

@@ -291,8 +291,9 @@ def forward_source(bundle: ModelBundle, x, mode: str):
     what each BN layer returned besides its output: the taped [1,C,1,1]
     (mean, variance) batch moments in train and stats mode, the untaped
     input array in eval mode (where the layers normalize with their running
-    statistics). Scoring and the analyses call F and the one head they read
-    directly, so no eval path pays for a network it discards.
+    statistics). Scoring and the analyses do not call it: their one pass per
+    (dataset, generator), ``pipeline.eval_pass``, runs F and only the heads
+    its requested outputs read.
     """
     blocks, f_stats = bundle.F.forward(x, mode)
     logits = bundle.H.forward(blocks)

@@ -3,10 +3,13 @@
 Stage 1 fits the source model (classifier plus depth head) on labeled source
 data. Stage 2 freezes that model and trains only the generator so that
 stylized target batches reproduce the stored batch-norm statistics while
-keeping target content, optionally diversified by amplitude mixing. All
-artifacts are CSV or checkpoint files with deterministic bytes.
+keeping target content, optionally diversified by amplitude mixing. Scoring
+and the style-gap analyses read one streaming pass per (dataset, generator),
+``eval_pass``. All artifacts are CSV or checkpoint files with deterministic
+bytes.
 """
 
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 
@@ -24,6 +27,7 @@ from .rng import Rng, derive_seed
 
 FROZEN = ("F", "H", "R", "phi")
 BLOCK_NAMES = ("b1", "b2", "b3")
+EVAL_OUTPUTS = ("scores", "moments", "features")
 
 
 @dataclass
@@ -44,10 +48,11 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.batch_size, self.stage1_epochs, self.stage2_steps) < 1:
             raise ValueError("batch size, epochs, and steps must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.eta < 0 or self.lambda_ent < 0 or self.lambda_ph < 0:
-            raise ValueError("eta and loss weights must be nonnegative")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"learning rate must be positive and finite, "
+                             f"got {self.lr}")
+        S.check_eta(self.eta)
+        self.weights()  # validates the loss weights
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
 
@@ -273,29 +278,68 @@ def adapt_generator(config: TrainConfig, bundle, target_dataset,
 # evaluation
 
 
-def _eval_batches(dataset: Dataset, generator, batch_size: int):
-    """The dataset's images in manifest-order batches, stylized by
-    ``generator`` when one is given; call it under ``T.no_grad``."""
+def eval_pass(bundle, dataset: Dataset, generator, outputs,
+              batch_size: int = 64) -> dict:
+    """One streaming eval-mode pass of the frozen model over a dataset.
+
+    Each manifest-order batch is stylized by ``generator`` when one is given
+    and run through F. ``outputs`` names what to return, a subset of
+    ``EVAL_OUTPUTS``; only the networks those read run:
+
+    - ``scores``: live-class probabilities [N] (float64), through H;
+    - ``features``: {block: [N, C]}, F's spatially pooled block outputs;
+    - ``moments``: (mean, variance) of each BN layer's input over the
+      dataset, in ``bn_layers`` order, through R too. The layers normalize
+      with their stored statistics and are never updated; the per-batch
+      float64 moments of the inputs they return are pooled exactly via
+      E[x^2] - E[x]^2 with batch-size weights.
+    """
     if len(dataset.images) == 0:
         raise ValueError("dataset is empty: no records to run the model on")
-    for start in range(0, len(dataset.images), batch_size):
-        x = dataset.images[start:start + batch_size]
-        yield x if generator is None else generator.forward(T.Tensor(x)).data
+    scores, pooled = [], {name: [] for name in BLOCK_NAMES}
+    mean_acc = [0.0] * len(bundle.bn_layers())
+    sq_acc = list(mean_acc)
+    with T.no_grad():
+        for start in range(0, len(dataset.images), batch_size):
+            x = dataset.images[start:start + batch_size]
+            if generator is not None:
+                x = generator.forward(T.Tensor(x)).data
+            blocks, f_inputs = bundle.F.forward(x, "eval")
+            if "scores" in outputs:
+                logits = bundle.H.forward(blocks)
+                # float64, so float32 rounding cannot tie near saturation
+                p = T.softmax(logits.data.astype(np.float64), axis=1).data
+                scores.append(p[:, 1])
+            if "features" in outputs:
+                for name, feat in zip(BLOCK_NAMES, blocks):
+                    pooled[name].append(feat.data.mean(axis=(2, 3)))
+            if "moments" in outputs:
+                _, r_inputs = bundle.R.forward(blocks, "eval")
+                w = float(x.shape[0])
+                for i, a in enumerate(f_inputs + r_inputs):
+                    mean = a.mean(axis=(0, 2, 3), dtype=np.float64)
+                    var = a.var(axis=(0, 2, 3), dtype=np.float64)
+                    mean_acc[i] = mean_acc[i] + w * mean
+                    sq_acc[i] = sq_acc[i] + w * (var + mean * mean)
+    result = {}
+    if "scores" in outputs:
+        result["scores"] = np.concatenate(scores)
+    if "features" in outputs:
+        result["features"] = {name: np.concatenate(parts)
+                              for name, parts in pooled.items()}
+    if "moments" in outputs:
+        n = float(len(dataset.images))   # the batch weights' exact sum
+        means = [m_sum / n for m_sum in mean_acc]
+        result["moments"] = [(m, np.maximum(q_sum / n - m * m, 0.0))
+                             for m, q_sum in zip(means, sq_acc)]
+    return result
 
 
 def predict_scores(bundle, dataset: Dataset, generator=None,
                    batch_size: int = 64) -> np.ndarray:
-    """Live-class probabilities (float64) for every record, in manifest
-    order. Runs F and the classifier head only."""
-    scores = []
-    with T.no_grad():
-        for x in _eval_batches(dataset, generator, batch_size):
-            blocks, _ = bundle.F.forward(x, "eval")
-            logits = bundle.H.forward(blocks)
-            # float64, so float32 rounding cannot tie scores near saturation
-            p = T.softmax(logits.data.astype(np.float64), axis=1).data
-            scores.append(p[:, 1])
-    return np.concatenate(scores)
+    """``eval_pass`` scores: live-class probabilities, manifest order."""
+    return eval_pass(bundle, dataset, generator, ("scores",),
+                     batch_size)["scores"]
 
 
 def evaluate(bundle, dataset: Dataset, generator=None,
@@ -305,8 +349,6 @@ def evaluate(bundle, dataset: Dataset, generator=None,
     HTER is reported at the equal-error threshold of these scores; the 0.5
     operating point is included for transparency.
     """
-    if len(dataset.images) == 0:
-        raise ValueError("evaluation dataset is empty")
     if np.any(dataset.labels < 0):
         raise ValueError("evaluation requires labeled records")
     scores = predict_scores(bundle, dataset, generator)
@@ -358,79 +400,46 @@ def write_eval_report(report: EvalReport, out_dir: str):
 # discrepancy analyses
 
 
-def dataset_bn_moments(bundle, dataset: Dataset, generator=None,
-                       batch_size: int = 32):
-    """Dataset-level (mean, variance) of each BN layer's input, streamed.
-
-    F and the depth head (the networks that hold BN layers) run in eval mode,
-    normalizing with their stored statistics as at inference; the classifier
-    head is not run. Each BN layer returns the input it normalized, whose
-    per-batch float64 moments are pooled exactly via E[x^2] - E[x]^2 with
-    batch-size weights, so the result is independent of the streaming batch
-    size. Running statistics are never touched.
-    """
-    n_layers = len(bundle.bn_layers())
-    weight_sum = 0.0
-    mean_acc = [0.0] * n_layers
-    sq_acc = [0.0] * n_layers
-    with T.no_grad():
-        for x in _eval_batches(dataset, generator, batch_size):
-            blocks, f_inputs = bundle.F.forward(x, "eval")
-            _, r_inputs = bundle.R.forward(blocks, "eval")
-            w = float(x.shape[0])
-            weight_sum += w
-            for i, a in enumerate(f_inputs + r_inputs):
-                mean = a.mean(axis=(0, 2, 3), dtype=np.float64)
-                var = a.var(axis=(0, 2, 3), dtype=np.float64)
-                mean_acc[i] = mean_acc[i] + w * mean
-                sq_acc[i] = sq_acc[i] + w * (var + mean * mean)
-    out = []
-    for i in range(n_layers):
-        mean = mean_acc[i] / weight_sum
-        var = sq_acc[i] / weight_sum - mean * mean
-        out.append((mean, np.maximum(var, 0.0)))
-    return out
+def bn_rows(bundle, moments):
+    """Per-layer distance between dataset moments (``eval_pass``'s
+    ``moments``) and the stored statistics: (layer name, mean |delta mu|,
+    mean |delta var|) rows, shallow to deep."""
+    named = [(name, layer) for name, layer in bundle.layers()
+             if isinstance(layer, BatchNorm2d)]
+    return [(name, float(np.mean(np.abs(mean - bn.running_mean))),
+             float(np.mean(np.abs(var - bn.running_var))))
+            for (name, bn), (mean, var) in zip(named, moments)]
 
 
 def bn_discrepancy(bundle, dataset: Dataset, generator=None,
-                   batch_size: int = 32):
-    """Per-layer distance between dataset statistics and stored statistics.
-
-    Returns (layer name, mean |delta mu|, mean |delta var|) rows, shallow to
-    deep. Labels are never consulted, so unlabeled data is fine.
-    """
-    moments = dataset_bn_moments(bundle, dataset, generator, batch_size)
-    rows = []
-    named = [(name, layer) for name, layer in bundle.layers()
-             if isinstance(layer, BatchNorm2d)]
-    for (name, bn), (mean, var) in zip(named, moments):
-        d_mean = float(np.mean(np.abs(mean - bn.running_mean)))
-        d_var = float(np.mean(np.abs(var - bn.running_var)))
-        rows.append((name, d_mean, d_var))
-    return rows
+                   batch_size: int = 64):
+    """``bn_rows`` of a dataset, optionally stylized. Labels are never
+    consulted, so unlabeled data is fine."""
+    moments = eval_pass(bundle, dataset, generator, ("moments",),
+                        batch_size)["moments"]
+    return bn_rows(bundle, moments)
 
 
 def block_features(bundle, dataset: Dataset, generator=None,
                    batch_size: int = 64):
-    """Spatially pooled per-block features for every record: {block: [N,C]}.
-    Runs F only."""
-    collected = {name: [] for name in BLOCK_NAMES}
-    with T.no_grad():
-        for x in _eval_batches(dataset, generator, batch_size):
-            blocks, _ = bundle.F.forward(x, "eval")
-            for name, feat in zip(BLOCK_NAMES, blocks):
-                collected[name].append(feat.data.mean(axis=(2, 3)))
-    return {name: np.concatenate(parts) for name, parts in collected.items()}
+    """``eval_pass`` features: {block: [N, C]}, manifest order."""
+    return eval_pass(bundle, dataset, generator, ("features",),
+                     batch_size)["features"]
+
+
+def mmd_rows(src_feats, tgt_feats):
+    """Per-block RBF MMD between two ``block_features`` results; rows run
+    shallow to deep."""
+    return [(name, M.mmd(src_feats[name], tgt_feats[name]))
+            for name in BLOCK_NAMES]
 
 
 def mmd_curve(bundle, source_dataset: Dataset, target_dataset: Dataset,
-              generator=None, kernel: str = "rbf"):
-    """Per-block MMD between source features and (optionally stylized)
-    target features; rows run shallow to deep."""
-    src = block_features(bundle, source_dataset)
-    tgt = block_features(bundle, target_dataset, generator)
-    return [(name, M.mmd(src[name], tgt[name], kernel=kernel))
-            for name in BLOCK_NAMES]
+              generator=None):
+    """``mmd_rows`` between source features and (optionally stylized)
+    target features."""
+    return mmd_rows(block_features(bundle, source_dataset),
+                    block_features(bundle, target_dataset, generator))
 
 
 # ---------------------------------------------------------------------------

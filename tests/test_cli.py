@@ -3,6 +3,8 @@ import os
 
 import pytest
 
+from gdafas import data as D
+from gdafas import models
 from gdafas.cli import load_config, main
 
 pytestmark = pytest.mark.usefixtures("capsys")
@@ -131,6 +133,39 @@ def test_specmix_deterministic(cli_root, capsys, tmp_path):
     assert 0.0 <= out1["lambda"] < 0.1
 
 
+@pytest.mark.parametrize("eta", ["-0.5", "3.0", "nan", "inf"])
+def test_specmix_rejects_bad_eta(cli_root, capsys, tmp_path, eta):
+    images = cli_root["root"] / "data" / "source" / "images"
+    names = sorted(os.listdir(images))
+    _, err = run(capsys, "specmix", "--input", str(images / names[0]),
+                 "--ref", str(images / names[1]), f"--eta={eta}",
+                 "--out", str(tmp_path / "c.ppm"), expect=1)
+    assert "eta" in err
+    assert not (tmp_path / "c.ppm").exists()
+
+
+def test_analyze_stats_runs_one_pass_per_dataset_and_generator(
+        cli_root, capsys, tmp_path, monkeypatch):
+    calls = {"G": 0, "F": 0, "H": 0, "R": 0}
+    for net, cls in (("G", models.Generator),
+                     ("F", models.FeatureExtractor),
+                     ("H", models.ClassifierHead),
+                     ("R", models.DepthEstimator)):
+        def counted(self, *args, _net=net, _real=cls.forward):
+            calls[_net] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(cls, "forward", counted)
+    data = cli_root["root"] / "data"
+    run(capsys, "analyze-stats", "--model",
+        str(cli_root["root"] / "adapt_run" / "adapted.gdac"),
+        "--data", str(data / "target"), "--source-data", str(data / "source"),
+        "--out", str(tmp_path))
+    n = -(-len(D.load_dataset(str(data / "target")).images) // 64)
+    m = -(-len(D.load_dataset(str(data / "source")).images) // 64)
+    # the target raw and stylized, the source once; the BN analysis reads R
+    assert calls == {"G": n, "F": 2 * n + m, "H": 0, "R": 2 * n}
+
+
 def test_analyze_stats_files(cli_root, capsys, tmp_path):
     out, _ = run(capsys, "analyze-stats", "--model",
                  str(cli_root["root"] / "adapt_run" / "adapted.gdac"),
@@ -209,6 +244,18 @@ def test_missing_inputs_exit_one(cli_root, capsys, tmp_path):
                  "--data", str(tmp_path / "nowhere"),
                  "--out", str(tmp_path / "o"), expect=1)
     assert "not found" in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--lr", "nan"), ("--lr", "inf"), ("--eta", "nan"), ("--eta", "1.5"),
+    ("--lambda-ent", "inf"), ("--lambda-ph", "nan")])
+def test_adapt_non_finite_hyperparameter_exits_one(cli_root, capsys, tmp_path,
+                                                   flag, value):
+    _, err = run(capsys, "adapt", "--config", cli_root["cfg"],
+                 "--model", str(cli_root["root"] / "src_run" / "source.gdac"),
+                 "--data", str(cli_root["root"] / "data" / "target"),
+                 "--out", str(tmp_path), flag, value, expect=1)
+    assert "invalid training configuration" in err
 
 
 def test_adapt_small_batch_exits_one(cli_root, capsys, tmp_path):

@@ -180,6 +180,11 @@ def test_total_loss_pinned_arithmetic():
 def test_loss_weights_reject_negative():
     with pytest.raises(ValueError):
         LossWeights(lambda_ent=-0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            LossWeights(lambda_ent=bad)
+        with pytest.raises(ValueError, match="finite"):
+            LossWeights(lambda_ph=bad)
 
 
 def test_cross_entropy_pinned_values():

@@ -51,6 +51,14 @@ def test_train_config_validation():
         P.TrainConfig(alpha=0.0)
     with pytest.raises(ValueError):
         P.TrainConfig(alpha=1.5)
+    for field in ("lr", "eta", "lambda_ent", "lambda_ph"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                P.TrainConfig(**{field: bad})
+    # lambda ~ U(0, eta) must stay a convex mixing weight
+    with pytest.raises(ValueError):
+        P.TrainConfig(eta=1.5)
+    assert P.TrainConfig(eta=1.0).eta == 1.0
 
 
 def test_train_source_learns_and_accumulates_stats(workspace):
@@ -382,15 +390,22 @@ def test_stage2_batch_is_half_original_half_mixed(workspace):
     assert not np.array_equal(batch, other)
 
 
-def test_dataset_bn_moments_streaming_is_exact(workspace):
+def test_eval_pass_streaming_is_exact(workspace):
     src_train = workspace["src"].subset("train")
     bundle = workspace["bundle"]
-    whole = P.dataset_bn_moments(bundle, src_train, batch_size=len(
-        src_train.images))
-    streamed = P.dataset_bn_moments(bundle, src_train, batch_size=5)
-    for (m1, v1), (m2, v2) in zip(whole, streamed):
+    whole = P.eval_pass(bundle, src_train, None, P.EVAL_OUTPUTS,
+                        batch_size=len(src_train.images))
+    streamed = P.eval_pass(bundle, src_train, None, P.EVAL_OUTPUTS,
+                           batch_size=5)
+    for (m1, v1), (m2, v2) in zip(whole["moments"], streamed["moments"]):
         assert np.max(np.abs(m1 - m2)) < 1e-10
         assert np.max(np.abs(v1 - v2)) < 1e-10
+    # float32 compute rounds per batch shape, but no record sees another
+    assert np.allclose(whole["scores"], streamed["scores"], rtol=0,
+                       atol=1e-6)
+    for name in P.BLOCK_NAMES:
+        assert np.allclose(whole["features"][name],
+                           streamed["features"][name], rtol=0, atol=1e-6)
 
 
 def test_bn_discrepancy_orders_source_below_target(workspace):
@@ -404,35 +419,36 @@ def test_bn_discrepancy_orders_source_below_target(workspace):
     assert mean_src < mean_tgt
 
 
-@pytest.mark.parametrize("batches", [(64, 32), (12, 10)],
-                         ids=["default", "streamed"])
+@pytest.mark.parametrize("batch", [64, 10], ids=["default", "streamed"])
 @pytest.mark.parametrize("stylized", [False, True], ids=["raw", "stylized"])
-def test_eval_paths_match_full_pass_bitwise(workspace, stylized, batches):
-    # every scoring and analysis path runs only part of F/H/R, on the same
-    # arrays as the full pass, so each number is the full pass's, bit for bit
+def test_eval_paths_match_full_pass_bitwise(workspace, stylized, batch):
+    # every pass output runs only part of F/H/R, on the same arrays as the
+    # full pass, so each number is the full pass's, bit for bit
     bundle, data = workspace["bundle"], workspace["tgt"]
     generator = models.build_generator(4) if stylized else None
-    wide, narrow = batches
-    kw = {} if wide == 64 else {"batch_size": wide}
-    kw_bn = {} if narrow == 32 else {"batch_size": narrow}
-    scores, _, pooled = full_eval_pass(bundle, data, generator, wide)
-    _, moments, _ = full_eval_pass(bundle, data, generator, narrow)
+    kw = {} if batch == 64 else {"batch_size": batch}
+    scores, moments, pooled = full_eval_pass(bundle, data, generator, batch)
+    got = P.eval_pass(bundle, data, generator, P.EVAL_OUTPUTS, **kw)
+    assert np.array_equal(got["scores"], scores)
+    for name, want in zip(P.BLOCK_NAMES, pooled):
+        assert np.array_equal(got["features"][name], want)
+    assert len(got["moments"]) == len(moments) == 5
+    for (mean, var), (want_mean, want_var) in zip(got["moments"], moments):
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(var, want_var)
+    # the wrappers return the same numbers
     assert np.array_equal(P.predict_scores(bundle, data, generator, **kw),
                           scores)
     feats = P.block_features(bundle, data, generator, **kw)
     for name, want in zip(P.BLOCK_NAMES, pooled):
         assert np.array_equal(feats[name], want)
-    got = P.dataset_bn_moments(bundle, data, generator, **kw_bn)
-    assert len(got) == len(moments) == 5
-    for (mean, var), (want_mean, want_var) in zip(got, moments):
-        assert np.array_equal(mean, want_mean)
-        assert np.array_equal(var, want_var)
     named = [(n, bn) for n, bn in bundle.layers()
              if isinstance(bn, layers.BatchNorm2d)]
     want_rows = [(n, float(np.mean(np.abs(m - bn.running_mean))),
                   float(np.mean(np.abs(v - bn.running_var))))
                  for (n, bn), (m, v) in zip(named, moments)]
-    assert P.bn_discrepancy(bundle, data, generator, **kw_bn) == want_rows
+    assert P.bn_rows(bundle, got["moments"]) == want_rows
+    assert P.bn_discrepancy(bundle, data, generator, **kw) == want_rows
 
 
 class _MomentSpy(np.ndarray):
@@ -494,6 +510,16 @@ def test_eval_paths_run_only_what_they_read(workspace, monkeypatch):
     assert calls == {"F": batches, "H": 0, "R": batches}
     # one mean and one variance per BN layer per batch
     assert _MomentSpy.taken == 2 * 5 * batches
+    # each subset of the pass outputs runs only the networks it reads
+    b = -(-n // 64)
+    for outputs, want in ((("scores",), {"F": b, "H": b, "R": 0}),
+                          (("features",), {"F": b, "H": 0, "R": 0}),
+                          (("moments", "features"), {"F": b, "H": 0, "R": b})):
+        calls.update(F=0, H=0, R=0)
+        _MomentSpy.taken = 0
+        P.eval_pass(bundle, data, None, outputs)
+        assert calls == want, outputs
+        assert _MomentSpy.taken == (2 * 5 * b if "moments" in outputs else 0)
 
 
 def test_eval_paths_reject_an_empty_dataset(workspace):
@@ -502,7 +528,8 @@ def test_eval_paths_reject_an_empty_dataset(workspace):
     assert len(empty.images) == 0
     for call in (lambda: P.predict_scores(bundle, empty),
                  lambda: P.block_features(bundle, empty),
-                 lambda: P.dataset_bn_moments(bundle, empty),
+                 *(lambda out=out: P.eval_pass(bundle, empty, None, (out,))
+                   for out in P.EVAL_OUTPUTS),
                  lambda: P.bn_discrepancy(bundle, empty),
                  lambda: P.mmd_curve(bundle, data, empty),
                  lambda: P.mmd_curve(bundle, empty, data),
