@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic   4 bytes  "GDAC"
-    version u16      currently 2
+    version u16      currently 3
     count   u32      number of named tensors
     entry   repeated count times:
         name_len u16, name utf-8 bytes,
@@ -21,8 +21,10 @@ float32 bundle round-trips bit for bit.
 
 Entries are ``ModelBundle.state()`` in its order: every persistent layer
 field of F, H, R, phi and, when present, G, named like ``F.bn1.running_var``.
-Version 2 dropped the perceptual net's third conv layer, which no forward
-pass used. Version 1 files are rejected with ``VersionError``.
+Layout history: version 2 dropped phi's third conv, which no pass used;
+version 3 dropped the ten conv biases that cannot matter, G's eight in front
+of instance norm and frozen phi's two (41 entries, 67 with G). Files of an
+earlier version are rejected with ``VersionError``; nothing reads them.
 """
 
 import math
@@ -35,7 +37,7 @@ from . import tensor as T
 from .models import ModelBundle, build_generator, build_source_bundle
 
 MAGIC = b"GDAC"
-VERSION = 2
+VERSION = 3
 _MAX_ELEMENTS = 1 << 28  # parse-time guard against absurd dim products
 
 

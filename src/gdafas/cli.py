@@ -54,7 +54,12 @@ def load_config(path: str) -> dict:
     unknown = set(config) - _TRAIN_KEYS - _PATH_KEYS - {"domains"}
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for i, domain in enumerate(config.get("domains", [])):
+    domains = config.get("domains", [])
+    if not isinstance(domains, list):
+        raise CliError("domains must be a list of objects")
+    for i, domain in enumerate(domains):
+        if not isinstance(domain, dict):
+            raise CliError(f"domains[{i}] must be a JSON object")
         bad = set(domain) - _DOMAIN_KEYS
         if bad:
             raise CliError(
@@ -125,18 +130,21 @@ def _split_of(dataset: D.Dataset, split) -> D.Dataset:
 def _cmd_gen_data(args, config):
     merged = _merge(args, config)
     out = _require(merged, "out")
-    count = int(merged.get("count_per_class") or 320)
+    count = merged.get("count_per_class")
+    if count is None:
+        count = 320
     seed = int(merged["seed"])
     if config.get("domains"):
         specs = []
-        for entry in config["domains"]:
+        for i, entry in enumerate(config["domains"]):
             entry = dict(entry)
             entry.setdefault("count_per_class", count)
             entry.setdefault("seed", seed)
-            if "gain" in entry:
-                entry["gain"] = tuple(entry["gain"])
             unlabeled = bool(entry.pop("unlabeled_train", False))
-            specs.append((D.DomainSpec(**entry), unlabeled))
+            try:
+                specs.append((D.DomainSpec(**entry), unlabeled))
+            except (TypeError, ValueError) as err:
+                raise CliError(f"invalid domains[{i}]: {err}")
     else:
         source, target = D.default_domain_specs(count, seed)
         specs = [(source, False), (target, True)]
@@ -285,7 +293,7 @@ def _cmd_ablate(args, config):
 
 def _cmd_grad_check(args, config):
     merged = _merge(args, config)
-    trials = int(merged.get("trials") or 20)
+    trials = 20 if merged.get("trials") is None else int(merged["trials"])
     results = GC.run_checks(seed=int(merged["seed"]), trials=trials,
                             fault=args.fault)
     table = GC.format_table(results)

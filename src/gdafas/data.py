@@ -14,6 +14,8 @@ are byte-identical across machines and reruns.
 """
 
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -36,6 +38,34 @@ class DomainSpec:
     noise: float = 0.01
     count_per_class: int = 100
     seed: int = 0
+
+    def __post_init__(self):
+        if isinstance(self.gain, list):
+            self.gain = tuple(self.gain)
+        gain_ok = isinstance(self.gain, tuple) and len(self.gain) == 3
+        checks = (
+            ("name", isinstance(self.name, str) and self.name != "",
+             "a non-empty string"),
+            ("gain", gain_ok and all(map(_finite, self.gain)),
+             "3 finite numbers"),
+            ("brightness", _finite(self.brightness), "finite"),
+            ("blur", _finite(self.blur, numbers.Integral) and self.blur >= 0,
+             "an integer >= 0"),
+            ("noise", _finite(self.noise) and self.noise >= 0,
+             "finite and >= 0"),
+            ("count_per_class", _finite(self.count_per_class, numbers.Integral)
+             and self.count_per_class >= 1, "an integer >= 1"),
+        )
+        for name, ok, rule in checks:
+            if not ok:
+                raise ValueError(f"domain {name} must be {rule}, got "
+                                 f"{getattr(self, name)!r}")
+
+
+def _finite(value, kind=numbers.Real) -> bool:
+    """A finite number of ``kind``; a bool is not one."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass

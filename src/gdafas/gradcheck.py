@@ -144,9 +144,8 @@ def _check_conv2d_strided(rng):
 def _check_upsample_conv2d(rng):
     x = _u(rng, (2, 2, 3, 4))
     w = _u(rng, (3, 2, 3, 3))
-    b = _u(rng, (3,))
-    return (lambda ts: T.tsum(T.square(T.upsample_conv2d(ts[0], ts[1],
-                                                         ts[2]))), [x, w, b])
+    return (lambda ts: T.tsum(T.square(T.upsample_conv2d(ts[0], ts[1]))),
+            [x, w])
 
 
 def _check_upsample(rng):
@@ -308,6 +307,8 @@ def run_checks(seed: int = 0, trials: int = 20, tol: float = TOLERANCE,
     """
     if fault not in (None, "sign-flip"):
         raise ValueError(f"unknown fault {fault!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     results = []
     for name, make in CHECKS:
         worst = 0.0

@@ -44,18 +44,22 @@ def _init_weight(rng, shape, std):
 
 
 class Conv2d:
-    """2-d convolution with He-normal weight init."""
+    """2-d convolution with He-normal weight init. With ``bias=False`` it
+    holds no bias tensor, and ``bias`` is left out of its ``STATE``."""
 
     STATE = ("weight", "bias")
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 stride: int = 1, padding: int = 0, rng: Rng = None):
+                 stride: int = 1, padding: int = 0, bias: bool = True,
+                 rng: Rng = None):
         fan_in = in_channels * kernel * kernel
         self.weight = _init_weight(
             rng, (out_channels, in_channels, kernel, kernel),
             np.sqrt(2.0 / fan_in))
         self.bias = T.Tensor(np.zeros(out_channels, T.COMPUTE),
-                             requires_grad=True)
+                             requires_grad=True) if bias else None
+        if not bias:
+            self.STATE = ("weight",)
         self.stride = stride
         self.padding = padding
 

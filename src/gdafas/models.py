@@ -148,12 +148,17 @@ class DepthEstimator(Network):
         return self.conv3.forward(T.relu(h)), [m1, m2]
 
 
+def _conv_no_bias(cin: int, cout: int, stride: int, rng: Optional[Rng]):
+    return Conv2d(cin, cout, 3, stride=stride, padding=1, bias=False, rng=rng)
+
+
 class PerceptualNet(Network):
-    """Two seeded conv/relu stages; their output is the content feature."""
+    """Two seeded conv/relu stages; their output is the content feature.
+    phi never trains, so a conv bias would stay at its zero init."""
 
     def __init__(self, rng: Optional[Rng]):
-        self.conv1 = Conv2d(3, 16, 3, stride=1, padding=1, rng=rng)
-        self.conv2 = Conv2d(16, 32, 3, stride=2, padding=1, rng=rng)
+        self.conv1 = _conv_no_bias(3, 16, 1, rng)
+        self.conv2 = _conv_no_bias(16, 32, 2, rng)
 
     def features(self, x):
         h = T.relu(self.conv1.forward(x))
@@ -162,9 +167,9 @@ class PerceptualNet(Network):
 
 class ResidualBlock(Network):
     def __init__(self, channels: int, rng: Optional[Rng]):
-        self.conv1 = Conv2d(channels, channels, 3, stride=1, padding=1, rng=rng)
+        self.conv1 = _conv_no_bias(channels, channels, 1, rng)
         self.norm1 = InstanceNorm2d(channels)
-        self.conv2 = Conv2d(channels, channels, 3, stride=1, padding=1, rng=rng)
+        self.conv2 = _conv_no_bias(channels, channels, 1, rng)
         self.norm2 = InstanceNorm2d(channels)
 
     def forward(self, x):
@@ -181,23 +186,23 @@ class Generator(Network):
     which combined with the input-logit skip makes the initial G close to the
     identity map while leaving every parameter with a live gradient path.
 
-    Each decoder conv (``dec1``, ``dec2``) is a 3x3 pad-1 conv over the 2x
-    nearest upsampling of its input, run by ``tensor.upsample_conv2d`` from
-    the low-res input without building the upsampled map. Both stay
-    ``Conv2d`` layers, so their state, checkpoint entries and init draws
-    are those of a plain conv; their ``forward`` is not called.
+    Every conv but the head feeds instance norm, which cancels any
+    per-channel constant, so they have no bias. Each decoder conv (``dec1``,
+    ``dec2``) is a 3x3 pad-1 conv over the 2x nearest upsampling of its
+    input, run by ``tensor.upsample_conv2d`` from the low-res input without
+    building the upsampled map; its ``forward`` is not called.
     """
 
     def __init__(self, rng: Optional[Rng]):
-        self.enc1 = Conv2d(3, 32, 3, stride=2, padding=1, rng=rng)
+        self.enc1 = _conv_no_bias(3, 32, 2, rng)
         self.norm1 = InstanceNorm2d(32)
-        self.enc2 = Conv2d(32, 64, 3, stride=2, padding=1, rng=rng)
+        self.enc2 = _conv_no_bias(32, 64, 2, rng)
         self.norm2 = InstanceNorm2d(64)
         self.res1 = ResidualBlock(64, rng)
         self.res2 = ResidualBlock(64, rng)
-        self.dec1 = Conv2d(64, 32, 3, stride=1, padding=1, rng=rng)
+        self.dec1 = _conv_no_bias(64, 32, 1, rng)
         self.norm3 = InstanceNorm2d(32)
-        self.dec2 = Conv2d(32, 16, 3, stride=1, padding=1, rng=rng)
+        self.dec2 = _conv_no_bias(32, 16, 1, rng)
         self.norm4 = InstanceNorm2d(16)
         self.head = Conv2d(16, 3, 3, stride=1, padding=1, rng=rng)
         self.head.weight.data = self.head.weight.data * 0.01
@@ -209,8 +214,7 @@ class Generator(Network):
         h = self.res1.forward(h)
         h = self.res2.forward(h)
         for conv, norm in ((self.dec1, self.norm3), (self.dec2, self.norm4)):
-            h = T.relu(norm.forward(T.upsample_conv2d(h, conv.weight,
-                                                      conv.bias)))
+            h = T.relu(norm.forward(T.upsample_conv2d(h, conv.weight)))
         logits = self.head.forward(h)
         clipped = np.clip(x.data, 0.01, 0.99)
         skip = np.log(clipped) - np.log1p(-clipped)

@@ -519,14 +519,9 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
                     gxp[:, :, padding:-padding, padding:-padding]
         if bias is None:
             return gx, gw
-        return gx, gw, _bias_grad(g, bias)
+        return gx, gw, g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
 
     return _record(out, inputs, fn)
-
-
-def _bias_grad(g: np.ndarray, bias: Tensor):
-    """A per-channel bias's gradient, or None when the bias cannot take it."""
-    return g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
 
 
 # Sub-pixel maps of a 3x3 kernel over a 2x nearest upsampling. Output row
@@ -541,9 +536,9 @@ _PHASE_ROWS = np.array([[[1, 0, 0], [0, 1, 1]],
 _GRAD_ROWS = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1]])
 
 
-def upsample_conv2d(x, weight, bias=None) -> Tensor:
-    """``conv2d(upsample_nearest(x, 2), weight, bias, stride=1, padding=1)``
-    for a 3x3 ``weight``, without building the upsampled map.
+def upsample_conv2d(x, weight) -> Tensor:
+    """``conv2d(upsample_nearest(x, 2), weight, stride=1, padding=1)`` for a
+    3x3 ``weight``, without building the upsampled map.
 
     Each output phase (a, b), the pixels [2m+a, 2n+b], is a 2x2 correlation
     of the pad-1 low-res input window starting at (a, b) with the kernel
@@ -570,11 +565,7 @@ def upsample_conv2d(x, weight, bias=None) -> Tensor:
     for a, c, wk in phases:
         _correlate(xp[:, :, a:a + h + 1, c:c + w + 1], wk, 1,
                    out=out_data[:, :, a::2, c::2])
-    if bias is not None:
-        bias = as_tensor(bias)
-        out_data += bias.data[:, None, None]
     out = Tensor(out_data)
-    inputs = (x, weight) if bias is None else (x, weight, bias)
 
     def fn(g):
         gx = gw = None
@@ -589,11 +580,9 @@ def upsample_conv2d(x, weight, bias=None) -> Tensor:
                                        wk, 1, True, False)
                 part = rows[a].T @ gwk @ rows[c]
                 gw = part if gw is None else gw + part
-        if bias is None:
-            return gx, gw
-        return gx, gw, _bias_grad(g, bias)
+        return gx, gw
 
-    return _record(out, inputs, fn)
+    return _record(out, (x, weight), fn)
 
 
 def upsample_nearest(x, factor: int) -> Tensor:

@@ -114,14 +114,11 @@ def full_eval_pass(bundle, dataset, generator=None, batch_size=64):
             [np.concatenate(parts) for parts in pooled])
 
 
-def upsample_conv2d(x, weight, bias, g):
-    """The composed ``conv2d(upsample_nearest(x, 2), weight, bias, 1, 1)``
+def upsample_conv2d(x, weight, g):
+    """The composed ``conv2d(upsample_nearest(x, 2), weight, None, 1, 1)``
     that ``tensor.upsample_conv2d`` replaces: its output and the gradients
-    of sum(out * g) with respect to x, weight and bias (None without one)."""
-    arrays = (x, weight) if bias is None else (x, weight, bias)
-    ts = [T.Tensor(a, requires_grad=True) for a in arrays]
-    out = T.conv2d(T.upsample_nearest(ts[0], 2), ts[1],
-                   None if bias is None else ts[2], stride=1, padding=1)
+    of sum(out * g) with respect to x and weight."""
+    tx, tw = (T.Tensor(a, requires_grad=True) for a in (x, weight))
+    out = T.conv2d(T.upsample_nearest(tx, 2), tw, stride=1, padding=1)
     T.backward(T.tsum(T.mul(out, g)))
-    return (out.data, ts[0].grad, ts[1].grad,
-            None if bias is None else ts[2].grad)
+    return out.data, tx.grad, tw.grad

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from gdafas import data as D
-from gdafas import models
+from gdafas import gradcheck, models
 from gdafas.cli import load_config, main
 
 pytestmark = pytest.mark.usefixtures("capsys")
@@ -226,6 +226,17 @@ def test_grad_check_fault_injection_fails(capsys):
     assert "relu" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_grad_check_rejects_trials_below_one(capsys, tmp_path, trials):
+    # zero trials would report every check "ok" without running one
+    _, err = run(capsys, "grad-check", "--trials", trials,
+                 "--out", str(tmp_path), expect=1)
+    assert "error: trials must be at least 1" in err
+    assert not (tmp_path / "grad_check.txt").exists()
+    with pytest.raises(ValueError, match="trials"):
+        gradcheck.run_checks(trials=int(trials))
+
+
 def test_unknown_command_and_flag_exit_one(capsys):
     run(capsys, "no-such-command", expect=1)
     run(capsys, "eval", "--bogus", expect=1)
@@ -311,3 +322,28 @@ def test_custom_domains_config(capsys, tmp_path):
     )
     train = [r for r in manifest["records"] if r["split"] == "train"]
     assert all("label" not in r for r in train)
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_gen_data_rejects_count_below_one(capsys, tmp_path, count):
+    _, err = run(capsys, "gen-data", "--count-per-class", count,
+                 "--out", str(tmp_path / "d"), expect=1)
+    assert "error: domain count_per_class must be an integer >= 1" in err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"name": "s", "count_per_class": -2},
+     "domains[0]: domain count_per_class must be an integer >= 1"),
+    ({"name": "s", "gain": 5}, "domains[0]: domain gain must be 3 finite"),
+    ({"gain": [1, 1, 1]}, "domains[0]: "),
+    ([5], "domains[0] must be a JSON object"),
+], ids=["negative_count", "scalar_gain", "no_name", "not_an_object"])
+def test_gen_data_rejects_bad_domain_entry(capsys, tmp_path, entry, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"domains": [entry]}))
+    _, err = run(capsys, "gen-data", "--config", str(cfg),
+                 "--out", str(tmp_path / "d"), expect=1)
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "d").exists()

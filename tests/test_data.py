@@ -222,3 +222,20 @@ def test_default_domains_separate_in_channel_means():
         means[spec.name] = np.stack(imgs).mean(axis=(0, 2, 3))
     gap = np.abs(means["source"] - means["target"])
     assert np.all(gap >= 0.05)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("name", ""), ("name", 5),
+    ("gain", 5), ("gain", (1.0, 1.0)), ("gain", (1.0, float("nan"), 1.0)),
+    ("gain", "abc"), ("brightness", float("inf")),
+    ("blur", -1), ("blur", 1.5), ("noise", -0.01), ("noise", float("nan")),
+    ("count_per_class", 0), ("count_per_class", -3), ("count_per_class", 2.0),
+])
+def test_domain_spec_rejects_bad_fields(field, value):
+    spec = {"name": "a", field: value}
+    with pytest.raises(ValueError, match=f"domain {field} must be"):
+        D.DomainSpec(**spec)
+
+
+def test_domain_spec_takes_gain_as_a_list():
+    assert D.DomainSpec(name="a", gain=[1, 0.5, 2]).gain == (1, 0.5, 2)

@@ -238,6 +238,15 @@ def test_conv_and_dense_shapes():
     assert conv.STATE == dense.STATE == ("weight", "bias")
 
 
+def test_conv_without_bias_holds_no_bias():
+    conv = Conv2d(3, 4, kernel=3, padding=1, bias=False, rng=Rng(82))
+    assert conv.bias is None and conv.STATE == ("weight",)
+    assert Conv2d.STATE == ("weight", "bias")  # the class default is intact
+    x = T.Tensor(Rng(83).gaussian(2 * 3 * 5 * 5).reshape(2, 3, 5, 5))
+    want = T.conv2d(x, conv.weight, T.Tensor(np.zeros(4)), padding=1)
+    assert np.array_equal(conv.forward(x).data, want.data)
+
+
 def test_adam_first_step_is_signed_learning_rate():
     p = T.Tensor(np.array([1.0, -2.0]), requires_grad=True)
     opt = Adam([p], lr=0.01)

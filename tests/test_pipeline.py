@@ -341,8 +341,8 @@ def test_adapt_continues_from_bundle_generator(workspace):
     lambda b: b.F.conv2.weight.data.__setitem__((0, 0, 0, 0), 0.5),
     lambda b: b.R.bn2.running_var.__setitem__(3, 2.0),
     lambda b: setattr(b.F.bn3, "num_updates", b.F.bn3.num_updates + 1),
-    lambda b: b.phi.conv1.bias.data.__setitem__(1, 0.25),
-], ids=["F_weight", "R_bn2_running_var", "F_bn3_num_updates", "phi_bias"])
+    lambda b: b.phi.conv1.weight.data.__setitem__((1, 0, 0, 0), 0.25),
+], ids=["F_weight", "R_bn2_running_var", "F_bn3_num_updates", "phi_weight"])
 def test_frozen_model_check_catches_mutation(workspace, monkeypatch, mutate):
     bundle = _copy_source(workspace["bundle"])
     bundle.G = models.build_generator(9)

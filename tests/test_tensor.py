@@ -326,27 +326,26 @@ def test_upsample_backward_matches_reshape_sum(factor):
     assert np.array_equal(x.grad, want)
 
 
-# (batch, Cin, H, W, Cout, bias)
+# (batch, Cin, H, W, Cout)
 _UPCONV_CASES = [
-    (3, 4, 5, 7, 6, True),      # H != W
-    (4, 3, 1, 5, 2, False),     # H = 1, no bias
-    (2, 2, 6, 1, 3, True),      # W = 1
-    (30, 32, 12, 12, 8, True),  # forward and both backward GEMMs in chunks
+    (3, 4, 5, 7, 6),      # H != W
+    (4, 3, 1, 5, 2),      # H = 1
+    (2, 2, 6, 1, 3),      # W = 1
+    (30, 32, 12, 12, 8),  # forward and both backward GEMMs in chunks
 ]
 
 
 def _upconv_case(case):
-    bsz, cin, h, w, cout, has_bias = case
-    r = Rng(derive_seed(919, *case[:5]))
+    bsz, cin, h, w, cout = case
+    r = Rng(derive_seed(919, *case))
     x = r.gaussian(bsz * cin * h * w).reshape(bsz, cin, h, w)
     wt = r.gaussian(cout * cin * 9).reshape(cout, cin, 3, 3)
-    b = r.gaussian(cout) if has_bias else None
     g = r.gaussian(bsz * cout * 4 * h * w).reshape(bsz, cout, 2 * h, 2 * w)
-    return x, wt, b, g
+    return x, wt, g
 
 
 def test_upconv_chunked_case_spans_chunks():
-    bsz, cin, h, w, cout, _ = _UPCONV_CASES[-1]
+    bsz, cin, h, w, cout = _UPCONV_CASES[-1]
     phase = T._chunk_images(bsz, 4 * cin, h * w, 8)   # forward, weight grad
     grad_x = T._chunk_images(bsz, 16 * cout, h * w, 8)  # input grad
     assert -(-bsz // phase) >= 3 and -(-bsz // grad_x) >= 3
@@ -354,17 +353,12 @@ def test_upconv_chunked_case_spans_chunks():
 
 @pytest.mark.parametrize("case", _UPCONV_CASES)
 def test_upsample_conv2d_matches_composed_reference(case):
-    x, w, b, g = _upconv_case(case)
+    x, w, g = _upconv_case(case)
     tensors = [T.Tensor(a, requires_grad=True) for a in (x, w)]
-    tb = None if b is None else T.Tensor(b, requires_grad=True)
-    out = T.upsample_conv2d(tensors[0], tensors[1], tb)
+    out = T.upsample_conv2d(*tensors)
     T.backward(T.tsum(T.mul(out, g)))
-    got = (out.data, tensors[0].grad, tensors[1].grad,
-           None if tb is None else tb.grad)
-    for have, want in zip(got, composed_upsample_conv2d(x, w, b, g)):
-        if want is None:
-            assert have is None
-            continue
+    got = (out.data, tensors[0].grad, tensors[1].grad)
+    for have, want in zip(got, composed_upsample_conv2d(x, w, g)):
         assert have.shape == want.shape and have.dtype == np.float64
         assert np.abs(have - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -378,9 +372,7 @@ def test_upsample_conv2d_output_does_not_depend_on_batch(dtype, cin, hw,
     r = Rng(derive_seed(929, cin))
     x = r.gaussian(20 * cin * hw * hw).reshape(20, cin, hw, hw).astype(dtype)
     w = r.gaussian(cout * cin * 9).reshape(cout, cin, 3, 3).astype(dtype)
-    b = r.gaussian(cout).astype(dtype)
-    up = lambda imgs: T.upsample_conv2d(T.Tensor(imgs), T.Tensor(w),
-                                        T.Tensor(b)).data
+    up = lambda imgs: T.upsample_conv2d(T.Tensor(imgs), T.Tensor(w)).data
     full = up(x)
     assert full.dtype == dtype
     for lo, hi in ((0, 1), (3, 17), (11, 20)):
@@ -396,22 +388,24 @@ def test_upsample_conv2d_rejects_other_kernels():
 @pytest.mark.parametrize("fused", [False, True])
 def test_frozen_operands_get_no_gradient(fused):
     # an operand that cannot take a gradient gets None in its backward slot
-    x, w, b, g = _upconv_case(_UPCONV_CASES[0])
+    x, w, g = _upconv_case(_UPCONV_CASES[0])
     if fused:
-        op = lambda tx, tw, tb: T.upsample_conv2d(tx, tw, tb)
-        g_x, g_w, g_b = composed_upsample_conv2d(x, w, b, g)[1:]
+        operands = (x, w)
+        op = T.upsample_conv2d
+        wants = composed_upsample_conv2d(x, w, g)[1:]
     else:
         x = x.repeat(2, axis=2).repeat(2, axis=3)
+        b = Rng(939).gaussian(w.shape[0])
+        operands = (x, w, b)
         op = lambda tx, tw, tb: T.conv2d(tx, tw, tb, stride=1, padding=1)
-        g_x, g_w, g_b = _einsum_conv2d(x, w, b, 1, 1, g)[1:]
-    for live in ((True, False, False), (False, True, False),
-                 (False, False, True)):
-        tx, tw, tb = (T.Tensor(a, requires_grad=f)
-                      for a, f in zip((x, w, b), live))
-        op(tx, tw, tb)
+        wants = _einsum_conv2d(x, w, b, 1, 1, g)[1:]
+    for k in range(len(operands)):
+        live = [i == k for i in range(len(operands))]
+        op(*(T.Tensor(a, requires_grad=f) for a, f in zip(operands, live)))
         slots = T._tape[-1].fn(g)
         T.clear_tape()
-        for slot, want, on in zip(slots, (g_x, g_w, g_b), live):
+        assert len(slots) == len(operands)
+        for slot, want, on in zip(slots, wants, live):
             if on:
                 assert np.abs(slot - want).max() <= 1e-12 * np.abs(want).max()
             else:
