@@ -276,16 +276,40 @@ def generate_domain_dataset(spec: DomainSpec, out_dir: str,
     return manifest
 
 
+def _check_records(path: str, records):
+    """Raise ``ValueError`` naming the first record that a dataset load
+    could not read: each needs string ``image``, ``split`` and ``domain``,
+    an optional string ``depth`` and an optional ``label`` of 0 or 1."""
+    if not isinstance(records, list):
+        raise ValueError(f"{path}: records must be a list of objects")
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ValueError(f"{path}: records[{i}] must be an object")
+        for key in ("image", "split", "domain"):
+            if not isinstance(rec.get(key), str):
+                raise ValueError(
+                    f"{path}: records[{i}] needs a string {key!r}")
+        if "depth" in rec and not isinstance(rec["depth"], str):
+            raise ValueError(f"{path}: records[{i}] 'depth' must be a string")
+        label = rec.get("label", 0)
+        if isinstance(label, bool) or label not in (0, 1):
+            raise ValueError(f"{path}: records[{i}] 'label' must be 0 or 1, "
+                             f"got {label!r}")
+
+
 def load_manifest(root: str) -> dict:
     path = os.path.join(root, "manifest.json")
     with open(path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: manifest root must be a JSON object")
     version = manifest.get("schema_version")
     if version != MANIFEST_SCHEMA_VERSION:
         raise ValueError(
             f"{path}: manifest schema version {version!r}, expected "
             f"{MANIFEST_SCHEMA_VERSION}"
         )
+    _check_records(path, manifest.get("records"))
     paths = [rec["image"] for rec in manifest["records"]]
     if len(paths) != len(set(paths)):
         raise ValueError(f"{path}: duplicate image paths in manifest")

@@ -63,14 +63,13 @@ def stat_consistency_loss(batch_stats, stored_stats) -> T.Tensor:
     return T.div(total, float(len(terms)))
 
 
-def perceptual_loss(feat_gen: T.Tensor, feat_tgt) -> T.Tensor:
-    """Mean squared feature distance, normalized per image by C*H*W."""
-    feat_tgt = T.as_tensor(feat_tgt)
-    if feat_gen.shape != feat_tgt.shape:
-        raise ValueError(
-            f"feature shape mismatch: {feat_gen.shape} vs {feat_tgt.shape}"
-        )
-    return T.tmean(T.square(T.sub(feat_gen, feat_tgt)))
+def mse_loss(pred: T.Tensor, target) -> T.Tensor:
+    """Mean squared error over every element: the perceptual term on phi's
+    features and the stage-1 depth regression."""
+    target = T.as_tensor(target)
+    if pred.shape != target.shape:
+        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
+    return T.tmean(T.square(T.sub(pred, target)))
 
 
 def entropy_classifier(p: T.Tensor) -> T.Tensor:
@@ -105,13 +104,3 @@ def cross_entropy_loss(logits: T.Tensor, labels) -> T.Tensor:
     picked = T.tsum(T.mul(T.log_softmax(logits, axis=1), T.Tensor(onehot)),
                     axes=1)
     return T.neg(T.tmean(picked))
-
-
-def depth_regression_loss(pred: T.Tensor, target) -> T.Tensor:
-    """Mean squared error over batch and pixels."""
-    target = T.as_tensor(target)
-    if pred.shape != target.shape:
-        raise ValueError(
-            f"depth shape mismatch: {pred.shape} vs {target.shape}"
-        )
-    return T.tmean(T.square(T.sub(pred, target)))

@@ -117,6 +117,12 @@ def train_source(config: TrainConfig, datasets, out_dir: str = None):
     pool = _as_training_pool(datasets).subset("train")
     if len(pool.images) == 0:
         raise ValueError("source manifest has no training records")
+    if len(pool.images) < config.batch_size:
+        # batches drop their remainder, so no step would run
+        raise ValueError(
+            f"source has {len(pool.images)} training records, fewer than "
+            f"batch_size {config.batch_size}"
+        )
     if np.any(pool.labels < 0):
         raise ValueError("source training requires labeled records")
 
@@ -135,7 +141,7 @@ def train_source(config: TrainConfig, datasets, out_dir: str = None):
                 bundle, batch["images"], mode="train"
             )
             ce = L.cross_entropy_loss(logits, batch["labels"])
-            dm = L.depth_regression_loss(depth, batch["depths"])
+            dm = L.mse_loss(depth, batch["depths"])
             loss = T.add(ce, dm)
             parts = {"cross_entropy": ce.item(), "depth_mse": dm.item()}
             _check_finite(loss.item(), "stage-1", step, parts)
@@ -235,7 +241,7 @@ def adapt_generator(config: TrainConfig, bundle, target_dataset,
         if config.use_dsc:
             feat_tgt = bundle.phi.features(T.Tensor(x_t))
             feat_gen = bundle.phi.features(x_st)
-            l_per = L.perceptual_loss(feat_gen, feat_tgt)
+            l_per = L.mse_loss(feat_gen, feat_tgt)
             l_ph = S.phase_alignment_loss(x_t, x_st)
         else:
             l_per = T.Tensor(0.0)

@@ -1,9 +1,8 @@
 """2-d Fourier analysis, spectrum mixup, and the phase-alignment loss.
 
-Two routes compute the same transform. The fast route wraps ``np.fft``,
-returns complex arrays and is used everywhere data flows. The second,
-differentiable route expresses the DFT as matrix products so the tape can
-carry gradients through spectral quantities.
+Every transform runs through ``np.fft``. The phase-alignment loss is one
+taped node: its forward reads the half spectrum of a real image
+(``rfft2``) and its backward is the closed-form adjoint (``irfft2``).
 
 Conventions: unnormalized forward transform ``F[k,l] = sum x[m,n]
 exp(-2 pi i (km/H + ln/W))``, inverse scaled by ``1/(HW)``. Phase lies in
@@ -11,8 +10,6 @@ exp(-2 pi i (km/H + ln/W))``, inverse scaled by ``1/(HW)``. Phase lies in
 amplitude/phase pair as the real part of the inverse transform of
 ``A * exp(+i P)``.
 """
-
-import functools
 
 import numpy as np
 
@@ -44,33 +41,6 @@ def amp_phase(spec: np.ndarray):
 def reconstruct(amp: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """Image whose spectrum has the given polar form."""
     return idft2d(amp * np.cos(phase) + 1j * (amp * np.sin(phase))).real
-
-
-@functools.lru_cache(maxsize=8)
-def dft_matrices(h: int, w: int, dtype):
-    """Cosine/sine factor matrices for the matrix-product DFT, computed in
-    float64 and cast to ``dtype`` (one cached set per dtype)."""
-    km = np.outer(np.arange(h), np.arange(h)) * (2.0 * np.pi / h)
-    ln = np.outer(np.arange(w), np.arange(w)) * (2.0 * np.pi / w)
-    return tuple(m.astype(dtype) for m in
-                 (np.cos(km), np.sin(km), np.cos(ln), np.sin(ln)))
-
-
-def dft2d_taped(x: T.Tensor):
-    """Differentiable DFT of a [..., H, W] tensor as (real, imag) tensors.
-
-    With row factor A = cos - i sin and column factor B likewise,
-    A x B = (Ca x Cb - Sa x Sb) - i (Ca x Sb + Sa x Cb). The factor
-    matrices take x's dtype.
-    """
-    h, w = x.shape[-2], x.shape[-1]
-    ca, sa, cb, sb = dft_matrices(h, w, x.data.dtype.type)
-    ca, sa, cb, sb = T.Tensor(ca), T.Tensor(sa), T.Tensor(cb), T.Tensor(sb)
-    cax = T.matmul(ca, x)
-    sax = T.matmul(sa, x)
-    real = T.sub(T.matmul(cax, cb), T.matmul(sax, sb))
-    imag = T.neg(T.add(T.matmul(cax, sb), T.matmul(sax, cb)))
-    return real, imag
 
 
 def check_eta(eta: float):
@@ -118,20 +88,40 @@ def phase_alignment_loss(x_ref: np.ndarray, x: T.Tensor) -> T.Tensor:
     is held constant, as is the whole reference branch. The result is the
     per-image sum over bins, averaged over the batch, negated, so perfect
     phase agreement on all kept bins of [B, C, H, W] input reaches -C*H*W.
-    The reference spectrum is taken in float64; its unit vectors and the
-    mask are cast to x's dtype.
+    The reference spectrum is taken in float64 and its unit vectors are cast
+    to the precision of x's spectrum. The sum accumulates and returns
+    float64.
+
+    One taped node. A real image's spectrum is conjugate-symmetric, and a
+    bin and its mirror have the same cosine, so the forward sums the
+    ``rfft2`` half spectrum with column weights: 1 on column 0 and on the
+    Nyquist column (even W), 2 on every other column, whose bins each stand
+    for their mirror too. On kept bins the cosine c = Re(X conj(U)) / |X|
+    has the complex gradient (U - c X/|X|) / |X|; its inverse real
+    transform, scaled by H*W, is the gradient with respect to the image.
     """
-    ref = dft2d(np.asarray(x_ref, dtype=np.float64))
+    h, w = x.shape[-2:]
+    ref = np.fft.rfft2(np.asarray(x_ref, dtype=np.float64))
     ref_norm = np.hypot(ref.real, ref.imag)
-    real, imag = dft2d_taped(x)
-    norm = T.sqrt(T.add(T.square(real), T.square(imag)))
-    mask = (ref_norm >= _NORM_FLOOR) & (norm.data >= _NORM_FLOOR)
-    # unit reference vectors; masked bins get zeroed afterwards anyway
-    safe = np.where(ref_norm < _NORM_FLOOR, 1.0, ref_norm)
-    dtype = x.data.dtype
-    u_real = np.where(mask, ref.real / safe, 0.0).astype(dtype)
-    u_imag = np.where(mask, ref.imag / safe, 0.0).astype(dtype)
-    dot = T.add(T.mul(real, T.Tensor(u_real)), T.mul(imag, T.Tensor(u_imag)))
-    cos = T.mul(T.div(dot, norm), T.Tensor(mask.astype(dtype)))
-    per_image = T.tsum(cos, axes=tuple(range(1, x.ndim)))
-    return T.neg(T.tmean(per_image))
+    spec = np.fft.rfft2(x.data)
+    norm = np.hypot(spec.real, spec.imag)
+    mask = (ref_norm >= _NORM_FLOOR) & (norm >= _NORM_FLOOR)
+    # unit reference vectors, zero on masked bins, so their cosine is zero
+    unit = np.where(mask, ref / np.where(mask, ref_norm, 1.0), 0.0)
+    unit = unit.astype(spec.dtype)
+    safe = np.where(mask, norm, 1.0)
+    cos = (spec.real * unit.real + spec.imag * unit.imag) / safe
+    weights = np.full(spec.shape[-1], 2.0, cos.dtype)
+    weights[0] = 1.0
+    if w % 2 == 0:
+        weights[-1] = 1.0
+    batch = x.shape[0]
+    out = T.Tensor(-np.sum(cos * weights, dtype=np.float64) / batch)
+
+    def fn(g):
+        g_half = (unit - cos * spec / safe) / safe
+        scale = -np.float64(g) * (h * w) / batch
+        return ((np.fft.irfft2(g_half, s=(h, w)) * scale).astype(
+            x.data.dtype, copy=False),)
+
+    return T._record(out, (x,), fn)

@@ -11,16 +11,16 @@ the flag only controls whether a gradient is accumulated on that tensor. A
 frozen weight therefore still passes gradient back to the op's other inputs.
 
 The op set is the one the two training stages use: elementwise arithmetic,
-relu/exp/log/sqrt/sigmoid, sum/mean reductions, matmul over operands of at
-least two dimensions, conv2d, ``upsample_conv2d`` (a 3x3 conv over a 2x
-nearest upsampling, computed from the low-res input by sub-pixel phase
-kernels) and ``normalize`` (the affine normalization step of batch and
-instance norm, one node with a closed-form backward), plus the composed
-softmax/log_softmax. ``upsample_nearest`` no longer runs in the pipeline:
-composed with conv2d it is the tests' reference for ``upsample_conv2d``,
-and the benchmark trace binds it by name. There is no reshape, pooling,
-padding, slicing, concatenation or transposition op; every op has a check
-in :mod:`gdafas.gradcheck`.
+relu/exp/log/sqrt/sigmoid, sum/mean reductions, 2-D matmul, conv2d,
+``upsample_conv2d`` (a 3x3 conv over a 2x nearest upsampling, computed
+from the low-res input by sub-pixel phase kernels) and ``normalize`` (the
+affine normalization step of batch and instance norm, one node with a
+closed-form backward), plus the composed softmax/log_softmax.
+``upsample_nearest`` no longer runs in the pipeline: composed with conv2d
+it is the tests' reference for ``upsample_conv2d``, and the benchmark
+trace binds it by name. There is no reshape, pooling, padding, slicing,
+concatenation or transposition op; every op has a check in
+:mod:`gdafas.gradcheck`.
 
 Precision policy: an op computes in the dtype numpy promotes its operands
 to, so float32 operands give float32 results and buffers, and a float64
@@ -361,14 +361,13 @@ def tmean(a, axes=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Product of two 2-D operands; any other rank raises ``ValueError``."""
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(np.matmul(a.data, b.data))
-
-    def fn(g):
-        return (unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
-                unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
-
-    return _record(out, (a, b), fn)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"matmul takes 2-D operands, got {a.shape} and "
+                         f"{b.shape}")
+    out = Tensor(a.data @ b.data)
+    return _record(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 # Bytes of one im2col column block. conv2d walks a batch in chunks of as many

@@ -80,6 +80,41 @@ def test_train_source_rerun_reproduces_checkpoint(cli_root, capsys,
     assert original == repeat
 
 
+def test_train_source_with_fewer_records_than_a_batch_exits_one(
+        cli_root, capsys, tmp_path):
+    # batches drop their remainder, so this batch size would run no step
+    _, err = run(capsys, "train-source", "--config", cli_root["cfg"],
+                 "--data", str(cli_root["root"] / "data" / "source"),
+                 "--out", str(tmp_path), "--batch-size", "64", expect=1)
+    assert err.startswith("error: ") and "fewer than batch_size 64" in err
+    assert not (tmp_path / "source.gdac").exists()
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda m: m["records"][1].pop("image"),
+     "records[1] needs a string 'image'"),
+    (lambda m: m.update(records="nope"), "records must be a list"),
+    (lambda m: m["records"][2].update(label=7),
+     "records[2] 'label' must be 0 or 1"),
+    (lambda m: m["records"][0].update(depth=3),
+     "records[0] 'depth' must be a string"),
+], ids=["no-image", "records-not-a-list", "label-out-of-range",
+        "depth-not-a-string"])
+def test_malformed_manifest_exits_one(cli_root, capsys, tmp_path, change,
+                                      message):
+    source = cli_root["root"] / "data" / "source"
+    manifest = json.loads((source / "manifest.json").read_text())
+    change(manifest)
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    _, err = run(capsys, "train-source", "--config", cli_root["cfg"],
+                 "--data", str(data), "--out", str(tmp_path / "out"),
+                 expect=1)
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out" / "source.gdac").exists()
+
+
 def test_adapt_outputs(cli_root):
     run_dir = cli_root["root"] / "adapt_run"
     assert (run_dir / "adapted.gdac").exists()
@@ -212,7 +247,7 @@ def test_grad_check_passes_and_reproduces(capsys, tmp_path):
     argv = ("grad-check", "--seed", "1", "--trials", "2",
             "--out", str(tmp_path))
     out1, err1 = run(capsys, *argv)
-    assert out1["passed"] is True and out1["checks"] == 31
+    assert out1["passed"] is True and out1["checks"] == 29
     table = (tmp_path / "grad_check.txt").read_text()
     assert "relu" in table and "loss_total" in table
     out2, err2 = run(capsys, *argv)

@@ -7,10 +7,9 @@ import gdafas.tensor as T
 from gdafas.losses import (
     LossWeights,
     cross_entropy_loss,
-    depth_regression_loss,
     entropy_classifier,
     entropy_depth,
-    perceptual_loss,
+    mse_loss,
     stat_consistency_loss,
     total_loss,
 )
@@ -96,22 +95,32 @@ def test_stat_loss_gradients_seeded():
         _fd_check(build, [means[0], variances[0], means[1], variances[1]])
 
 
-def test_perceptual_loss_values_and_shape_check():
-    same = np.ones((2, 3, 4, 4))
-    assert perceptual_loss(T.Tensor(same), same).item() == 0.0
+def test_mse_loss_values_and_shape_check():
+    for shape in [(2, 3, 4, 4), (2, 1, 3, 3)]:  # phi features, depth maps
+        same = np.ones(shape)
+        assert mse_loss(T.Tensor(same), same).item() == 0.0
     a = T.Tensor(np.full((1, 1, 1, 1), 3.0))
     b = np.full((1, 1, 1, 1), 1.0)
-    assert abs(perceptual_loss(a, b).item() - 4.0) < 1e-12
+    assert abs(mse_loss(a, b).item() - 4.0) < 1e-12
     with pytest.raises(ValueError):
-        perceptual_loss(T.Tensor(np.zeros((1, 2, 3, 3))), np.zeros((1, 2, 3, 4)))
+        mse_loss(T.Tensor(np.zeros((1, 2, 3, 3))), np.zeros((1, 2, 3, 4)))
+    with pytest.raises(ValueError):
+        mse_loss(T.Tensor(np.zeros((1, 1, 2, 2))), np.zeros((1, 1, 3, 3)))
 
 
-def test_perceptual_loss_gradients_seeded():
+def test_mse_loss_gradients_seeded():
     for trial in range(20):
         r = Rng(derive_seed(1002, trial))
         gen = r.gaussian(2 * 3 * 4 * 4).reshape(2, 3, 4, 4)
         tgt = r.gaussian(2 * 3 * 4 * 4).reshape(2, 3, 4, 4)
-        _fd_check(lambda ts: perceptual_loss(ts[0], tgt), [gen])
+        _fd_check(lambda ts: mse_loss(ts[0], tgt), [gen])
+    for trial in range(10):
+        r = Rng(derive_seed(1005, trial))
+        pred = r.gaussian(8).reshape(2, 1, 2, 2)
+        tgt = r.gaussian(8).reshape(2, 1, 2, 2)
+        got = mse_loss(T.Tensor(pred), tgt).item()
+        assert abs(got - np.mean((pred - tgt) ** 2)) < 1e-12
+        _fd_check(lambda ts: mse_loss(ts[0], tgt), [pred])
 
 
 def test_entropy_classifier_pinned_values():
@@ -206,17 +215,3 @@ def test_cross_entropy_matches_direct_formula():
         assert abs(got - expect) < 1e-9
         _fd_check(lambda ts: cross_entropy_loss(ts[0], labels), [logits])
 
-
-def test_depth_regression_pinned_values_and_gradient():
-    same = np.ones((2, 1, 3, 3))
-    assert depth_regression_loss(T.Tensor(same), same).item() == 0.0
-    with pytest.raises(ValueError):
-        depth_regression_loss(T.Tensor(np.zeros((1, 1, 2, 2))),
-                              np.zeros((1, 1, 3, 3)))
-    for trial in range(10):
-        r = Rng(derive_seed(1005, trial))
-        pred = r.gaussian(8).reshape(2, 1, 2, 2)
-        tgt = r.gaussian(8).reshape(2, 1, 2, 2)
-        got = depth_regression_loss(T.Tensor(pred), tgt).item()
-        assert abs(got - np.mean((pred - tgt) ** 2)) < 1e-12
-        _fd_check(lambda ts: depth_regression_loss(ts[0], tgt), [pred])

@@ -229,7 +229,7 @@ def test_real_steps_compute_in_float32(workspace, monkeypatch):
     P.adapt_generator(config, bundle, workspace["tgt"])
     monkeypatch.undo()
     assert len(steps) == len(tapes) == len(log) + 1
-    assert [len(tape) for tape in tapes] == [52] * len(log) + [213]
+    assert [len(tape) for tape in tapes] == [52] * len(log) + [193]
     assert all(_wide_nodes_are_float32(tape) for tape in tapes)
     assert all(steps)
     # the adapted generator and the bundle's running statistics too

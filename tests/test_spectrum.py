@@ -1,4 +1,4 @@
-"""Fourier routes agree with each other; mixup and phase loss behave."""
+"""The FFT matches the literal DFT; mixup and the phase loss behave."""
 
 import numpy as np
 
@@ -34,37 +34,6 @@ def test_parseval_energy_identity():
         spatial = np.sum(x * x)
         spectral = np.sum(f.real**2 + f.imag**2) / x.size
         assert abs(spatial - spectral) < 1e-6
-
-
-def test_taped_dft_matches_fft_route():
-    r = Rng(84)
-    x = r.gaussian(2 * 3 * 8 * 8).reshape(2, 3, 8, 8)
-    real, imag = S.dft2d_taped(T.Tensor(x))
-    ref = S.dft2d(x)
-    assert np.abs(real.data - ref.real).max() < 1e-9
-    assert np.abs(imag.data - ref.imag).max() < 1e-9
-
-
-def test_taped_dft_gradients_seeded():
-    for trial in range(20):
-        r = Rng(derive_seed(855, trial))
-        x = r.gaussian(1 * 2 * 4 * 4).reshape(1, 2, 4, 4)
-        mask_r = T.Tensor(r.gaussian(1 * 2 * 4 * 4).reshape(1, 2, 4, 4))
-        mask_i = T.Tensor(r.gaussian(1 * 2 * 4 * 4).reshape(1, 2, 4, 4))
-
-        def build(ts):
-            real, imag = S.dft2d_taped(ts[0])
-            return T.add(
-                T.tsum(T.mul(real, mask_r)), T.tsum(T.mul(imag, mask_i))
-            )
-
-        t = T.Tensor(x.copy(), requires_grad=True)
-        loss = build([t])
-        T.backward(loss)
-        num = T.finite_difference(
-            lambda arrs: build([T.Tensor(arrs[0])]).item(), [x]
-        )[0]
-        assert np.abs(t.grad - num).max() / max(np.abs(num).max(), 1e-8) < 1e-5
 
 
 def test_amp_phase_polar_roundtrip_and_range():
@@ -188,3 +157,51 @@ def test_phase_loss_decreases_toward_reference():
     after = S.phase_alignment_loss(x_ref, T.Tensor(stepped))
     assert after.item() < before.item()
     T.clear_tape()
+
+
+def _full_spectrum_phase_loss(x_ref, x):
+    """The phase loss summed over every bin of the literal double-sum DFT."""
+    total = 0.0
+    for b in range(x.shape[0]):
+        for c in range(x.shape[1]):
+            ref, spec = naive_dft2d(x_ref[b, c]), naive_dft2d(x[b, c])
+            ref_norm, norm = np.abs(ref), np.abs(spec)
+            kept = (ref_norm >= 1e-8) & (norm >= 1e-8)
+            dot = spec.real * ref.real + spec.imag * ref.imag
+            total += np.sum(dot[kept] / (norm[kept] * ref_norm[kept]))
+    return -total / x.shape[0]
+
+
+def test_phase_loss_is_one_node_matching_the_full_spectrum():
+    # odd widths have no Nyquist column, even ones do: both column weightings
+    for trial, (h, w) in enumerate([(4, 4), (5, 7), (6, 5)]):
+        r = Rng(derive_seed(867, trial))
+        x_ref = r.uniform(2 * 2 * h * w).reshape(2, 2, h, w)
+        x = r.uniform(2 * 2 * h * w).reshape(2, 2, h, w)
+        t = T.Tensor(x.copy(), requires_grad=True)
+        loss = S.phase_alignment_loss(x_ref, t)
+        assert T.tape_size() == 1
+        assert loss.data.dtype == np.float64
+        expect = _full_spectrum_phase_loss(x_ref, x)
+        assert abs(loss.item() - expect) < 1e-12 * max(abs(expect), 1.0)
+        T.backward(loss)
+        num = T.finite_difference(
+            lambda arrs: S.phase_alignment_loss(x_ref, T.Tensor(arrs[0])).item(),
+            [x],
+        )[0]
+        assert np.abs(t.grad - num).max() / np.abs(num).max() < 1e-6
+
+
+def test_phase_loss_float32_gradient_tracks_float64():
+    r = Rng(868)
+    shape = (16, 3, 32, 32)
+    x_ref = r.uniform(int(np.prod(shape))).reshape(shape)
+    x32 = r.uniform(int(np.prod(shape))).reshape(shape).astype(np.float32)
+    grads = []
+    for x in (x32, x32.astype(np.float64)):
+        t = T.Tensor(x, requires_grad=True)
+        T.backward(S.phase_alignment_loss(x_ref, t))
+        assert t.grad.dtype == x.dtype
+        grads.append(t.grad)
+    g32, g64 = grads
+    assert np.abs(g32 - g64).max() / np.abs(g64).max() < 1e-5

@@ -155,14 +155,18 @@ def test_matmul_gradients_seeded():
         r = Rng(derive_seed(404, trial))
         a = r.gaussian(6).reshape(2, 3)
         b = r.gaussian(12).reshape(3, 4)
-        batched = r.gaussian(24).reshape(2, 3, 4)
-        rhs = r.gaussian(20).reshape(4, 5)
-        square = r.gaussian(9).reshape(3, 3)
         loss = lambda ts: T.tsum(T.square(T.matmul(ts[0], ts[1])))
         _fd_check(loss, [a, b])
-        _fd_check(loss, [batched, rhs])
-        # a matrix against a stack, as the taped DFT multiplies
-        _fd_check(loss, [square, batched])
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((2, 3, 4), (4, 5)), ((3, 3), (2, 3, 4)), ((3,), (3, 4)), ((2, 3), (3,))])
+def test_matmul_rejects_operands_that_are_not_2d(a_shape, b_shape):
+    # a batched product would need a broadcast-reducing backward
+    with pytest.raises(ValueError, match="2-D"):
+        T.matmul(T.Tensor(np.ones(a_shape), requires_grad=True),
+                 T.Tensor(np.ones(b_shape)))
+    assert T.tape_size() == 0
 
 
 def test_conv_gradients_seeded():
