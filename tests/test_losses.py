@@ -108,12 +108,21 @@ def test_mse_loss_values_and_shape_check():
         mse_loss(T.Tensor(np.zeros((1, 1, 2, 2))), np.zeros((1, 1, 3, 3)))
 
 
-def test_mse_loss_gradients_seeded():
+def test_perceptual_loss_gradients_seeded():
+    # mse_loss on phi-feature-shaped inputs, as the perceptual term uses it
     for trial in range(20):
         r = Rng(derive_seed(1002, trial))
         gen = r.gaussian(2 * 3 * 4 * 4).reshape(2, 3, 4, 4)
         tgt = r.gaussian(2 * 3 * 4 * 4).reshape(2, 3, 4, 4)
         _fd_check(lambda ts: mse_loss(ts[0], tgt), [gen])
+
+
+def test_depth_regression_pinned_values_and_gradient():
+    # mse_loss on depth-map-shaped inputs, as the depth regression uses it
+    same = np.ones((2, 1, 3, 3))
+    assert mse_loss(T.Tensor(same), same).item() == 0.0
+    with pytest.raises(ValueError):
+        mse_loss(T.Tensor(np.zeros((1, 1, 2, 2))), np.zeros((1, 1, 3, 3)))
     for trial in range(10):
         r = Rng(derive_seed(1005, trial))
         pred = r.gaussian(8).reshape(2, 1, 2, 2)
