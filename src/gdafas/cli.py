@@ -167,8 +167,8 @@ def _cmd_train_source(args, config):
         data_dirs = [data_dirs]
     train_config = _train_config(merged)
     datasets = [_load_dir(d) for d in data_dirs]
-    _persist_config(merged, out)
     _, log = P.train_source(train_config, datasets, out_dir=out)
+    _persist_config(merged, out)
     return {
         "command": "train-source",
         "checkpoint": os.path.join(out, "source.gdac"),
@@ -183,8 +183,8 @@ def _cmd_adapt(args, config):
     train_config = _train_config(merged)
     bundle = _load_model(_require(merged, "model"))
     target = _load_dir(_require(merged, "data"))
-    _persist_config(merged, out)
     _, log = P.adapt_generator(train_config, bundle, target, out_dir=out)
+    _persist_config(merged, out)
     return {
         "command": "adapt",
         "checkpoint": os.path.join(out, "adapted.gdac"),
@@ -280,9 +280,9 @@ def _cmd_ablate(args, config):
     bundle = _load_model(_require(merged, "model"))
     target = _load_dir(_require(merged, "data"))
     eval_set = _split_of(target, merged.get("split") or "test")
-    _persist_config(merged, out)
     results = P.ablation_run(train_config, bundle, target, eval_set,
                              out_dir=out)
+    _persist_config(merged, out)
     return {
         "command": "ablate",
         "out": out,

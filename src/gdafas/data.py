@@ -353,19 +353,17 @@ def merge_datasets(datasets) -> Dataset:
     )
 
 
-def batch_iterator(dataset: Dataset, batch_size: int, seed: int,
-                   drop_last: bool = False):
-    """Yield index-batches over a seeded shuffle of the dataset."""
+def batch_iterator(dataset: Dataset, batch_size: int, seed: int):
+    """Yield full batches over a seeded shuffle of the dataset; the
+    remainder that does not fill a batch is dropped."""
     n = len(dataset.images)
     order = Rng(seed).shuffle(np.arange(n))
-    stop = (n // batch_size) * batch_size if drop_last else n
-    for start in range(0, stop, batch_size):
+    for start in range(0, (n // batch_size) * batch_size, batch_size):
         idx = order[start:start + batch_size]
         yield {
             "images": dataset.images[idx],
             "labels": dataset.labels[idx],
             "depths": dataset.depths[idx],
-            "indices": idx,
         }
 
 

@@ -4,7 +4,7 @@ Each layer class names its persistent fields once, in ``STATE``: Tensor
 fields are trainable parameters, ndarray and int fields are plain state.
 :mod:`gdafas.models` walks the layers and reads ``STATE`` for parameter
 lists, state copies and checkpoints. Both normalization layers take their
-moments with taped ``tmean`` ops and apply them with the one-node
+moments with ``tensor.moments`` and apply them with the one-node
 ``tensor.normalize``. Weights and running statistics are held in
 ``tensor.COMPUTE`` (float32), and Adam moments in their parameter's dtype;
 the Rng draws init values in float64 and each layer casts them once. A
@@ -128,9 +128,7 @@ class BatchNorm2d:
         else:
             if x.shape[0] * x.shape[2] * x.shape[3] < 2:
                 raise ValueError("batch statistics need at least 2 values")
-            mean = T.tmean(x, axes=(0, 2, 3), keepdims=True)
-            var = T.tmean(T.square(T.sub(x, mean)), axes=(0, 2, 3),
-                          keepdims=True)
+            mean, var = T.moments(x, (0, 2, 3))
             seen = (mean, var)
             if mode == "train":
                 m = self.momentum
@@ -156,8 +154,7 @@ class InstanceNorm2d:
         self.eps = eps
 
     def forward(self, x):
-        mean = T.tmean(x, axes=(2, 3), keepdims=True)
-        var = T.tmean(T.square(T.sub(x, mean)), axes=(2, 3), keepdims=True)
+        mean, var = T.moments(x, (2, 3))
         return T.normalize(x, mean, var, self.gamma, self.beta, self.eps)
 
 

@@ -5,8 +5,10 @@ data. Stage 2 freezes that model and trains only the generator so that
 stylized target batches reproduce the stored batch-norm statistics while
 keeping target content, optionally diversified by amplitude mixing. Scoring
 and the style-gap analyses read one streaming pass per (dataset, generator),
-``eval_pass``. All artifacts are CSV or checkpoint files with deterministic
-bytes.
+``eval_pass``. Each training step runs inside its own ``tensor.graph()``, so
+a step that raises leaves no taped nodes behind; evaluation opens no graph
+and tapes nothing. All artifacts are CSV or checkpoint files with
+deterministic bytes.
 """
 
 import math
@@ -95,9 +97,8 @@ def _as_training_pool(datasets) -> Dataset:
 
 
 def _check_finite(loss_value: float, stage: str, step: int, parts: dict):
-    """Abort on a non-finite loss, first dropping the step's untaken graph."""
+    """Abort on a non-finite loss; the step's graph drops on the way out."""
     if not np.isfinite(loss_value):
-        T.clear_tape()
         detail = ", ".join(f"{k}={v:.6g}" for k, v in parts.items())
         raise RuntimeError(
             f"non-finite {stage} loss at step {step} ({detail}); aborting"
@@ -135,20 +136,20 @@ def train_source(config: TrainConfig, datasets, out_dir: str = None):
     step = 0
     for epoch in range(config.stage1_epochs):
         epoch_seed = derive_seed(config.seed, "stage1", epoch)
-        for batch in batch_iterator(pool, config.batch_size, epoch_seed,
-                                    drop_last=True):
-            logits, depth, _, _ = models.forward_source(
-                bundle, batch["images"], mode="train"
-            )
-            ce = L.cross_entropy_loss(logits, batch["labels"])
-            dm = L.mse_loss(depth, batch["depths"])
-            loss = T.add(ce, dm)
-            parts = {"cross_entropy": ce.item(), "depth_mse": dm.item()}
-            _check_finite(loss.item(), "stage-1", step, parts)
-            log_rows.append((step, ce.item(), dm.item(), loss.item()))
-            opt.zero_grad()
-            T.backward(loss)
-            opt.step()
+        for batch in batch_iterator(pool, config.batch_size, epoch_seed):
+            with T.graph():
+                logits, depth, _, _ = models.forward_source(
+                    bundle, batch["images"], mode="train"
+                )
+                ce = L.cross_entropy_loss(logits, batch["labels"])
+                dm = L.mse_loss(depth, batch["depths"])
+                loss = T.add(ce, dm)
+                parts = {"cross_entropy": ce.item(), "depth_mse": dm.item()}
+                _check_finite(loss.item(), "stage-1", step, parts)
+                log_rows.append((step, ce.item(), dm.item(), loss.item()))
+                opt.zero_grad()
+                T.backward(loss)
+                opt.step()
             step += 1
 
     if out_dir is not None:
@@ -231,38 +232,39 @@ def adapt_generator(config: TrainConfig, bundle, target_dataset,
     log_rows = []
     stat_ema = None
     for step in range(config.stage2_steps):
-        x_t = _draw_stage2_batch(pool, config, step)
-        x_st = generator.forward(T.Tensor(x_t))
-        logits, depth, batch_stats, _ = models.forward_source(
-            bundle, x_st, mode="stats"
-        )
+        with T.graph():
+            x_t = _draw_stage2_batch(pool, config, step)
+            x_st = generator.forward(T.Tensor(x_t))
+            logits, depth, batch_stats, _ = models.forward_source(
+                bundle, x_st, mode="stats"
+            )
 
-        l_stat = L.stat_consistency_loss(batch_stats, stored)
-        if config.use_dsc:
-            feat_tgt = bundle.phi.features(T.Tensor(x_t))
-            feat_gen = bundle.phi.features(x_st)
-            l_per = L.mse_loss(feat_gen, feat_tgt)
-            l_ph = S.phase_alignment_loss(x_t, x_st)
-        else:
-            l_per = T.Tensor(0.0)
-            l_ph = T.Tensor(0.0)
-        l_ent1 = L.entropy_classifier(T.softmax(logits, axis=1))
-        l_ent2 = L.entropy_depth(depth)
-        total = L.total_loss(l_stat, l_per, l_ent1, l_ent2, l_ph, weights)
+            l_stat = L.stat_consistency_loss(batch_stats, stored)
+            if config.use_dsc:
+                feat_tgt = bundle.phi.features(T.Tensor(x_t))
+                feat_gen = bundle.phi.features(x_st)
+                l_per = L.mse_loss(feat_gen, feat_tgt)
+                l_ph = S.phase_alignment_loss(x_t, x_st)
+            else:
+                l_per = T.Tensor(0.0)
+                l_ph = T.Tensor(0.0)
+            l_ent1 = L.entropy_classifier(T.softmax(logits, axis=1))
+            l_ent2 = L.entropy_depth(depth)
+            total = L.total_loss(l_stat, l_per, l_ent1, l_ent2, l_ph, weights)
 
-        parts = {"stat": l_stat.item(), "per": l_per.item(),
-                 "ent1": l_ent1.item(), "ent2": l_ent2.item(),
-                 "ph": l_ph.item()}
-        _check_finite(total.item(), "stage-2", step, parts)
-        # monitoring-only running mean of the statistic loss
-        stat_ema = parts["stat"] if stat_ema is None else (
-            0.9 * stat_ema + 0.1 * parts["stat"]
-        )
-        log_rows.append((step, *parts.values(), stat_ema, total.item()))
+            parts = {"stat": l_stat.item(), "per": l_per.item(),
+                     "ent1": l_ent1.item(), "ent2": l_ent2.item(),
+                     "ph": l_ph.item()}
+            _check_finite(total.item(), "stage-2", step, parts)
+            # monitoring-only running mean of the statistic loss
+            stat_ema = parts["stat"] if stat_ema is None else (
+                0.9 * stat_ema + 0.1 * parts["stat"]
+            )
+            log_rows.append((step, *parts.values(), stat_ema, total.item()))
 
-        opt.zero_grad()
-        T.backward(total)
-        opt.step()
+            opt.zero_grad()
+            T.backward(total)
+            opt.step()
 
     _verify_snapshot(bundle, snapshot)
     # only a run that finished with the source model intact hands G over
@@ -305,28 +307,27 @@ def eval_pass(bundle, dataset: Dataset, generator, outputs,
     scores, pooled = [], {name: [] for name in BLOCK_NAMES}
     mean_acc = [0.0] * len(bundle.bn_layers())
     sq_acc = list(mean_acc)
-    with T.no_grad():
-        for start in range(0, len(dataset.images), batch_size):
-            x = dataset.images[start:start + batch_size]
-            if generator is not None:
-                x = generator.forward(T.Tensor(x)).data
-            blocks, f_inputs = bundle.F.forward(x, "eval")
-            if "scores" in outputs:
-                logits = bundle.H.forward(blocks)
-                # float64, so float32 rounding cannot tie near saturation
-                p = T.softmax(logits.data.astype(np.float64), axis=1).data
-                scores.append(p[:, 1])
-            if "features" in outputs:
-                for name, feat in zip(BLOCK_NAMES, blocks):
-                    pooled[name].append(feat.data.mean(axis=(2, 3)))
-            if "moments" in outputs:
-                _, r_inputs = bundle.R.forward(blocks, "eval")
-                w = float(x.shape[0])
-                for i, a in enumerate(f_inputs + r_inputs):
-                    mean = a.mean(axis=(0, 2, 3), dtype=np.float64)
-                    var = a.var(axis=(0, 2, 3), dtype=np.float64)
-                    mean_acc[i] = mean_acc[i] + w * mean
-                    sq_acc[i] = sq_acc[i] + w * (var + mean * mean)
+    for start in range(0, len(dataset.images), batch_size):
+        x = dataset.images[start:start + batch_size]
+        if generator is not None:
+            x = generator.forward(T.Tensor(x)).data
+        blocks, f_inputs = bundle.F.forward(x, "eval")
+        if "scores" in outputs:
+            logits = bundle.H.forward(blocks)
+            # float64, so float32 rounding cannot tie near saturation
+            p = T.softmax(logits.data.astype(np.float64), axis=1).data
+            scores.append(p[:, 1])
+        if "features" in outputs:
+            for name, feat in zip(BLOCK_NAMES, blocks):
+                pooled[name].append(feat.data.mean(axis=(2, 3)))
+        if "moments" in outputs:
+            _, r_inputs = bundle.R.forward(blocks, "eval")
+            w = float(x.shape[0])
+            for i, a in enumerate(f_inputs + r_inputs):
+                mean = a.mean(axis=(0, 2, 3), dtype=np.float64)
+                var = a.var(axis=(0, 2, 3), dtype=np.float64)
+                mean_acc[i] = mean_acc[i] + w * mean
+                sq_acc[i] = sq_acc[i] + w * (var + mean * mean)
     result = {}
     if "scores" in outputs:
         result["scores"] = np.concatenate(scores)

@@ -71,16 +71,12 @@ class Rng:
         z[1::2] = r * np.sin(theta)
         return mean + std * z[:n]
 
-    def randint(self, upper: int) -> int:
-        """One integer in [0, upper). Modulo bias is irrelevant at our sizes."""
-        return int(self.next_uint64(1)[0] % _U64(upper))
-
     def shuffle(self, items: np.ndarray) -> np.ndarray:
         """Fisher-Yates shuffle; returns a new array.
 
-        Step i (from n-1 down to 1) swaps i with draw % (i + 1). All n-1
-        draws are made in one call, so the stream is the one a randint per
-        step would consume.
+        Step i (from n-1 down to 1) swaps i with draw % (i + 1); modulo bias
+        is irrelevant at these sizes. All n-1 draws are made in one call, so
+        the stream is the one a single draw per step would consume.
         """
         out = np.array(items)
         n = len(out)

@@ -1,10 +1,13 @@
 """Reverse-mode automatic differentiation over float32 or float64 numpy arrays.
 
-A single module-level tape records every operation whose result needs a
-gradient. ``backward`` on a scalar walks that tape once in reverse, deposits
-gradients on recorded tensors that have ``requires_grad`` set, and clears the
-tape. Tensors are value-semantic: every op allocates a fresh output and taped
-arrays are never mutated in place.
+Ops are taped only inside a ``with graph():`` block, and only when an input
+participates. The open graph owns the tape: ``backward`` on a scalar walks it
+once in reverse, deposits gradients on taped tensors that have
+``requires_grad`` set, and empties it. Leaving the block drops the graph,
+also on an exception, so a step that fails halfway leaves nothing for the
+next one to walk. Graphs do not nest. Outside a graph an op only computes its
+value; scoring and analysis run that way. Tensors are value-semantic: every
+op allocates a fresh output and taped arrays are never mutated in place.
 
 Gradients flow *through* tensors regardless of their ``requires_grad`` flag;
 the flag only controls whether a gradient is accumulated on that tensor. A
@@ -36,7 +39,6 @@ gradients upstream of it.
 """
 
 import contextlib
-import itertools
 
 import numpy as np
 
@@ -45,22 +47,19 @@ _LOG_FLOOR = 1e-12
 _DIV_FLOOR = 1e-12
 _FLOATS = (np.float32, np.float64)
 
-_tape = []
-_grad_enabled = True
-_uid_counter = itertools.count()
+_graph = None  # the open graph's nodes, in op order; None outside a graph
 
 
 class Tensor:
-    """Array wrapper carrying an identity for the tape and an optional grad."""
+    """Array wrapper with a grad flag and an optional gradient."""
 
-    __slots__ = ("data", "requires_grad", "grad", "uid")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         self.requires_grad = requires_grad
         self.grad = None
-        self.uid = next(_uid_counter)
 
     @property
     def shape(self):
@@ -92,23 +91,24 @@ class _Node:
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Disable taping inside the block; outputs never require grad."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+def graph():
+    """Tape the ops of the block; the graph is dropped when the block exits.
+
+    Opening a graph while one is open raises ``RuntimeError``.
+    """
+    global _graph
+    if _graph is not None:
+        raise RuntimeError("a graph is already open; graphs do not nest")
+    _graph = []
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _graph = None
 
 
 def tape_size() -> int:
-    return len(_tape)
-
-
-def clear_tape():
-    _tape.clear()
+    """Nodes on the open graph; 0 when no graph is open."""
+    return 0 if _graph is None else len(_graph)
 
 
 def as_tensor(x) -> Tensor:
@@ -125,10 +125,10 @@ def _operands(a, b):
 
 
 def _record(out: Tensor, inputs, fn):
-    """Tape the op if grad mode is on and any input participates."""
-    if _grad_enabled and any(t.requires_grad for t in inputs):
+    """Tape the op if a graph is open and any input participates."""
+    if _graph is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _tape.append(_Node(out, inputs, fn))
+        _graph.append(_Node(out, inputs, fn))
     return out
 
 
@@ -146,40 +146,35 @@ def unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 def backward(loss: Tensor):
     """Accumulate gradients of a scalar into every taped requires_grad tensor.
 
-    The tape is consumed: it is cleared before returning, also on error.
-    Each gradient is cast to its tensor's dtype before it is passed on.
+    Walks the open graph and empties it; outside a graph it raises
+    ``RuntimeError``. Gradients are keyed by ``id``, which is safe because
+    the graph holds every tensor it names until the walk ends. Each gradient
+    is cast to its tensor's dtype before it is passed on.
     """
+    if _graph is None:
+        raise RuntimeError("backward needs an open graph")
     if loss.data.size != 1:
-        clear_tape()
         raise ValueError("backward expects a scalar loss")
     if not loss.requires_grad:
-        clear_tape()
-        raise ValueError("loss is detached from the tape")
-    try:
-        grads = {loss.uid: np.ones_like(loss.data)}
-        seen = {loss.uid: loss}
-        for node in reversed(_tape):
-            gout = grads.pop(node.out.uid, None)
-            if gout is None:
+        raise ValueError("loss is detached from the graph")
+    grads = {id(loss): np.ones_like(loss.data)}
+    seen = {id(loss): loss}
+    for node in reversed(_graph):
+        gout = grads.pop(id(node.out), None)
+        if gout is None:
+            continue
+        for t, g in zip(node.inputs, node.fn(gout)):
+            if g is None:
                 continue
-            for t, g in zip(node.inputs, node.fn(gout)):
-                if g is None:
-                    continue
-                if g.dtype != t.data.dtype:
-                    g = g.astype(t.data.dtype)
-                if t.uid in grads:
-                    grads[t.uid] = grads[t.uid] + g
-                else:
-                    grads[t.uid] = g
-                seen[t.uid] = t
-        for uid, t in seen.items():
-            if t.requires_grad and uid in grads:
-                if t.grad is None:
-                    t.grad = grads[uid]
-                else:
-                    t.grad = t.grad + grads[uid]
-    finally:
-        clear_tape()
+            if g.dtype != t.data.dtype:
+                g = g.astype(t.data.dtype)
+            key = id(t)
+            grads[key] = grads[key] + g if key in grads else g
+            seen[key] = t
+    for key, t in seen.items():
+        if t.requires_grad and key in grads:
+            t.grad = grads[key] if t.grad is None else t.grad + grads[key]
+    _graph.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +664,13 @@ def normalize(x, mean, var, gamma, beta, eps: float) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # composed helpers
+
+
+def moments(x, axes):
+    """Mean and biased variance of ``x`` over ``axes``, kept as singleton
+    axes: the ``tmean``/``sub``/``square``/``tmean`` chain of both norms."""
+    mean = tmean(x, axes=axes, keepdims=True)
+    return mean, tmean(square(sub(x, mean)), axes=axes, keepdims=True)
 
 
 def softmax(x, axis: int = -1) -> Tensor:

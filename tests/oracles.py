@@ -85,27 +85,25 @@ def full_eval_pass(bundle, dataset, generator=None, batch_size=64):
     scores, pooled = [], [[], [], []]
     n = 0.0
     mean_acc = sq_acc = None
-    with T.no_grad():
-        for start in range(0, len(dataset.images), batch_size):
-            x = dataset.images[start:start + batch_size]
-            if generator is not None:
-                x = generator.forward(T.Tensor(x)).data
-            logits, _, inputs, blocks = models.forward_source(bundle, x,
-                                                              "eval")
-            p = T.softmax(logits.data.astype(np.float64), axis=1).data
-            scores.append(p[:, 1])
-            for out, block in zip(pooled, blocks):
-                out.append(block.data.mean(axis=(2, 3)))
-            w = float(x.shape[0])
-            n += w
-            means = [a.mean(axis=(0, 2, 3), dtype=np.float64) for a in inputs]
-            sqs = [a.var(axis=(0, 2, 3), dtype=np.float64) + m * m
-                   for a, m in zip(inputs, means)]
-            if mean_acc is None:
-                mean_acc = [0.0] * len(inputs)
-                sq_acc = [0.0] * len(inputs)
-            mean_acc = [acc + w * m for acc, m in zip(mean_acc, means)]
-            sq_acc = [acc + w * q for acc, q in zip(sq_acc, sqs)]
+    for start in range(0, len(dataset.images), batch_size):
+        x = dataset.images[start:start + batch_size]
+        if generator is not None:
+            x = generator.forward(T.Tensor(x)).data
+        logits, _, inputs, blocks = models.forward_source(bundle, x, "eval")
+        p = T.softmax(logits.data.astype(np.float64), axis=1).data
+        scores.append(p[:, 1])
+        for out, block in zip(pooled, blocks):
+            out.append(block.data.mean(axis=(2, 3)))
+        w = float(x.shape[0])
+        n += w
+        means = [a.mean(axis=(0, 2, 3), dtype=np.float64) for a in inputs]
+        sqs = [a.var(axis=(0, 2, 3), dtype=np.float64) + m * m
+               for a, m in zip(inputs, means)]
+        if mean_acc is None:
+            mean_acc = [0.0] * len(inputs)
+            sq_acc = [0.0] * len(inputs)
+        mean_acc = [acc + w * m for acc, m in zip(mean_acc, means)]
+        sq_acc = [acc + w * q for acc, q in zip(sq_acc, sqs)]
     moments = []
     for m_sum, q_sum in zip(mean_acc, sq_acc):
         mean = m_sum / n
@@ -119,6 +117,7 @@ def upsample_conv2d(x, weight, g):
     that ``tensor.upsample_conv2d`` replaces: its output and the gradients
     of sum(out * g) with respect to x and weight."""
     tx, tw = (T.Tensor(a, requires_grad=True) for a in (x, weight))
-    out = T.conv2d(T.upsample_nearest(tx, 2), tw, stride=1, padding=1)
-    T.backward(T.tsum(T.mul(out, g)))
+    with T.graph():
+        out = T.conv2d(T.upsample_nearest(tx, 2), tw, stride=1, padding=1)
+        T.backward(T.tsum(T.mul(out, g)))
     return out.data, tx.grad, tw.grad

@@ -80,7 +80,7 @@ def _taped_op_kinds(root, monkeypatch):
     kinds, backward = set(), T.backward
 
     def spy(loss):
-        kinds.update(node.fn.__qualname__.split(".")[0] for node in T._tape)
+        kinds.update(node.fn.__qualname__.split(".")[0] for node in T._graph)
         backward(loss)
 
     source_spec, target_spec = data.default_domain_specs(5, seed=3)
@@ -162,12 +162,11 @@ def test_running_average_recurrence(capsys):
     bn = layers.BatchNorm2d(3, momentum=0.1)
     rng = np.random.default_rng(11)
     means, variances = [], []
-    with T.no_grad():
-        for _ in range(1000):
-            x = rng.normal(size=(2, 3, 4, 4))
-            bn.forward(T.Tensor(x), mode="train")
-            means.append(x.mean(axis=(0, 2, 3)))
-            variances.append(x.var(axis=(0, 2, 3)))
+    for _ in range(1000):
+        x = rng.normal(size=(2, 3, 4, 4))
+        bn.forward(T.Tensor(x), mode="train")
+        means.append(x.mean(axis=(0, 2, 3)))
+        variances.append(x.var(axis=(0, 2, 3)))
     k = len(means)
     w = 0.1 * 0.9 ** np.arange(k - 1, -1, -1.0)
     mean_closed = (w[:, None] * np.array(means)).sum(axis=0)
@@ -175,9 +174,8 @@ def test_running_average_recurrence(capsys):
     drift = max(np.abs(bn.running_mean - mean_closed).max(),
                 np.abs(bn.running_var - var_closed).max())
 
-    with T.no_grad():
-        out, _ = bn.forward(T.Tensor(3.0 * rng.normal(size=(8, 3, 8, 8))),
-                            mode="train")
+    out, _ = bn.forward(T.Tensor(3.0 * rng.normal(size=(8, 3, 8, 8))),
+                        mode="train")
     out = out.data
     out_mean = np.abs(out.mean(axis=(0, 2, 3))).max()
     out_var = np.abs(out.var(axis=(0, 2, 3)) - 1.0).max()
@@ -294,13 +292,12 @@ def test_checkpoint_float32_bound(workspace, capsys, tmp_path):
         return models.forward_source(b, x, mode="eval")[0].data
 
     worst = 0.0
-    with T.no_grad():
-        for domain in ("source", "target"):
-            images = workspace[domain].subset("test").images
-            for stylized in (False, True):
-                delta = np.abs(logits(bundle, images, stylized)
-                               - logits(loaded, images, stylized))
-                worst = max(worst, float(delta.max()))
+    for domain in ("source", "target"):
+        images = workspace[domain].subset("test").images
+        for stylized in (False, True):
+            delta = np.abs(logits(bundle, images, stylized)
+                           - logits(loaded, images, stylized))
+            worst = max(worst, float(delta.max()))
     ok = worst == 0.0 and not moved
     report(capsys, "checkpoint-float32", ok,
            f"max eval-logit change after save/load {worst:.1e} (== 0) over "

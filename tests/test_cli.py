@@ -83,11 +83,12 @@ def test_train_source_rerun_reproduces_checkpoint(cli_root, capsys,
 def test_train_source_with_fewer_records_than_a_batch_exits_one(
         cli_root, capsys, tmp_path):
     # batches drop their remainder, so this batch size would run no step
+    out = tmp_path / "out"
     _, err = run(capsys, "train-source", "--config", cli_root["cfg"],
                  "--data", str(cli_root["root"] / "data" / "source"),
-                 "--out", str(tmp_path), "--batch-size", "64", expect=1)
+                 "--out", str(out), "--batch-size", "64", expect=1)
     assert err.startswith("error: ") and "fewer than batch_size 64" in err
-    assert not (tmp_path / "source.gdac").exists()
+    assert not out.exists()  # a refused run writes nothing, config included
 
 
 @pytest.mark.parametrize("change,message", [
@@ -305,11 +306,13 @@ def test_adapt_non_finite_hyperparameter_exits_one(cli_root, capsys, tmp_path,
 
 
 def test_adapt_small_batch_exits_one(cli_root, capsys, tmp_path):
+    out = tmp_path / "out"
     _, err = run(capsys, "adapt", "--config", cli_root["cfg"],
                  "--model", str(cli_root["root"] / "src_run" / "source.gdac"),
                  "--data", str(cli_root["root"] / "data" / "target"),
-                 "--out", str(tmp_path), "--batch-size", "3", expect=1)
+                 "--out", str(out), "--batch-size", "3", expect=1)
     assert "batch_size" in err
+    assert not out.exists()
 
 
 def test_malformed_config_reports_position(capsys, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gdafas.data as D
-from gdafas.rng import derive_seed
+from gdafas.rng import Rng, derive_seed
 
 
 def test_render_is_deterministic():
@@ -197,18 +197,17 @@ def test_batch_iterator_covers_epoch_deterministically(tmp_path):
     ds = D.load_dataset(str(tmp_path))
 
     batches = list(D.batch_iterator(ds, batch_size=4, seed=5))
-    seen = np.concatenate([b["indices"] for b in batches])
-    assert sorted(seen.tolist()) == list(range(14))
-    assert batches[0]["images"].shape[0] == 4
-    assert batches[-1]["images"].shape[0] == 2  # remainder kept
+    # three full batches of the seeded shuffle; the remainder of 2 is dropped
+    order = Rng(5).shuffle(np.arange(14))
+    assert len(batches) == 3
+    for k, batch in enumerate(batches):
+        idx = order[4 * k:4 * k + 4]
+        for key in ("images", "labels", "depths"):
+            assert np.array_equal(batch[key], getattr(ds, key)[idx])
 
     again = list(D.batch_iterator(ds, batch_size=4, seed=5))
     for b1, b2 in zip(batches, again):
-        assert np.array_equal(b1["indices"], b2["indices"])
-
-    dropped = list(D.batch_iterator(ds, batch_size=4, seed=5, drop_last=True))
-    assert all(b["images"].shape[0] == 4 for b in dropped)
-    assert len(dropped) == 3
+        assert np.array_equal(b1["images"], b2["images"])
 
 
 def test_default_domains_separate_in_channel_means():

@@ -10,8 +10,8 @@ from gdafas.rng import Rng, derive_seed
 
 def _fd_check(build, arrays, tol=1e-5):
     tensors = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
-    loss = build(tensors)
-    T.backward(loss)
+    with T.graph():
+        T.backward(build(tensors))
     numeric = T.finite_difference(
         lambda arrs: build([T.Tensor(a) for a in arrs]).item(), arrays
     )
@@ -24,8 +24,7 @@ def test_batchnorm_train_output_is_normalized():
     r = Rng(11)
     x = T.Tensor(3.0 * r.gaussian(8 * 4 * 6 * 6).reshape(8, 4, 6, 6) + 5.0)
     bn = BatchNorm2d(4)
-    with T.no_grad():
-        out = bn.forward(x, mode="train")[0].data
+    out = bn.forward(x, mode="train")[0].data
     assert np.abs(out.mean(axis=(0, 2, 3))).max() < 1e-6
     assert np.abs(out.var(axis=(0, 2, 3)) - 1.0).max() < 1e-5
 
@@ -33,8 +32,7 @@ def test_batchnorm_train_output_is_normalized():
 def test_batchnorm_uses_biased_variance():
     x = T.Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(4, 1, 1, 1))
     bn = BatchNorm2d(1)
-    with T.no_grad():
-        _, (mean, var) = bn.forward(x, mode="train")
+    _, (mean, var) = bn.forward(x, mode="train")
     # N=4 batch: mean 2.5, biased variance 1.25 (unbiased would be 5/3)
     assert np.isclose(mean.data[0, 0, 0, 0], 2.5)
     assert np.isclose(var.data[0, 0, 0, 0], 1.25)
@@ -51,8 +49,7 @@ def test_batchnorm_running_average_matches_closed_form():
         x = T.Tensor(
             r.gaussian(4 * 3 * 2 * 2, mean=0.3, std=1.5).reshape(4, 3, 2, 2)
         )
-        with T.no_grad():
-            bn.forward(x, mode="train")
+        bn.forward(x, mode="train")
         batch_means.append(x.data.mean(axis=(0, 2, 3)))
     assert bn.num_updates == steps
     m = 0.1
@@ -75,13 +72,11 @@ def test_batchnorm_stats_mode_leaves_running_state_alone():
     r = Rng(31)
     bn = BatchNorm2d(2)
     x = T.Tensor(r.gaussian(4 * 2 * 3 * 3).reshape(4, 2, 3, 3))
-    with T.no_grad():
-        bn.forward(x, mode="train")
+    bn.forward(x, mode="train")
     mean_after_train = bn.running_mean.copy()
     var_after_train = bn.running_var.copy()
     y = T.Tensor(r.gaussian(4 * 2 * 3 * 3, mean=2.0).reshape(4, 2, 3, 3))
-    with T.no_grad():
-        _, (mean, var) = bn.forward(y, mode="stats")
+    _, (mean, var) = bn.forward(y, mode="stats")
     assert np.array_equal(bn.running_mean, mean_after_train)
     assert np.array_equal(bn.running_var, var_after_train)
     assert bn.num_updates == 1
@@ -93,16 +88,19 @@ def test_batchnorm_stats_mode_leaves_running_state_alone():
 def test_batchnorm_eval_returns_its_input_untaped():
     r = Rng(41)
     bn = BatchNorm2d(2)
-    with T.no_grad():
-        bn.forward(
-            T.Tensor(r.gaussian(4 * 2 * 3 * 3).reshape(4, 2, 3, 3)), mode="train"
-        )
+    bn.forward(
+        T.Tensor(r.gaussian(4 * 2 * 3 * 3).reshape(4, 2, 3, 3)), mode="train"
+    )
     state = {k: v.copy() for k, v in (("mean", bn.running_mean),
                                       ("var", bn.running_var))}
     x = T.Tensor(r.gaussian(4 * 2 * 3 * 3, mean=1.0).reshape(4, 2, 3, 3)
                  .astype(T.COMPUTE), requires_grad=True)
     before = x.data.copy()
-    out, seen = bn.forward(x, mode="eval")
+    with T.graph():
+        out, seen = bn.forward(x, mode="eval")
+        # taped from x through the running statistics only: a loss on the
+        # output reaches x, nothing reaches the returned array
+        T.backward(T.tmean(out))
     # the array it normalized, not a Tensor and not a moment: an analysis
     # takes the moments it wants, every other caller takes none
     assert type(seen) is np.ndarray and seen is x.data
@@ -114,9 +112,6 @@ def test_batchnorm_eval_returns_its_input_untaped():
         bn.running_var.reshape(1, 2, 1, 1) + bn.eps
     )
     assert np.allclose(out.data, expect, atol=1e-6)
-    # taped from x through the running statistics only: a loss on the
-    # output reaches x, nothing reaches the returned array
-    T.backward(T.tmean(out))
     assert x.grad is not None and x.grad.shape == x.shape
     assert np.array_equal(seen, before)
 
@@ -146,9 +141,9 @@ def test_batchnorm_batch_stats_are_differentiable():
     x = T.Tensor(r.gaussian(4 * 2 * 3 * 3).reshape(4, 2, 3, 3),
                  requires_grad=True)
     bn = BatchNorm2d(2)
-    _, (mean, var) = bn.forward(x, mode="stats")
-    loss = T.add(T.tsum(T.square(mean)), T.tsum(T.square(var)))
-    T.backward(loss)
+    with T.graph():
+        _, (mean, var) = bn.forward(x, mode="stats")
+        T.backward(T.add(T.tsum(T.square(mean)), T.tsum(T.square(var))))
     assert x.grad is not None and np.abs(x.grad).max() > 0
 
 
@@ -157,8 +152,7 @@ def test_instance_norm_normalizes_each_sample():
     x = r.gaussian(2 * 3 * 5 * 5).reshape(2, 3, 5, 5)
     x[0] = x[0] * 4.0 + 10.0  # one sample badly scaled
     layer = InstanceNorm2d(3)
-    with T.no_grad():
-        out = layer.forward(T.Tensor(x)).data
+    out = layer.forward(T.Tensor(x)).data
     assert np.abs(out.mean(axis=(2, 3))).max() < 1e-6
     assert np.abs(out.var(axis=(2, 3)) - 1.0).max() < 1e-4
 
@@ -205,20 +199,20 @@ def test_norm_layers_match_composed_chain(mode):
             layer = InstanceNorm2d(3)
         else:
             layer = BatchNorm2d(3)
-            with T.no_grad():
-                layer.forward(T.Tensor(x[::-1] * 0.5 + 1.0), mode="train")
+            layer.forward(T.Tensor(x[::-1] * 0.5 + 1.0), mode="train")
         shape = (3,) if fused else (1, 3, 1, 1)
         tg = T.Tensor(gamma.reshape(shape), requires_grad=True)
         tb = T.Tensor(beta.reshape(shape), requires_grad=True)
         layer.gamma, layer.beta = tg, tb
         tx = T.Tensor(x, requires_grad=True)
-        if not fused:
-            out = _composed_norm_forward(layer, tx, mode, tg, tb)
-        elif mode == "instance":
-            out = layer.forward(tx)
-        else:
-            out, _ = layer.forward(tx, mode=mode)
-        T.backward(T.tsum(T.mul(out, g)))
+        with T.graph():
+            if not fused:
+                out = _composed_norm_forward(layer, tx, mode, tg, tb)
+            elif mode == "instance":
+                out = layer.forward(tx)
+            else:
+                out, _ = layer.forward(tx, mode=mode)
+            T.backward(T.tsum(T.mul(out, g)))
         grads = [tx.grad, tg.grad.reshape(3), tb.grad.reshape(3)]
         results.append((out.data, grads))
     (want, want_grads), (have, have_grads) = results
@@ -276,7 +270,7 @@ def test_adam_minimizes_quadratic():
     opt = Adam([p], lr=0.05)
     for _ in range(400):
         opt.zero_grad()
-        loss = T.tsum(T.square(T.sub(p, T.Tensor(target))))
-        T.backward(loss)
+        with T.graph():
+            T.backward(T.tsum(T.square(T.sub(p, T.Tensor(target)))))
         opt.step()
     assert np.abs(p.data - target).max() < 1e-2

@@ -18,8 +18,8 @@ from gdafas.rng import Rng, derive_seed
 
 def _fd_check(build, arrays, tol=1e-5):
     tensors = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
-    loss = build(tensors)
-    T.backward(loss)
+    with T.graph():
+        T.backward(build(tensors))
     numeric = T.finite_difference(
         lambda arrs: build([T.Tensor(a) for a in arrs]).item(), arrays
     )
@@ -148,15 +148,15 @@ def test_entropy_minimization_drives_confidence_up():
     logits = T.Tensor(0.1 * r.gaussian(8).reshape(4, 2), requires_grad=True)
     values = []
     for _ in range(100):
-        ent = entropy_classifier(T.softmax(logits, axis=1))
-        values.append(ent.item())
-        T.backward(ent)
+        with T.graph():
+            ent = entropy_classifier(T.softmax(logits, axis=1))
+            values.append(ent.item())
+            T.backward(ent)
         logits.data = logits.data - 0.5 * logits.grad
         logits.grad = None
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     final = T.softmax(logits, axis=1).data.max(axis=1)
     assert np.all(final > 0.9)
-    T.clear_tape()
 
 
 def test_entropy_depth_pinned_values():
@@ -181,8 +181,8 @@ def test_entropy_gradients_seeded():
 
 def test_entropy_gradient_vanishes_at_one_hot():
     logits = T.Tensor(np.array([[12.0, -12.0]]), requires_grad=True)
-    ent = entropy_classifier(T.softmax(logits, axis=1))
-    T.backward(ent)
+    with T.graph():
+        T.backward(entropy_classifier(T.softmax(logits, axis=1)))
     assert np.abs(logits.grad).max() < 1e-3
 
 

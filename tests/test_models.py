@@ -37,8 +37,7 @@ def _reseal(body: bytes) -> bytes:
 
 def _warm_bn(bundle, seed=3):
     x = T.Tensor(Rng(seed).uniform(4 * 3 * 32 * 32).reshape(4, 3, 32, 32))
-    with T.no_grad():
-        forward_source(bundle, x, "train")
+    forward_source(bundle, x, "train")
     return x
 
 
@@ -91,8 +90,7 @@ def test_skeleton_has_the_seeded_layout_and_zero_weights():
 def test_forward_source_shapes_and_stats():
     bundle = build_source_bundle(7)
     x = T.Tensor(Rng(1).uniform(4 * 3 * 32 * 32).reshape(4, 3, 32, 32))
-    with T.no_grad():
-        logits, depth, stats, feats = forward_source(bundle, x, "train")
+    logits, depth, stats, feats = forward_source(bundle, x, "train")
     assert logits.shape == (4, 2)
     assert depth.shape == (4, 1, 8, 8)
     assert len(stats) == 5
@@ -109,17 +107,15 @@ def test_forward_source_eval_is_deterministic_and_returns_bn_inputs():
     x = _warm_bn(bundle)
     running = [(bn.running_mean.copy(), bn.running_var.copy())
                for bn in bundle.bn_layers()]
-    with T.no_grad():
-        l1, d1, stats, feats = forward_source(bundle, x, "eval")
-        l2, d2, _, _ = forward_source(bundle, x, "eval")
+    l1, d1, stats, feats = forward_source(bundle, x, "eval")
+    l2, d2, _, _ = forward_source(bundle, x, "eval")
     # eval normalizes with running statistics and takes no moments; its
     # stats are the untaped arrays each BN layer normalized, in walk order
-    with T.no_grad():
-        f, r = bundle.F, bundle.R
-        pre_bn = [f.conv1.forward(x), f.conv2.forward(feats[0]),
-                  f.conv3.forward(feats[1]), r.conv1.forward(feats[1])]
-        h = T.relu(r.bn1.forward(pre_bn[3], "eval")[0])
-        pre_bn.append(r.conv2.forward(h))
+    f, r = bundle.F, bundle.R
+    pre_bn = [f.conv1.forward(x), f.conv2.forward(feats[0]),
+              f.conv3.forward(feats[1]), r.conv1.forward(feats[1])]
+    h = T.relu(r.bn1.forward(pre_bn[3], "eval")[0])
+    pre_bn.append(r.conv2.forward(h))
     assert len(stats) == 5
     for seen, want, bn in zip(stats, pre_bn, bundle.bn_layers()):
         assert type(seen) is np.ndarray
@@ -135,9 +131,8 @@ def test_forward_source_eval_is_deterministic_and_returns_bn_inputs():
 def test_train_mode_stats_match_recomputed_moments():
     bundle = build_source_bundle(9)
     x = T.Tensor(Rng(2).uniform(6 * 3 * 32 * 32).reshape(6, 3, 32, 32))
-    with T.no_grad():
-        pre_bn = bundle.F.conv1.forward(x)
-        _, _, stats, _ = forward_source(bundle, x, "stats")
+    pre_bn = bundle.F.conv1.forward(x)
+    _, _, stats, _ = forward_source(bundle, x, "stats")
     mean, var = stats[0]
     assert mean.shape == var.shape == (1, 32, 1, 1)
     axes = (0, 2, 3)
@@ -151,9 +146,8 @@ def test_phi_is_frozen_and_invariant():
     bundle = build_source_bundle(7)
     assert all(not p.requires_grad for p in bundle.phi.params())
     x = T.Tensor(Rng(1).uniform(2 * 3 * 32 * 32).reshape(2, 3, 32, 32))
-    with T.no_grad():
-        f1 = bundle.phi.features(x).data
-        f2 = bundle.phi.features(x).data
+    f1 = bundle.phi.features(x).data
+    f2 = bundle.phi.features(x).data
     assert np.array_equal(f1, f2)
     assert f1.shape == (2, 32, 16, 16)
 
@@ -161,8 +155,7 @@ def test_phi_is_frozen_and_invariant():
 def test_generator_contract():
     g = build_generator(5)
     x = T.Tensor(Rng(6).uniform(2 * 3 * 32 * 32).reshape(2, 3, 32, 32))
-    with T.no_grad():
-        out = g.forward(x)
+    out = g.forward(x)
     assert out.shape == (2, 3, 32, 32)
     assert out.data.min() >= 0.0 and out.data.max() <= 1.0
     # same seed rebuild matches
@@ -174,8 +167,7 @@ def test_generator_contract():
 def test_generator_starts_near_identity():
     g = build_generator(5)
     x = T.Tensor(0.1 + 0.8 * Rng(6).uniform(2 * 3 * 32 * 32).reshape(2, 3, 32, 32))
-    with T.no_grad():
-        out = g.forward(x)
+    out = g.forward(x)
     assert np.abs(out.data - x.data).max() < 0.05
 
 
@@ -184,11 +176,12 @@ def test_gradient_reaches_every_generator_parameter():
     freeze(bundle, ["F", "H", "R"])
     g = build_generator(7)
     x = T.Tensor(Rng(8).uniform(4 * 3 * 32 * 32).reshape(4, 3, 32, 32))
-    out = g.forward(x)
-    logits, depth, stats, _ = forward_source(bundle, out, "stats")
-    loss = T.add(T.tmean(T.square(logits)), T.tmean(T.square(depth)))
-    loss = T.add(loss, T.tmean(T.square(bundle.phi.features(out))))
-    T.backward(loss)
+    with T.graph():
+        out = g.forward(x)
+        logits, depth, stats, _ = forward_source(bundle, out, "stats")
+        loss = T.add(T.tmean(T.square(logits)), T.tmean(T.square(depth)))
+        loss = T.add(loss, T.tmean(T.square(bundle.phi.features(out))))
+        T.backward(loss)
     for p in g.params():
         assert p.grad is not None
         assert np.abs(p.grad).max() > 0.0
@@ -203,9 +196,10 @@ def test_every_generator_parameter_gets_a_live_gradient():
         p.data = p.data.astype(np.float64)
     x = T.Tensor(0.1 + 0.8 * Rng(6).uniform(4 * 3 * 32 * 32)
                  .reshape(4, 3, 32, 32))
-    out = g.forward(x)
-    T.backward(T.tsum(T.mul(out, Rng(7).gaussian(out.size)
-                            .reshape(out.shape))))
+    with T.graph():
+        out = g.forward(x)
+        T.backward(T.tsum(T.mul(out, Rng(7).gaussian(out.size)
+                                .reshape(out.shape))))
     for name, p in zip(g.state(), g.params(), strict=True):
         assert np.linalg.norm(p.grad) > 1e-8, name
     assert len(g.params()) == 26
@@ -221,9 +215,10 @@ def test_generator_decoder_matches_composed_upsampling(monkeypatch):
             p.data = p.data.astype(np.float64)
         x = T.Tensor(0.1 + 0.8 * Rng(6).uniform(4 * 3 * 32 * 32)
                      .reshape(4, 3, 32, 32))
-        out = g.forward(x)
-        T.backward(T.tsum(T.mul(out, Rng(7).gaussian(out.size)
-                                .reshape(out.shape))))
+        with T.graph():
+            out = g.forward(x)
+            T.backward(T.tsum(T.mul(out, Rng(7).gaussian(out.size)
+                                    .reshape(out.shape))))
         return [out.data] + [p.grad for p in g.params()]
 
     fused = run()
@@ -265,9 +260,8 @@ def test_checkpoint_roundtrip(tmp_path):
         assert bn_b.num_updates == bn_a.num_updates
     # loaded source bundle is eval-ready and deterministic
     x = T.Tensor(Rng(3).uniform(2 * 3 * 32 * 32).reshape(2, 3, 32, 32))
-    with T.no_grad():
-        l1, _, _, _ = forward_source(loaded, x, "eval")
-        l2, _, _, _ = forward_source(load_checkpoint(path), x, "eval")
+    l1, _, _, _ = forward_source(loaded, x, "eval")
+    l2, _, _, _ = forward_source(load_checkpoint(path), x, "eval")
     assert np.array_equal(l1.data, l2.data)
 
 

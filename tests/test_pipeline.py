@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -201,7 +202,7 @@ def _spy_float32(monkeypatch):
 
     def spy_backward(loss):
         tapes.append([(node.out.data.dtype, node.out.shape)
-                      for node in T._tape])
+                      for node in T._graph])
         backward(loss)
 
     def spy_step(self):
@@ -286,6 +287,28 @@ def test_adapt_aborts_on_non_finite(workspace):
     assert T.tape_size() == 0
     # the caller's bundle never takes on the poisoned generator
     assert workspace["bundle"].G is before
+
+
+def test_stage2_abort_leaves_no_graph_behind(workspace, monkeypatch):
+    # G stylizes 16x16 images, then F's input check raises mid-step: the
+    # nodes G taped go with the step's graph
+    tgt = workspace["tgt"]
+    small = dataclasses.replace(tgt, images=tgt.images[:, :, ::2, ::2])
+    config = P.TrainConfig(batch_size=8, stage2_steps=1, seed=12)
+    with pytest.raises(ValueError, match="32"):
+        P.adapt_generator(config, workspace["bundle"], small,
+                          generator=models.build_generator(12))
+    assert T._graph is None and T.tape_size() == 0
+    walked, backward = [], T.backward
+
+    def spy(loss):
+        walked.append(T.tape_size())
+        backward(loss)
+
+    monkeypatch.setattr(T, "backward", spy)
+    P.adapt_generator(config, workspace["bundle"], tgt,
+                      generator=models.build_generator(12))
+    assert walked == [193]  # one stage-2 step's own nodes, as pinned above
 
 
 def _copy_source(bundle):

@@ -6,10 +6,10 @@ from gdafas.rng import Rng, derive_seed
 
 
 def _loop_shuffle(rng, items):
-    """Fisher-Yates with one randint call per step, the reference stream."""
+    """Fisher-Yates with one draw per step, the reference stream."""
     out = np.array(items)
     for i in range(len(out) - 1, 0, -1):
-        j = rng.randint(i + 1)
+        j = int(rng.next_uint64(1)[0] % np.uint64(i + 1))
         out[i], out[j] = out[j], out[i]
     return out
 

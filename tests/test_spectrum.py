@@ -113,7 +113,6 @@ def test_phase_loss_is_minimal_for_identical_images():
     kept = np.hypot(f.real, f.imag) >= 1e-8
     n_kept = kept.reshape(2, -1).sum(axis=1).mean()
     assert abs(loss.item() + n_kept) < 1e-9
-    T.clear_tape()
 
 
 def test_phase_loss_bounds_and_gradient_flow():
@@ -121,10 +120,11 @@ def test_phase_loss_bounds_and_gradient_flow():
     x_ref = r.uniform(2 * 1 * 8 * 8).reshape(2, 1, 8, 8)
     x = T.Tensor(r.uniform(2 * 1 * 8 * 8).reshape(2, 1, 8, 8),
                  requires_grad=True)
-    loss = S.phase_alignment_loss(x_ref, x)
+    with T.graph():
+        loss = S.phase_alignment_loss(x_ref, x)
+        T.backward(loss)
     n_bins = 1 * 8 * 8
     assert -n_bins <= loss.item() <= n_bins
-    T.backward(loss)
     assert x.grad is not None
     assert np.all(np.isfinite(x.grad))
     assert np.abs(x.grad).max() > 0.0
@@ -136,8 +136,8 @@ def test_phase_loss_gradients_seeded():
         x_ref = r.uniform(2 * 1 * 4 * 4).reshape(2, 1, 4, 4)
         x = 0.2 + 0.6 * r.uniform(2 * 1 * 4 * 4).reshape(2, 1, 4, 4)
         t = T.Tensor(x.copy(), requires_grad=True)
-        loss = S.phase_alignment_loss(x_ref, t)
-        T.backward(loss)
+        with T.graph():
+            T.backward(S.phase_alignment_loss(x_ref, t))
         num = T.finite_difference(
             lambda arrs: S.phase_alignment_loss(x_ref, T.Tensor(arrs[0])).item(),
             [x],
@@ -151,12 +151,12 @@ def test_phase_loss_decreases_toward_reference():
     x_ref = r.uniform(1 * 1 * 8 * 8).reshape(1, 1, 8, 8)
     x = r.uniform(1 * 1 * 8 * 8).reshape(1, 1, 8, 8)
     t = T.Tensor(x, requires_grad=True)
-    before = S.phase_alignment_loss(x_ref, t)
-    T.backward(before)
+    with T.graph():
+        before = S.phase_alignment_loss(x_ref, t)
+        T.backward(before)
     stepped = x - 0.01 * t.grad
     after = S.phase_alignment_loss(x_ref, T.Tensor(stepped))
     assert after.item() < before.item()
-    T.clear_tape()
 
 
 def _full_spectrum_phase_loss(x_ref, x):
@@ -179,12 +179,13 @@ def test_phase_loss_is_one_node_matching_the_full_spectrum():
         x_ref = r.uniform(2 * 2 * h * w).reshape(2, 2, h, w)
         x = r.uniform(2 * 2 * h * w).reshape(2, 2, h, w)
         t = T.Tensor(x.copy(), requires_grad=True)
-        loss = S.phase_alignment_loss(x_ref, t)
-        assert T.tape_size() == 1
+        with T.graph():
+            loss = S.phase_alignment_loss(x_ref, t)
+            assert T.tape_size() == 1
+            T.backward(loss)
         assert loss.data.dtype == np.float64
         expect = _full_spectrum_phase_loss(x_ref, x)
         assert abs(loss.item() - expect) < 1e-12 * max(abs(expect), 1.0)
-        T.backward(loss)
         num = T.finite_difference(
             lambda arrs: S.phase_alignment_loss(x_ref, T.Tensor(arrs[0])).item(),
             [x],
@@ -200,7 +201,8 @@ def test_phase_loss_float32_gradient_tracks_float64():
     grads = []
     for x in (x32, x32.astype(np.float64)):
         t = T.Tensor(x, requires_grad=True)
-        T.backward(S.phase_alignment_loss(x_ref, t))
+        with T.graph():
+            T.backward(S.phase_alignment_loss(x_ref, t))
         assert t.grad.dtype == x.dtype
         grads.append(t.grad)
     g32, g64 = grads

@@ -1,4 +1,7 @@
-"""Autodiff engine: gradients against central differences, tape discipline."""
+"""Autodiff engine: gradients against central differences, graph discipline."""
+
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +14,8 @@ from oracles import upsample_conv2d as composed_upsample_conv2d
 def _fd_check(build, arrays, tol=1e-5):
     """Compare analytic gradients of scalar build(tensors) with central FD."""
     tensors = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
-    loss = build(tensors)
-    T.backward(loss)
+    with T.graph():
+        T.backward(build(tensors))
     numeric = T.finite_difference(
         lambda arrs: build([T.Tensor(a) for a in arrs]).item(), arrays
     )
@@ -33,46 +36,87 @@ def test_value_semantics():
 def test_requires_grad_propagates_through_frozen_inputs():
     x = T.Tensor([[1.0, 2.0]], requires_grad=True)
     w = T.Tensor([[3.0], [4.0]], requires_grad=False)
-    out = T.matmul(x, w)
-    assert out.requires_grad
-    T.backward(T.tsum(out))
+    with T.graph():
+        out = T.matmul(x, w)
+        assert out.requires_grad
+        T.backward(T.tsum(out))
     assert x.grad is not None
     assert w.grad is None
 
 
-def test_no_grad_blocks_taping():
+def test_ops_outside_a_graph_tape_nothing():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
-    with T.no_grad():
-        y = T.square(x)
+    y = T.tsum(T.square(x))
     assert not y.requires_grad
-    assert T.tape_size() == 0
+    assert T._graph is None and T.tape_size() == 0
+    with T.graph():
+        assert T.tape_size() == 0  # nothing from before the block
+
+
+def test_backward_outside_a_graph_raises():
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    with T.graph():
+        loss = T.tsum(T.square(x))
+    with pytest.raises(RuntimeError, match="open graph"):
+        T.backward(loss)
+    assert x.grad is None
+
+
+def test_nested_graph_raises_and_drops_the_outer_one():
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    with pytest.raises(RuntimeError, match="nest"):
+        with T.graph():
+            T.square(x)
+            with T.graph():
+                pass
+    assert T._graph is None
+    with T.graph():                 # a fresh graph opens afterwards
+        assert T.tape_size() == 0
+
+
+def test_exception_inside_the_block_drops_the_graph():
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    with pytest.raises(KeyError):
+        with T.graph():
+            T.square(T.square(x))
+            assert T.tape_size() == 2
+            raise KeyError("a step that fails halfway")
+    assert T._graph is None and T.tape_size() == 0
+    with T.graph():
+        loss = T.tsum(T.square(x))
+        assert T.tape_size() == 2   # only this block's nodes
+        T.backward(loss)
+    assert np.allclose(x.grad, [2.0, 4.0])
 
 
 def test_backward_clears_tape_and_rejects_nonscalar():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
-    y = T.square(x)
-    assert T.tape_size() == 1
-    with pytest.raises(ValueError):
-        T.backward(y)
+    with T.graph():
+        y = T.square(x)
+        assert T.tape_size() == 1
+        with pytest.raises(ValueError):
+            T.backward(y)
+        assert T.tape_size() == 1   # the block's exit drops it
     assert T.tape_size() == 0
-    z = T.tsum(T.square(x))
-    T.backward(z)
-    assert T.tape_size() == 0
+    with T.graph():
+        T.backward(T.tsum(T.square(x)))
+        assert T.tape_size() == 0
     assert np.allclose(x.grad, [2.0, 4.0])
 
 
 def test_grad_accumulates_across_backward_calls():
     x = T.Tensor([3.0], requires_grad=True)
-    T.backward(T.tsum(T.square(x)))
-    T.backward(T.tsum(T.square(x)))
+    with T.graph():
+        T.backward(T.tsum(T.square(x)))
+        T.backward(T.tsum(T.square(x)))
     assert np.allclose(x.grad, [12.0])
 
 
 def test_fanout_accumulates_once_per_path():
     x = T.Tensor([2.0], requires_grad=True)
-    y = T.square(x)
-    loss = T.tsum(T.add(y, y))
-    T.backward(loss)
+    with T.graph():
+        y = T.square(x)
+        T.backward(T.tsum(T.add(y, y)))
     assert np.allclose(x.grad, [8.0])
 
 
@@ -80,7 +124,8 @@ def test_broadcast_gradient_reduction():
     a = T.Tensor(np.ones((2, 3)), requires_grad=True)
     b = T.Tensor(np.ones((1, 3)), requires_grad=True)
     c = T.Tensor(2.0, requires_grad=True)
-    T.backward(T.tsum(T.mul(T.add(a, b), c)))
+    with T.graph():
+        T.backward(T.tsum(T.mul(T.add(a, b), c)))
     assert a.grad.shape == (2, 3) and np.allclose(a.grad, 2.0)
     assert b.grad.shape == (1, 3) and np.allclose(b.grad, 4.0)
     assert c.grad.shape == () and np.allclose(c.grad, 12.0)
@@ -88,7 +133,8 @@ def test_broadcast_gradient_reduction():
 
 def test_log_floor_region_has_zero_gradient():
     x = T.Tensor([1e-15, 0.5], requires_grad=True)
-    T.backward(T.tsum(T.log(x)))
+    with T.graph():
+        T.backward(T.tsum(T.log(x)))
     assert x.grad[0] == 0.0
     assert np.isclose(x.grad[1], 2.0)
     assert np.isclose(T.log(T.Tensor([0.0])).data[0], np.log(1e-12))
@@ -96,9 +142,10 @@ def test_log_floor_region_has_zero_gradient():
 
 def test_sqrt_nonpositive_region():
     x = T.Tensor([-1.0, 0.0, 4.0], requires_grad=True)
-    y = T.sqrt(x)
+    with T.graph():
+        y = T.sqrt(x)
+        T.backward(T.tsum(y))
     assert np.allclose(y.data, [0.0, 0.0, 2.0])
-    T.backward(T.tsum(y))
     assert x.grad[0] == 0.0 and x.grad[1] == 0.0
     assert np.isclose(x.grad[2], 0.25)
 
@@ -106,10 +153,11 @@ def test_sqrt_nonpositive_region():
 def test_div_by_zero_stays_finite():
     num = T.Tensor([1.0, -1.0])
     den = T.Tensor([0.0, 1e-15], requires_grad=True)
-    y = T.div(num, den)
+    with T.graph():
+        y = T.div(num, den)
+        T.backward(T.tsum(y))
     assert np.all(np.isfinite(y.data))
     assert y.data[0] == 1e12
-    T.backward(T.tsum(y))
     assert np.allclose(den.grad, 0.0)
 
 
@@ -163,10 +211,11 @@ def test_matmul_gradients_seeded():
     ((2, 3, 4), (4, 5)), ((3, 3), (2, 3, 4)), ((3,), (3, 4)), ((2, 3), (3,))])
 def test_matmul_rejects_operands_that_are_not_2d(a_shape, b_shape):
     # a batched product would need a broadcast-reducing backward
-    with pytest.raises(ValueError, match="2-D"):
-        T.matmul(T.Tensor(np.ones(a_shape), requires_grad=True),
-                 T.Tensor(np.ones(b_shape)))
-    assert T.tape_size() == 0
+    with T.graph():
+        with pytest.raises(ValueError, match="2-D"):
+            T.matmul(T.Tensor(np.ones(a_shape), requires_grad=True),
+                     T.Tensor(np.ones(b_shape)))
+        assert T.tape_size() == 0
 
 
 def test_conv_gradients_seeded():
@@ -255,9 +304,11 @@ def test_conv_matches_einsum_reference(case):
     x, w, b, stride, padding = _conv_case(0, case)
     tensors = [T.Tensor(a, requires_grad=True) for a in (x, w)]
     tb = None if b is None else T.Tensor(b, requires_grad=True)
-    out = T.conv2d(tensors[0], tensors[1], tb, stride=stride, padding=padding)
-    g = Rng(9).gaussian(out.size).reshape(out.shape)
-    T.backward(T.tsum(T.mul(out, g)))
+    with T.graph():
+        out = T.conv2d(tensors[0], tensors[1], tb, stride=stride,
+                       padding=padding)
+        g = Rng(9).gaussian(out.size).reshape(out.shape)
+        T.backward(T.tsum(T.mul(out, g)))
     ref = _einsum_conv2d(x, w, b, stride, padding, g)
     got = (out.data, tensors[0].grad, tensors[1].grad,
            None if tb is None else tb.grad)
@@ -280,8 +331,9 @@ def test_conv_input_gradient_path(case, monkeypatch):
     monkeypatch.setattr(T, "_correlate",
                         lambda *a: calls.append(a) or correlate(*a))
     tx = T.Tensor(x, requires_grad=True)
-    T.backward(T.tsum(T.conv2d(tx, T.Tensor(w), b, stride=stride,
-                               padding=padding)))
+    with T.graph():
+        T.backward(T.tsum(T.conv2d(tx, T.Tensor(w), b, stride=stride,
+                                   padding=padding)))
     direct = stride == 1 and padding <= w.shape[2] - 1
     assert len(calls) == (2 if direct else 1)
 
@@ -291,9 +343,10 @@ def test_conv_gradient_reaches_inputs_past_frozen_operand():
     for x_grad, w_grad in ((True, False), (False, True)):
         tx = T.Tensor(x, requires_grad=x_grad)
         tw = T.Tensor(w, requires_grad=w_grad)
-        out = T.conv2d(tx, tw, b, stride=stride, padding=padding)
-        g = Rng(4).gaussian(out.size).reshape(out.shape)
-        T.backward(T.tsum(T.mul(out, g)))
+        with T.graph():
+            out = T.conv2d(tx, tw, b, stride=stride, padding=padding)
+            g = Rng(4).gaussian(out.size).reshape(out.shape)
+            T.backward(T.tsum(T.mul(out, g)))
         _, gx, gw, _ = _einsum_conv2d(x, w, b, stride, padding, g)
         live, frozen, want = (tx, tw, gx) if x_grad else (tw, tx, gw)
         assert frozen.grad is None
@@ -323,9 +376,10 @@ def test_upsample_backward_matches_reshape_sum(factor):
     r = Rng(derive_seed(808, factor))
     x = T.Tensor(r.gaussian(4 * 6 * 5 * 7).reshape(4, 6, 5, 7),
                  requires_grad=True)
-    out = T.upsample_nearest(x, factor)
-    g = r.gaussian(out.size).reshape(out.shape)
-    T.backward(T.tsum(T.mul(out, g)))
+    with T.graph():
+        out = T.upsample_nearest(x, factor)
+        g = r.gaussian(out.size).reshape(out.shape)
+        T.backward(T.tsum(T.mul(out, g)))
     want = g.reshape(4, 6, 5, factor, 7, factor).sum(axis=(3, 5))
     assert np.array_equal(x.grad, want)
 
@@ -359,8 +413,9 @@ def test_upconv_chunked_case_spans_chunks():
 def test_upsample_conv2d_matches_composed_reference(case):
     x, w, g = _upconv_case(case)
     tensors = [T.Tensor(a, requires_grad=True) for a in (x, w)]
-    out = T.upsample_conv2d(*tensors)
-    T.backward(T.tsum(T.mul(out, g)))
+    with T.graph():
+        out = T.upsample_conv2d(*tensors)
+        T.backward(T.tsum(T.mul(out, g)))
     got = (out.data, tensors[0].grad, tensors[1].grad)
     for have, want in zip(got, composed_upsample_conv2d(x, w, g)):
         assert have.shape == want.shape and have.dtype == np.float64
@@ -405,9 +460,10 @@ def test_frozen_operands_get_no_gradient(fused):
         wants = _einsum_conv2d(x, w, b, 1, 1, g)[1:]
     for k in range(len(operands)):
         live = [i == k for i in range(len(operands))]
-        op(*(T.Tensor(a, requires_grad=f) for a, f in zip(operands, live)))
-        slots = T._tape[-1].fn(g)
-        T.clear_tape()
+        with T.graph():
+            op(*(T.Tensor(a, requires_grad=f)
+                 for a, f in zip(operands, live)))
+            slots = T._graph[-1].fn(g)
         assert len(slots) == len(operands)
         for slot, want, on in zip(slots, wants, live):
             if on:
@@ -437,8 +493,9 @@ def test_normalize_matches_composed_chain(moment_batch):
                        (T.normalize, (3,))):
         leaves = arrays[:3] + [a.reshape(affine) for a in arrays[3:]]
         ts = [T.Tensor(a, requires_grad=True) for a in leaves]
-        out = op(*ts, 1e-5)
-        T.backward(T.tsum(T.mul(out, g)))
+        with T.graph():
+            out = op(*ts, 1e-5)
+            T.backward(T.tsum(T.mul(out, g)))
         assert [t.grad.shape for t in ts] == [a.shape for a in leaves]
         results.append((out.data, [t.grad.reshape(-1) for t in ts]))
     (want, want_grads), (have, have_grads) = results
@@ -452,9 +509,10 @@ def test_normalize_is_one_node_and_checks_moment_shapes():
     mean = T.Tensor(np.full((1, 1, 1, 1), 3.5))
     var = T.Tensor(np.full((1, 1, 1, 1), 5.25))
     gamma, beta = T.Tensor(np.ones(1)), T.Tensor(np.zeros(1))
-    out = T.normalize(x, mean, var, gamma, beta, 1e-5)
-    assert T.tape_size() == 1
-    T.backward(T.tsum(T.square(out)))
+    with T.graph():
+        out = T.normalize(x, mean, var, gamma, beta, 1e-5)
+        assert T.tape_size() == 1
+        T.backward(T.tsum(T.square(out)))
     assert x.grad is not None
     with pytest.raises(ValueError, match="moments"):
         T.normalize(x, T.Tensor(np.zeros(1)), T.Tensor(np.ones(1)), gamma,
@@ -492,5 +550,20 @@ def test_upsample_forward_blocks():
 
 
 def test_backward_detached_loss_raises():
-    with pytest.raises(ValueError):
-        T.backward(T.Tensor(1.0))
+    with T.graph():
+        with pytest.raises(ValueError):
+            T.backward(T.Tensor(1.0))
+
+
+def test_only_tensor_names_the_graph_internals():
+    # other modules reach the tape only through graph(), backward,
+    # tape_size and _record; the pre-graph controls are gone
+    internals = re.compile(
+        r"\b(_graph|_Node|_tape|clear_tape|no_grad|_grad_enabled)\b")
+    package = pathlib.Path(T.__file__).parent
+    named = [f"{path.name}:{i}: {line.strip()}"
+             for path in sorted(package.glob("*.py"))
+             if path.name != "tensor.py"
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if internals.search(line)]
+    assert named == []
