@@ -148,22 +148,24 @@ def _check_upsample(rng):
             [_u(rng, (1, 2, 3, 3))])
 
 
-def _normalize_case(rng, moment_batch):
+def _normalize_case(moment_batch):
     """x [3,2,3,3] against moments [moment_batch,2,1,1], gamma and beta [2]."""
-    arrays = [_u(rng, (3, 2, 3, 3)),
-              _u(rng, (moment_batch, 2, 1, 1), -0.5, 0.5),
-              _u(rng, (moment_batch, 2, 1, 1), 0.2, 1.5),
-              _u(rng, (2,), 0.5, 1.5),
-              _u(rng, (2,))]
-    return (lambda ts: T.tsum(T.square(T.normalize(*ts, eps=1e-5))), arrays)
+    def make(rng):
+        arrays = [_u(rng, (3, 2, 3, 3)),
+                  _u(rng, (moment_batch, 2, 1, 1), -0.5, 0.5),
+                  _u(rng, (moment_batch, 2, 1, 1), 0.2, 1.5),
+                  _u(rng, (2,), 0.5, 1.5),
+                  _u(rng, (2,))]
+        return lambda ts: T.tsum(T.square(T.normalize(*ts, eps=1e-5))), arrays
+    return make
 
 
-def _check_normalize(rng):
-    return _normalize_case(rng, 1)  # batch-norm moments [1,C,1,1]
-
-
-def _check_normalize_instance(rng):
-    return _normalize_case(rng, 3)  # instance-norm moments [B,C,1,1]
+def _moments_case(axes):
+    """Both moments of x [3,2,3,3] over ``axes``, squared into the loss."""
+    def build(ts):
+        mean, var = T.moments(ts[0], axes)
+        return T.add(T.tsum(T.square(mean)), T.tsum(T.square(var)))
+    return lambda rng: (build, [_u(rng, (3, 2, 3, 3))])
 
 
 def _check_softmax(rng):
@@ -261,8 +263,10 @@ CHECKS = (
     ("conv2d_strided", _check_conv2d_strided),
     ("upsample_conv2d", _check_upsample_conv2d),
     ("upsample_nearest", _check_upsample),
-    ("normalize", _check_normalize),
-    ("normalize_instance", _check_normalize_instance),
+    ("normalize", _normalize_case(1)),  # batch-norm moments [1,C,1,1]
+    ("normalize_instance", _normalize_case(3)),  # instance-norm [B,C,1,1]
+    ("moments", _moments_case((0, 2, 3))),  # batch-norm axes
+    ("moments_instance", _moments_case((2, 3))),  # instance-norm axes
     ("softmax", _check_softmax),
     ("log_softmax", _check_log_softmax),
     ("loss_stat_consistency", _check_stat_consistency),

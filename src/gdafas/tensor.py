@@ -2,12 +2,14 @@
 
 Ops are taped only inside a ``with graph():`` block, and only when an input
 participates. The open graph owns the tape: ``backward`` on a scalar walks it
-once in reverse, deposits gradients on taped tensors that have
-``requires_grad`` set, and empties it. Leaving the block drops the graph,
-also on an exception, so a step that fails halfway leaves nothing for the
-next one to walk. Graphs do not nest. Outside a graph an op only computes its
-value; scoring and analysis run that way. Tensors are value-semantic: every
-op allocates a fresh output and taped arrays are never mutated in place.
+once in reverse, freeing each node as it passes, and deposits gradients on
+taped tensors that have ``requires_grad`` set. Leaving the block drops the
+graph, also on an exception, so a step that fails halfway leaves nothing for
+the next one to walk. Graphs do not nest. Outside a graph an op only computes
+its value; scoring and analysis run that way. Tensors are value-semantic:
+every op allocates a fresh output and taped arrays are never mutated in
+place. A taped op keeps only its inputs and output (and per-channel
+divisors) and recomputes whatever else its backward reads.
 
 Gradients flow *through* tensors regardless of their ``requires_grad`` flag;
 the flag only controls whether a gradient is accumulated on that tensor. A
@@ -146,10 +148,11 @@ def unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 def backward(loss: Tensor):
     """Accumulate gradients of a scalar into every taped requires_grad tensor.
 
-    Walks the open graph and empties it; outside a graph it raises
-    ``RuntimeError``. Gradients are keyed by ``id``, which is safe because
-    the graph holds every tensor it names until the walk ends. Each gradient
-    is cast to its tensor's dtype before it is passed on.
+    Pops the open graph's nodes last to first, freeing each as it passes;
+    outside a graph it raises ``RuntimeError``. Gradients are keyed by
+    ``id``, which is safe: a tensor stays in ``seen`` while its id is a key
+    in ``grads``, and the walk creates no tensors. Each gradient is cast to
+    its tensor's dtype before it is passed on.
     """
     if _graph is None:
         raise RuntimeError("backward needs an open graph")
@@ -159,8 +162,10 @@ def backward(loss: Tensor):
         raise ValueError("loss is detached from the graph")
     grads = {id(loss): np.ones_like(loss.data)}
     seen = {id(loss): loss}
-    for node in reversed(_graph):
+    while _graph:
+        node = _graph.pop()
         gout = grads.pop(id(node.out), None)
+        seen.pop(id(node.out), None)
         if gout is None:
             continue
         for t, g in zip(node.inputs, node.fn(gout)):
@@ -174,7 +179,6 @@ def backward(loss: Tensor):
     for key, t in seen.items():
         if t.requires_grad and key in grads:
             t.grad = grads[key] if t.grad is None else t.grad + grads[key]
-    _graph.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +225,10 @@ def _safe_denominator(d: np.ndarray) -> np.ndarray:
 
 def div(a, b) -> Tensor:
     a, b = _operands(a, b)
-    safe = _safe_denominator(b.data)
-    out = Tensor(a.data / safe)
+    out = Tensor(a.data / _safe_denominator(b.data))
 
     def fn(g):
+        safe = _safe_denominator(b.data)
         ga = unbroadcast(g / safe, a.shape)
         gb_full = np.where(
             np.abs(b.data) < _DIV_FLOOR, 0.0, -g * a.data / (safe * safe)
@@ -269,9 +273,9 @@ def log(a) -> Tensor:
     there is zero; this matches a finite-difference probe on either side.
     """
     a = as_tensor(a)
-    clamped = np.maximum(a.data, _LOG_FLOOR)
-    out = Tensor(np.log(clamped))
-    fn = lambda g: (np.where(a.data >= _LOG_FLOOR, g / clamped, 0.0),)
+    out = Tensor(np.log(np.maximum(a.data, _LOG_FLOOR)))
+    fn = lambda g: (np.where(a.data >= _LOG_FLOOR,
+                             g / np.maximum(a.data, _LOG_FLOOR), 0.0),)
     return _record(out, (a,), fn)
 
 
@@ -390,7 +394,9 @@ def _chunk_images(b: int, k: int, pix: int, itemsize: int) -> int:
 
 def _pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
     """Zero-pad the two spatial axes of [B,C,H,W] (np.pad's result, without
-    its general-purpose overhead)."""
+    its general-purpose overhead); with no padding, x itself."""
+    if not (ph or pw):
+        return x
     b, c, h, w = x.shape
     out = np.zeros((b, c, h + 2 * ph, w + 2 * pw), x.dtype)
     out[:, :, ph:ph + h, pw:pw + w] = x
@@ -470,9 +476,10 @@ def _column_grads(g, xp, w, stride, want_w: bool, want_x: bool):
 def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of [B,Cin,H,W] with [Cout,Cin,kh,kw] filters.
 
-    The forward is one chunked im2col GEMM (``_correlate``). Only the padded
-    input is kept for backward: ``_column_grads`` rebuilds each chunk's
-    column block for the weight gradient instead of taping column blocks.
+    The forward is one chunked im2col GEMM (``_correlate``) over a padded
+    copy of x that is freed when it returns. Where backward needs the copy
+    (the weight gradient or the col2im scatter), it pads x again, and
+    ``_column_grads`` rebuilds each chunk's column block from it.
 
     The input gradient at stride 1 with padding p <= k-1 is itself a
     stride-1 correlation: the output gradient padded by k-1-p, against the
@@ -487,10 +494,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     """
     x, weight = as_tensor(x), as_tensor(weight)
     kh, kw = weight.shape[2], weight.shape[3]
-    xp = x.data
-    if padding:
-        xp = _pad(xp, padding, padding)
-    out_data = _correlate(xp, weight.data, stride)
+    out_data = _correlate(_pad(x.data, padding, padding), weight.data, stride)
     if bias is not None:
         bias = as_tensor(bias)
         out_data += bias.data[:, None, None]
@@ -506,7 +510,8 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
             gx = _correlate(_pad(g, ph, pw), flipped, 1)
         scatter = x.requires_grad and not direct
         if weight.requires_grad or scatter:
-            gw, gxp = _column_grads(g, xp, weight.data, stride,
+            gw, gxp = _column_grads(g, _pad(x.data, padding, padding),
+                                    weight.data, stride,
                                     weight.requires_grad, scatter)
             if scatter:
                 gx = gxp if padding == 0 else \
@@ -521,13 +526,21 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
 # Sub-pixel maps of a 3x3 kernel over a 2x nearest upsampling. Output row
 # 2m+a of the pad-1 correlation reads kernel rows u at upsampled rows
 # 2m+a+u-1, that is low-res rows m-1, m, m (a=0) or m, m, m+1 (a=1): two
-# taps of the pad-1 low-res input from row m+a on, with _PHASE_ROWS[a][t, u]
-# = 1 where kernel row u lands on tap t. The input gradient gathers the
-# output gradient rows 2r-1..2r+2 onto low-res row r: the flipped kernel's
-# rows summed by _GRAD_ROWS into 4 taps at stride 2.
-_PHASE_ROWS = np.array([[[1, 0, 0], [0, 1, 1]],
-                        [[1, 1, 0], [0, 0, 1]]])
+# taps of the pad-1 low-res input from row m+a on, tap 0 summing kernel
+# rows [0, 1+a) and tap 1 rows [1+a, 3), so the weight gradient repeats the
+# taps' rows 1+a and 2-a times. Columns split the same way. The input
+# gradient gathers the output gradient rows 2r-1..2r+2 onto low-res row r:
+# the flipped kernel's rows summed by _GRAD_ROWS into 4 taps at stride 2.
 _GRAD_ROWS = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1]])
+
+
+def _phase_kernels(w: np.ndarray):
+    """(a, c, 2x2 kernel) per phase: w's rows, then columns, slice-summed."""
+    def split(v, axis):
+        v0, v1, v2 = np.moveaxis(v, axis, 0)
+        return [np.stack(t, axis) for t in ((v0, v1 + v2), (v0 + v1, v2))]
+    return [(a, c, k) for a, rows in enumerate(split(w, -2))
+            for c, k in enumerate(split(rows, -1))]
 
 
 def upsample_conv2d(x, weight) -> Tensor:
@@ -536,14 +549,16 @@ def upsample_conv2d(x, weight) -> Tensor:
 
     Each output phase (a, b), the pixels [2m+a, 2n+b], is a 2x2 correlation
     of the pad-1 low-res input window starting at (a, b) with the kernel
-    ``R_a · W · R_bᵀ`` (``_PHASE_ROWS``), written straight into its strided
-    slots of the [B,Cout,2H,2W] result: 4·4 = 16 multiply-adds per output
-    pixel and channel pair instead of 9·4 = 36 over the upsampled map, and
-    as many fewer im2col bytes. Backward is closed-form: the weight gradient
-    is ``Σ R_aᵀ · gW_ab · R_b`` over the four phases' 2x2 weight gradients,
-    and the input gradient is one stride-2 correlation of the pad-1 output
-    gradient with a 4x4 kernel (``_GRAD_ROWS``). As in :func:`conv2d`, a
-    gradient that no tensor can receive is not computed.
+    ``R_a · W · R_bᵀ`` (W's rows, then columns, summed by slices), written
+    straight into its strided slots of the [B,Cout,2H,2W] result: 4·4 = 16
+    multiply-adds per output pixel and channel pair instead of 9·4 = 36
+    over the upsampled map, and as many fewer im2col bytes. Backward is
+    closed-form: the weight gradient is ``Σ R_aᵀ · gW_ab · R_b`` over the
+    four phases' 2x2 weight gradients, each a gather of repeated rows and
+    columns, and the input gradient is one stride-2 correlation of the
+    pad-1 output gradient with a 4x4 kernel (``_GRAD_ROWS``). As in
+    :func:`conv2d`, the padded input is not kept, and a gradient that no
+    tensor can receive is not computed.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     if weight.shape[2:] != (3, 3):
@@ -552,11 +567,9 @@ def upsample_conv2d(x, weight) -> Tensor:
     b, _, h, w = x.shape
     xp = _pad(x.data, 1, 1)
     wd = weight.data
-    rows = _PHASE_ROWS.astype(wd.dtype)
-    phases = [(a, c, rows[a] @ wd @ rows[c].T) for a in (0, 1) for c in (0, 1)]
     out_data = np.empty((b, wd.shape[0], 2 * h, 2 * w),
                         np.result_type(xp, wd))
-    for a, c, wk in phases:
+    for a, c, wk in _phase_kernels(wd):
         _correlate(xp[:, :, a:a + h + 1, c:c + w + 1], wk, 1,
                    out=out_data[:, :, a::2, c::2])
     out = Tensor(out_data)
@@ -568,11 +581,13 @@ def upsample_conv2d(x, weight) -> Tensor:
             flipped = taps @ wd[:, :, ::-1, ::-1] @ taps.T
             gx = _correlate(_pad(g, 1, 1), flipped.transpose(1, 0, 2, 3), 2)
         if weight.requires_grad:
-            for a, c, wk in phases:
+            xp = _pad(x.data, 1, 1)
+            for a, c, wk in _phase_kernels(wd):
                 gwk, _ = _column_grads(g[:, :, a::2, c::2],
                                        xp[:, :, a:a + h + 1, c:c + w + 1],
                                        wk, 1, True, False)
-                part = rows[a].T @ gwk @ rows[c]
+                part = np.repeat(np.repeat(gwk, (1 + a, 2 - a), axis=-2),
+                                 (1 + c, 2 - c), axis=-1)
                 gw = part if gw is None else gw + part
         return gx, gw
 
@@ -616,8 +631,9 @@ def normalize(x, mean, var, gamma, beta, eps: float) -> Tensor:
     [B,C,1,1] (instance norm); ``gamma`` and ``beta`` are [C]. The forward
     runs the float operations of the composed ``add``/``sqrt``/``sub``/
     ``div``/``mul``/``add`` chain in the same order, so its output has the
-    same bits. Backward, with s = sqrt(var + eps) and xhat = (x - mean) / s,
-    and sums taken over the axes each operand was broadcast along:
+    same bits. Only the inputs, the output and s are kept: backward
+    recomputes xhat. With s = sqrt(var + eps), xhat = (x - mean) / s, and
+    sums taken over the axes each operand was broadcast along:
 
         dx = g*gamma/s           dmean = -sum(g)*gamma/s
         dgamma = sum(g*xhat)     dvar = -0.5*sum(g*xhat)*gamma/s²
@@ -637,16 +653,19 @@ def normalize(x, mean, var, gamma, beta, eps: float) -> Tensor:
         )
     std = np.sqrt(np.maximum(var.data + eps, 0.0))
     safe = _safe_denominator(std)
-    xhat = x.data - mean.data
-    xhat /= safe
     scale = gamma.data.reshape(1, c, 1, 1)
-    out_data = xhat * scale
+    out_data = x.data - mean.data
+    out_data /= safe
+    out_data *= scale
     out_data += beta.data.reshape(1, c, 1, 1)
     out = Tensor(out_data)
 
     def fn(g):
+        gxhat = x.data - mean.data
+        gxhat /= safe
+        gxhat *= g
         g_sum = unbroadcast(g, mean.shape)
-        gxhat_sum = unbroadcast(g * xhat, mean.shape)
+        gxhat_sum = unbroadcast(gxhat, mean.shape)
         gain = scale / safe
         gx = g * gain if x.requires_grad else None
         gmean = -g_sum * gain
@@ -666,11 +685,27 @@ def normalize(x, mean, var, gamma, beta, eps: float) -> Tensor:
 # composed helpers
 
 
-def moments(x, axes):
+def moments(x: Tensor, axes):
     """Mean and biased variance of ``x`` over ``axes``, kept as singleton
-    axes: the ``tmean``/``sub``/``square``/``tmean`` chain of both norms."""
+    axes: a ``tmean`` node and one variance node on ``(x, mean)``. The
+    variance node computes what ``tmean(square(sub(x, mean)))`` computes,
+    with the same bits forward and backward; its centred copy is freed
+    after the forward and recomputed in backward.
+    """
     mean = tmean(x, axes=axes, keepdims=True)
-    return mean, tmean(square(sub(x, mean)), axes=axes, keepdims=True)
+    axes_n = _normalize_axes(axes, x.ndim)
+    sq = x.data - mean.data
+    sq *= sq
+    var = Tensor(sq.mean(axis=axes_n, keepdims=True,
+                         dtype=_accumulator(x, axes_n)))
+
+    def fn(g):
+        # d * (2 * (g / count)) is 2 * d * (g / count) exactly: 2x is exact
+        gx = x.data - mean.data
+        gx *= (g / (x.size // mean.size) * 2.0).astype(gx.dtype, copy=False)
+        return gx, unbroadcast(-gx, mean.shape)
+
+    return mean, _record(var, (x, mean), fn)
 
 
 def softmax(x, axis: int = -1) -> Tensor:

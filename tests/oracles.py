@@ -121,3 +121,27 @@ def upsample_conv2d(x, weight, g):
         out = T.conv2d(T.upsample_nearest(tx, 2), tw, stride=1, padding=1)
         T.backward(T.tsum(T.mul(out, g)))
     return out.data, tx.grad, tw.grad
+
+
+def graph_bytes() -> int:
+    """Bytes held by the open graph: the distinct base arrays that its
+    nodes' outputs and inputs, and their backward closures' cells, refer to
+    (through tensors, lists and tuples)."""
+    bases = {}
+
+    def visit(obj):
+        if isinstance(obj, T.Tensor):
+            obj = obj.data
+        if isinstance(obj, (list, tuple)):
+            for item in obj:
+                visit(item)
+        elif isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            bases[id(obj)] = obj.nbytes
+
+    for node in T._graph:
+        visit(node.out)
+        visit(node.inputs)
+        visit([cell.cell_contents for cell in node.fn.__closure__ or ()])
+    return sum(bases.values())

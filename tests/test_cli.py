@@ -248,7 +248,7 @@ def test_grad_check_passes_and_reproduces(capsys, tmp_path):
     argv = ("grad-check", "--seed", "1", "--trials", "2",
             "--out", str(tmp_path))
     out1, err1 = run(capsys, *argv)
-    assert out1["passed"] is True and out1["checks"] == 29
+    assert out1["passed"] is True and out1["checks"] == 31
     table = (tmp_path / "grad_check.txt").read_text()
     assert "relu" in table and "loss_total" in table
     out2, err2 = run(capsys, *argv)

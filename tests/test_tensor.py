@@ -2,6 +2,7 @@
 
 import pathlib
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -102,6 +103,30 @@ def test_backward_clears_tape_and_rejects_nonscalar():
         T.backward(T.tsum(T.square(x)))
         assert T.tape_size() == 0
     assert np.allclose(x.grad, [2.0, 4.0])
+
+
+def test_backward_frees_each_node_as_it_walks():
+    # a chain of three doubling nodes under a sum: when the walk reaches the
+    # first node, the later nodes and the outputs only they held are gone
+    outputs, alive = [], []
+
+    def double(t, first=False):
+        def fn(g):
+            if first:
+                alive.extend(ref() is not None for ref in outputs[1:])
+            return (2.0 * g,)
+
+        out = T._record(T.Tensor(2.0 * t.data), (t,), fn)
+        outputs.append(weakref.ref(out.data))
+        return out
+
+    x = T.Tensor(np.ones(4), requires_grad=True)
+    with T.graph():
+        loss = T.tsum(double(double(double(x, first=True))))
+        T.backward(loss)
+        assert T.tape_size() == 0
+    assert alive == [False, False]
+    assert np.array_equal(x.grad, np.full(4, 8.0))
 
 
 def test_grad_accumulates_across_backward_calls():
@@ -438,6 +463,31 @@ def test_upsample_conv2d_output_does_not_depend_on_batch(dtype, cin, hw,
         assert np.array_equal(up(x[lo:hi]), full[lo:hi])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_phase_kernels_and_weight_fold_match_matmul_forms(dtype):
+    # R_a·W·R_cᵀ by slice sums and R_aᵀ·gW·R_c by repeats, bit for bit
+    rows = np.array([[[1, 0, 0], [0, 1, 1]],
+                     [[1, 1, 0], [0, 0, 1]]]).astype(dtype)
+    x, w, g = (a.astype(dtype) for a in _upconv_case(_UPCONV_CASES[0]))
+    kernels = T._phase_kernels(w)
+    assert [(a, c) for a, c, _ in kernels] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for a, c, k in kernels:
+        assert k.dtype == dtype and np.array_equal(k, rows[a] @ w @ rows[c].T)
+    tw = T.Tensor(w, requires_grad=True)
+    with T.graph():
+        T.backward(T.tsum(T.mul(T.upsample_conv2d(T.Tensor(x), tw), g)))
+    h, wd = x.shape[2:]
+    xp = T._pad(x, 1, 1)
+    want = None
+    for a, c, k in kernels:
+        gwk, _ = T._column_grads(g[:, :, a::2, c::2],
+                                 xp[:, :, a:a + h + 1, c:c + wd + 1],
+                                 k, 1, True, False)
+        part = rows[a].T @ gwk @ rows[c]
+        want = part if want is None else want + part
+    assert tw.grad.dtype == dtype and np.array_equal(tw.grad, want)
+
+
 def test_upsample_conv2d_rejects_other_kernels():
     with pytest.raises(ValueError, match="3x3"):
         T.upsample_conv2d(T.Tensor(np.zeros((1, 2, 3, 3))),
@@ -502,6 +552,33 @@ def test_normalize_matches_composed_chain(moment_batch):
     assert np.array_equal(have, want)
     for gh, gw in zip(have_grads, want_grads):
         assert np.abs(gh - gw).max() <= 1e-12 * np.abs(gw).max()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("axes", [(0, 2, 3), (2, 3)])
+def test_moments_variance_node_has_the_composed_chain_bits(dtype, axes):
+    r = Rng(derive_seed(949, len(axes), np.dtype(dtype).itemsize))
+    x = r.gaussian(5 * 3 * 4 * 4, mean=0.5, std=2.0).reshape(5, 3, 4, 4)
+    shape = (1, 3, 1, 1) if len(axes) == 3 else (5, 3, 1, 1)
+    gm, gv = (r.gaussian(3 * shape[0]).reshape(shape).astype(dtype)
+              for _ in range(2))
+    results = []
+    for fused in (False, True):
+        tx = T.Tensor(x.astype(dtype), requires_grad=True)
+        with T.graph():
+            if fused:
+                mean, var = T.moments(tx, axes)
+                kinds = [n.fn.__qualname__.split(".")[0] for n in T._graph]
+            else:
+                mean = T.tmean(tx, axes=axes, keepdims=True)
+                var = T.tmean(T.square(T.sub(tx, mean)), axes=axes,
+                              keepdims=True)
+            T.backward(T.add(T.tsum(T.mul(mean, gm)),
+                             T.tsum(T.mul(var, gv))))
+        results.append((mean.data, var.data, tx.grad))
+    assert kinds == ["tmean", "moments"]
+    for have, want in zip(results[1], results[0]):
+        assert have.dtype == dtype and np.array_equal(have, want)
 
 
 def test_normalize_is_one_node_and_checks_moment_shapes():
