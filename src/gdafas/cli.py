@@ -1,6 +1,10 @@
 """Command-line front end: every experiment is a pure function of
 (flags, config file, input files, seed) to output files.
 
+The pipeline returns results and writes no files; each command writes its
+``--out`` run directory (``config.json`` plus its artifacts) here, once that
+work has returned.
+
 stdout carries exactly one JSON summary line per invocation; human-readable
 diagnostics go to stderr. Exit codes: 0 success, 1 validation error
 (flags, config, missing inputs), 2 runtime failure.
@@ -12,11 +16,13 @@ import os
 import sys
 from dataclasses import asdict, fields
 
+import numpy as np
+
 from . import data as D
 from . import gradcheck as GC
 from . import pipeline as P
 from . import spectrum as S
-from .checkpoint import CheckpointError, load_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .pipeline import TrainConfig
 from .rng import Rng
 
@@ -87,12 +93,55 @@ def _train_config(merged: dict) -> TrainConfig:
         raise CliError(f"invalid training configuration: {err}")
 
 
+def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return "%.9g" % float(value)
+
+
+def write_csv(path: str, header, rows):
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def eval_report_rows(report: P.EvalReport):
+    """(metric, value) rows of an eval report CSV, per-domain rows last."""
+    rows = [
+        ("auc", report.auc),
+        ("hter", report.hter),
+        ("eer_threshold", report.eer_threshold),
+        ("hter_at_half", report.hter_at_half),
+    ]
+    for domain, values in sorted(report.per_domain.items()):
+        rows.append((f"auc_{domain}", values["auc"]))
+        rows.append((f"hter_{domain}", values["hter"]))
+    return rows
+
+
 def _persist_config(merged: dict, out_dir: str):
     os.makedirs(out_dir, exist_ok=True)
     serializable = {k: v for k, v in merged.items() if v is not None}
     with open(os.path.join(out_dir, "config.json"), "w") as fh:
         json.dump(serializable, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def _write_run(merged: dict, bundle, checkpoint: str, log_name: str,
+               header, log) -> str:
+    """Write a finished training run into ``--out``: ``config.json``, the
+    bundle's checkpoint and the step log. Returns the checkpoint path."""
+    out = merged["out"]
+    _persist_config(merged, out)
+    path = os.path.join(out, checkpoint)
+    save_checkpoint(bundle, path)
+    write_csv(os.path.join(out, log_name), header, log)
+    return path
 
 
 def _require(merged: dict, key: str):
@@ -142,13 +191,16 @@ def _cmd_gen_data(args, config):
             entry.setdefault("seed", seed)
             unlabeled = bool(entry.pop("unlabeled_train", False))
             try:
-                specs.append((D.DomainSpec(**entry), unlabeled))
+                spec = D.DomainSpec(**entry)
             except (TypeError, ValueError) as err:
                 raise CliError(f"invalid domains[{i}]: {err}")
+            if any(spec.name == other.name for other, _ in specs):
+                raise CliError(f"invalid domains[{i}]: domain name "
+                               f"{spec.name!r} is already used")
+            specs.append((spec, unlabeled))
     else:
         source, target = D.default_domain_specs(count, seed)
         specs = [(source, False), (target, True)]
-    _persist_config(merged, out)
     summary = []
     for spec, unlabeled in specs:
         manifest = D.generate_domain_dataset(
@@ -156,22 +208,24 @@ def _cmd_gen_data(args, config):
         )
         summary.append({"name": spec.name,
                         "records": len(manifest["records"])})
+    _persist_config(merged, out)
     return {"command": "gen-data", "out": out, "domains": summary}
 
 
 def _cmd_train_source(args, config):
     merged = _merge(args, config)
-    out = _require(merged, "out")
+    _require(merged, "out")
     data_dirs = _require(merged, "data")
     if isinstance(data_dirs, str):
         data_dirs = [data_dirs]
     train_config = _train_config(merged)
     datasets = [_load_dir(d) for d in data_dirs]
-    _, log = P.train_source(train_config, datasets, out_dir=out)
-    _persist_config(merged, out)
+    bundle, log = P.train_source(train_config, datasets)
+    checkpoint = _write_run(merged, bundle, "source.gdac",
+                            "train_source_log.csv", P.STAGE1_LOG, log)
     return {
         "command": "train-source",
-        "checkpoint": os.path.join(out, "source.gdac"),
+        "checkpoint": checkpoint,
         "steps": len(log),
         "final_loss": log[-1][3],
     }
@@ -179,15 +233,16 @@ def _cmd_train_source(args, config):
 
 def _cmd_adapt(args, config):
     merged = _merge(args, config)
-    out = _require(merged, "out")
+    _require(merged, "out")
     train_config = _train_config(merged)
     bundle = _load_model(_require(merged, "model"))
     target = _load_dir(_require(merged, "data"))
-    _, log = P.adapt_generator(train_config, bundle, target, out_dir=out)
-    _persist_config(merged, out)
+    bundle, log = P.adapt_generator(train_config, bundle, target)
+    checkpoint = _write_run(merged, bundle, "adapted.gdac", "adapt_log.csv",
+                            P.STAGE2_LOG, log)
     return {
         "command": "adapt",
-        "checkpoint": os.path.join(out, "adapted.gdac"),
+        "checkpoint": checkpoint,
         "steps": len(log),
         "final_stat": log[-1][1],
         "final_total": log[-1][7],
@@ -200,15 +255,18 @@ def _cmd_eval(args, config):
     dataset = _split_of(_load_dir(_require(merged, "data")),
                         merged.get("split") or "test")
     generator = None if args.raw else bundle.G
-    train_config = _train_config(merged)
-    report = P.evaluate(bundle, dataset, generator=generator,
-                        config=train_config)
-    if merged.get("out"):
-        _persist_config(merged, merged["out"])
-        P.write_eval_report(report, merged["out"])
+    _train_config(merged)  # a config file's training keys must still be valid
+    report = P.evaluate(bundle, dataset, generator=generator)
+    # --report first: a missing parent directory exits 1 before --out exists
     if merged.get("report"):
-        P.write_csv(merged["report"], ("metric", "value"),
-                    P.eval_report_rows(report))
+        write_csv(merged["report"], ("metric", "value"),
+                  eval_report_rows(report))
+    out = merged.get("out")
+    if out:
+        _persist_config(merged, out)
+        write_csv(os.path.join(out, "eval_report.csv"), ("metric", "value"),
+                  eval_report_rows(report))
+        write_csv(os.path.join(out, "roc.csv"), ("far", "tpr"), report.roc)
     return {
         "command": "eval",
         "auc": report.auc,
@@ -246,7 +304,6 @@ def _cmd_analyze_stats(args, config):
     source = None
     if merged.get("source_data"):
         source = _load_dir(merged["source_data"])
-    _persist_config(merged, out)
 
     # one pass per (dataset, generator): the target raw and stylized, each
     # read for both curves, and the source once for its features
@@ -255,22 +312,19 @@ def _cmd_analyze_stats(args, config):
     if bundle.G is not None:
         passes.append(("stylized",
                        P.eval_pass(bundle, target, bundle.G, outputs)))
-    written = []
-
-    def emit(name, header, rows):
-        path = os.path.join(out, name)
-        P.write_csv(path, header, rows)
-        written.append(name)
-
-    for kind, result in passes:
-        emit(f"bn_{kind}.csv", ("layer", "d_mean", "d_var"),
-             P.bn_rows(bundle, result["moments"]))
+    tables = [(f"bn_{kind}.csv", ("layer", "d_mean", "d_var"),
+               P.bn_rows(bundle, result["moments"]))
+              for kind, result in passes]
     if source is not None:
         src = P.eval_pass(bundle, source, None, ("features",))["features"]
-        for kind, result in passes:
-            emit(f"mmd_{kind}.csv", ("block", "mmd"),
-                 P.mmd_rows(src, result["features"]))
-    return {"command": "analyze-stats", "out": out, "files": written}
+        tables += [(f"mmd_{kind}.csv", ("block", "mmd"),
+                    P.mmd_rows(src, result["features"]))
+                   for kind, result in passes]
+    _persist_config(merged, out)
+    for name, header, rows in tables:
+        write_csv(os.path.join(out, name), header, rows)
+    return {"command": "analyze-stats", "out": out,
+            "files": [name for name, _, _ in tables]}
 
 
 def _cmd_ablate(args, config):
@@ -280,9 +334,10 @@ def _cmd_ablate(args, config):
     bundle = _load_model(_require(merged, "model"))
     target = _load_dir(_require(merged, "data"))
     eval_set = _split_of(target, merged.get("split") or "test")
-    results = P.ablation_run(train_config, bundle, target, eval_set,
-                             out_dir=out)
+    results = P.ablation_run(train_config, bundle, target, eval_set)
     _persist_config(merged, out)
+    write_csv(os.path.join(out, "ablation.csv"), ("config", "hter", "auc"),
+              [(name, rep.hter, rep.auc) for name, rep in results])
     return {
         "command": "ablate",
         "out": out,

@@ -44,8 +44,11 @@ class DomainSpec:
             self.gain = tuple(self.gain)
         gain_ok = isinstance(self.gain, tuple) and len(self.gain) == 3
         checks = (
-            ("name", isinstance(self.name, str) and self.name != "",
-             "a non-empty string"),
+            # the name is the domain's directory under the output root
+            ("name", isinstance(self.name, str)
+             and self.name not in ("", ".", "..")
+             and os.path.basename(self.name) == self.name,
+             "a single path component other than . and .."),
             ("gain", gain_ok and all(map(_finite, self.gain)),
              "3 finite numbers"),
             ("brightness", _finite(self.brightness), "finite"),
@@ -77,7 +80,6 @@ class Dataset:
     depths: np.ndarray  # [N,1,8,8], zeros where absent
     splits: list = field(default_factory=list)
     domains: list = field(default_factory=list)
-    paths: list = field(default_factory=list)
 
     def subset(self, split: str) -> "Dataset":
         keep = [i for i, s in enumerate(self.splits) if s == split]
@@ -87,7 +89,6 @@ class Dataset:
             depths=self.depths[keep],
             splits=[self.splits[i] for i in keep],
             domains=[self.domains[i] for i in keep],
-            paths=[self.paths[i] for i in keep],
         )
 
 
@@ -320,7 +321,7 @@ def load_dataset(root: str) -> Dataset:
     """Read every record of a manifest into memory."""
     manifest = load_manifest(root)
     images, labels, depths = [], [], []
-    splits, domains, paths = [], [], []
+    splits, domains = [], []
     for rec in manifest["records"]:
         images.append(ppm_read(os.path.join(root, rec["image"])))
         labels.append(rec.get("label", -1))
@@ -330,14 +331,12 @@ def load_dataset(root: str) -> Dataset:
             depths.append(np.zeros((1, 8, 8), COMPUTE))
         splits.append(rec["split"])
         domains.append(rec["domain"])
-        paths.append(rec["image"])
     return Dataset(
         images=np.stack(images),
         labels=np.asarray(labels, dtype=np.int64),
         depths=np.stack(depths),
         splits=splits,
         domains=domains,
-        paths=paths,
     )
 
 
@@ -349,7 +348,6 @@ def merge_datasets(datasets) -> Dataset:
         depths=np.concatenate([d.depths for d in datasets]),
         splits=sum((d.splits for d in datasets), []),
         domains=sum((d.domains for d in datasets), []),
-        paths=sum((d.paths for d in datasets), []),
     )
 
 

@@ -7,13 +7,12 @@ keeping target content, optionally diversified by amplitude mixing. Scoring
 and the style-gap analyses read one streaming pass per (dataset, generator),
 ``eval_pass``. Each training step runs inside its own ``tensor.graph()``, so
 a step that raises leaves no taped nodes behind; evaluation opens no graph
-and tapes nothing. All artifacts are CSV or checkpoint files with
-deterministic bytes.
+and tapes nothing. The module writes no files: each function returns its
+results, and the CLI writes them into a run directory.
 """
 
 import math
-import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from . import metrics as M
 from . import models
 from . import spectrum as S
 from . import tensor as T
-from .checkpoint import save_checkpoint
 from .data import Dataset, batch_iterator, merge_datasets
 from .layers import Adam, BatchNorm2d
 from .rng import Rng, derive_seed
@@ -34,7 +32,7 @@ EVAL_OUTPUTS = ("scores", "moments", "features")
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters for both stages, echoed into every artifact."""
+    """Hyperparameters for both stages."""
 
     batch_size: int = 32
     stage1_epochs: int = 20
@@ -70,24 +68,6 @@ class EvalReport:
     hter_at_half: float
     roc: list = field(default_factory=list)       # (FAR, TPR) pairs
     per_domain: dict = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.9g" % float(value)
-
-
-def write_csv(path: str, header, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _as_training_pool(datasets) -> Dataset:
@@ -108,9 +88,12 @@ def _check_finite(loss_value: float, stage: str, step: int, parts: dict):
 # ---------------------------------------------------------------------------
 # stage 1: source training
 
+STAGE1_LOG = ("step", "cross_entropy", "depth_mse", "total")
 
-def train_source(config: TrainConfig, datasets, out_dir: str = None):
-    """Fit F/H/R on pooled labeled source data; returns (bundle, log rows).
+
+def train_source(config: TrainConfig, datasets):
+    """Fit F/H/R on pooled labeled source data; returns (bundle, log rows),
+    one ``STAGE1_LOG`` row per step.
 
     The classification and depth objectives are summed unweighted; batch-norm
     running statistics accumulate in train mode with ratio ``config.alpha``.
@@ -151,20 +134,14 @@ def train_source(config: TrainConfig, datasets, out_dir: str = None):
                 T.backward(loss)
                 opt.step()
             step += 1
-
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        save_checkpoint(bundle, os.path.join(out_dir, "source.gdac"))
-        write_csv(
-            os.path.join(out_dir, "train_source_log.csv"),
-            ("step", "cross_entropy", "depth_mse", "total"),
-            log_rows,
-        )
     return bundle, log_rows
 
 
 # ---------------------------------------------------------------------------
 # stage 2: generator adaptation
+
+STAGE2_LOG = ("step", "stat", "per", "ent1", "ent2", "ph", "stat_ema",
+              "total")
 
 
 def _verify_snapshot(bundle, snapshot):
@@ -190,7 +167,7 @@ def _draw_stage2_batch(pool: Dataset, config: TrainConfig, step: int):
 
 
 def adapt_generator(config: TrainConfig, bundle, target_dataset,
-                    out_dir: str = None, generator=None):
+                    generator=None):
     """Train only the generator against the frozen source model.
 
     Per step: draw a target batch, diversify half of it by amplitude mixing,
@@ -201,7 +178,8 @@ def adapt_generator(config: TrainConfig, bundle, target_dataset,
     after it. A passed ``generator`` is trained in place; without one, a
     copy of ``bundle.G`` (or a fresh seeded generator) is. The bundle
     receives the trained generator only after that check passes, so an
-    aborted run leaves ``bundle.G`` as it was.
+    aborted run leaves ``bundle.G`` as it was. Returns (bundle, log rows),
+    one ``STAGE2_LOG`` row per step.
     """
     if len(bundle.bn_layers()) == 0:
         raise ValueError("bundle has no batch-norm registry to align against")
@@ -269,16 +247,6 @@ def adapt_generator(config: TrainConfig, bundle, target_dataset,
     _verify_snapshot(bundle, snapshot)
     # only a run that finished with the source model intact hands G over
     bundle.G = generator
-
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        save_checkpoint(bundle, os.path.join(out_dir, "adapted.gdac"))
-        write_csv(
-            os.path.join(out_dir, "adapt_log.csv"),
-            ("step", "stat", "per", "ent1", "ent2", "ph", "stat_ema",
-             "total"),
-            log_rows,
-        )
     return bundle, log_rows
 
 
@@ -349,8 +317,7 @@ def predict_scores(bundle, dataset: Dataset, generator=None,
                      batch_size)["scores"]
 
 
-def evaluate(bundle, dataset: Dataset, generator=None,
-             config: TrainConfig = None) -> EvalReport:
+def evaluate(bundle, dataset: Dataset, generator=None) -> EvalReport:
     """Score a labeled dataset through the frozen model, optionally stylized.
 
     HTER is reported at the equal-error threshold of these scores; the 0.5
@@ -368,7 +335,6 @@ def evaluate(bundle, dataset: Dataset, generator=None,
         eer_threshold=float(threshold),
         hter_at_half=M.hter(scores, labels, 0.5),
         roc=M.roc_points(scores, labels),
-        config=asdict(config) if config is not None else {},
     )
     for domain in sorted(set(dataset.domains)):
         keep = np.array([d == domain for d in dataset.domains])
@@ -380,27 +346,6 @@ def evaluate(bundle, dataset: Dataset, generator=None,
             "hter": M.hter(scores[keep], dom_labels, threshold),
         }
     return report
-
-
-def eval_report_rows(report: EvalReport):
-    """(metric, value) rows of an eval report CSV, per-domain rows last."""
-    rows = [
-        ("auc", report.auc),
-        ("hter", report.hter),
-        ("eer_threshold", report.eer_threshold),
-        ("hter_at_half", report.hter_at_half),
-    ]
-    for domain, values in sorted(report.per_domain.items()):
-        rows.append((f"auc_{domain}", values["auc"]))
-        rows.append((f"hter_{domain}", values["hter"]))
-    return rows
-
-
-def write_eval_report(report: EvalReport, out_dir: str):
-    os.makedirs(out_dir, exist_ok=True)
-    write_csv(os.path.join(out_dir, "eval_report.csv"),
-              ("metric", "value"), eval_report_rows(report))
-    write_csv(os.path.join(out_dir, "roc.csv"), ("far", "tpr"), report.roc)
 
 
 # ---------------------------------------------------------------------------
@@ -473,29 +418,21 @@ def ablation_config(config: TrainConfig, row: str) -> TrainConfig:
 
 
 def ablation_run(config: TrainConfig, bundle, target_dataset: Dataset,
-                 eval_dataset: Dataset, out_dir: str = None):
+                 eval_dataset: Dataset):
     """Adapt under each component subset and score the target test split.
 
     Returns [(row name, EvalReport)] in baseline / nsc / nsc_dsc / full
     order. Every adapted row starts from a fresh identically seeded
     generator, so rows differ only in the enabled objectives.
     """
-    results = [("baseline", evaluate(bundle, eval_dataset, config=config))]
+    results = [("baseline", evaluate(bundle, eval_dataset))]
     for row in ABLATION_ROWS[1:]:
         row_config = ablation_config(config, row)
         generator = models.build_generator(config.seed)
         adapt_generator(row_config, bundle, target_dataset,
                         generator=generator)
         results.append(
-            (row, evaluate(bundle, eval_dataset, generator=generator,
-                           config=row_config))
+            (row, evaluate(bundle, eval_dataset, generator=generator))
         )
     bundle.G = None
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        write_csv(
-            os.path.join(out_dir, "ablation.csv"),
-            ("config", "hter", "auc"),
-            [(name, rep.hter, rep.auc) for name, rep in results],
-        )
     return results

@@ -19,16 +19,6 @@ from .rng import Rng
 _NORM_FLOOR = 1e-8
 
 
-def dft2d(x: np.ndarray) -> np.ndarray:
-    """Complex forward DFT of a real [..., H, W] array over its last axes."""
-    return np.fft.fft2(x, axes=(-2, -1))
-
-
-def idft2d(spec: np.ndarray) -> np.ndarray:
-    """Inverse DFT; returns the complex result, callers take .real as needed."""
-    return np.fft.ifft2(spec, axes=(-2, -1))
-
-
 def amp_phase(spec: np.ndarray):
     """(amplitude, phase) of a complex spectrum; phase in (-pi, pi]."""
     amp = np.hypot(spec.real, spec.imag)
@@ -40,7 +30,7 @@ def amp_phase(spec: np.ndarray):
 
 def reconstruct(amp: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """Image whose spectrum has the given polar form."""
-    return idft2d(amp * np.cos(phase) + 1j * (amp * np.sin(phase))).real
+    return np.fft.ifft2(amp * np.cos(phase) + 1j * (amp * np.sin(phase))).real
 
 
 def check_eta(eta: float):
@@ -62,8 +52,8 @@ def specmix(x: np.ndarray, x_ref: np.ndarray, lam: np.ndarray) -> np.ndarray:
     Keeps the original phase, mixes amplitudes with per-image weight lam,
     reconstructs, and clips to the valid [0, 1] pixel range.
     """
-    own_amp, own_phase = amp_phase(dft2d(x))
-    ref_amp, _ = amp_phase(dft2d(x_ref))
+    own_amp, own_phase = amp_phase(np.fft.fft2(x))
+    ref_amp, _ = amp_phase(np.fft.fft2(x_ref))
     w = lam.reshape(-1, *([1] * (x.ndim - 1)))
     mixed_amp = (1.0 - w) * own_amp + w * ref_amp
     out = reconstruct(mixed_amp, own_phase)

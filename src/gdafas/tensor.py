@@ -595,27 +595,14 @@ def upsample_conv2d(x, weight) -> Tensor:
 
 
 def upsample_nearest(x, factor: int) -> Tensor:
-    """Repeat each pixel of a [B,C,H,W] tensor into a factor x factor block.
-
-    Backward adds the factor² strided slices of the output gradient, one
-    per offset inside the block: each block row's slices first, then the
-    rows. That is the order numpy's ``reshape(...).sum(axis=(3, 5))`` adds
-    them in, so the result has the same bits without its strided reduction.
-    """
+    """Repeat each pixel of a [B,C,H,W] tensor into a factor x factor block;
+    backward sums the gradient over each block."""
     x = as_tensor(x)
+    b, c, h, w = x.shape
     out = Tensor(x.data.repeat(factor, axis=2).repeat(factor, axis=3))
 
     def fn(g):
-        gx = None
-        for u in range(factor):
-            row = g[:, :, u::factor, ::factor].copy()
-            for v in range(1, factor):
-                row += g[:, :, u::factor, v::factor]
-            if gx is None:
-                gx = row
-            else:
-                gx += row
-        return (gx,)
+        return (g.reshape(b, c, h, factor, w, factor).sum(axis=(3, 5)),)
 
     return _record(out, (x,), fn)
 

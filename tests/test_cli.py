@@ -1,11 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from gdafas import data as D
 from gdafas import gradcheck, models
-from gdafas.cli import load_config, main
+from gdafas.cli import load_config, main, write_csv
 
 pytestmark = pytest.mark.usefixtures("capsys")
 
@@ -139,6 +140,18 @@ def test_eval_writes_report(cli_root, capsys, tmp_path):
     assert lines[1].startswith("auc,")
 
 
+def test_eval_report_in_a_missing_directory_leaves_no_out(cli_root, capsys,
+                                                         tmp_path):
+    out = tmp_path / "out"
+    _, err = run(capsys, "eval", "--model",
+                 str(cli_root["root"] / "adapt_run" / "adapted.gdac"),
+                 "--data", str(cli_root["root"] / "data" / "target"),
+                 "--out", str(out),
+                 "--report", str(tmp_path / "nowhere" / "r.csv"), expect=1)
+    assert err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_eval_raw_ignores_generator(cli_root, capsys):
     out, _ = run(capsys, "eval", "--model",
                  str(cli_root["root"] / "adapt_run" / "adapted.gdac"),
@@ -216,6 +229,33 @@ def test_analyze_stats_files(cli_root, capsys, tmp_path):
     mmd = (tmp_path / "mmd_raw.csv").read_text().splitlines()
     assert mmd[0] == "block,mmd"
     assert len(mmd) == 4
+
+
+def test_analyze_stats_on_small_images_writes_nothing(cli_root, capsys,
+                                                      tmp_path):
+    # 16x16 images fail F's input check in the first eval pass
+    data = tmp_path / "small"
+    (data / "images").mkdir(parents=True)
+    records = []
+    for i in range(2):
+        D.ppm_write(str(data / "images" / f"{i}.ppm"),
+                    np.full((3, 16, 16), 0.5))
+        records.append({"image": f"images/{i}.ppm", "split": "test",
+                        "domain": "small", "label": i})
+    (data / "manifest.json").write_text(json.dumps(
+        {"schema_version": D.MANIFEST_SCHEMA_VERSION, "records": records}))
+    out = tmp_path / "out"
+    _, err = run(capsys, "analyze-stats", "--model",
+                 str(cli_root["root"] / "adapt_run" / "adapted.gdac"),
+                 "--data", str(data), "--out", str(out), expect=1)
+    assert err.startswith("error: ") and "32" in err
+    assert not out.exists()
+
+
+def test_csv_float_formatting(tmp_path):
+    path = str(tmp_path / "x.csv")
+    write_csv(path, ("a", "b", "c"), [(0.123456789123, 7, "txt")])
+    assert open(path).read() == "a,b,c\n0.123456789,7,txt\n"
 
 
 def test_train_flags_override_config_file(cli_root, capsys, tmp_path):
@@ -370,18 +410,24 @@ def test_gen_data_rejects_count_below_one(capsys, tmp_path, count):
     assert not (tmp_path / "d").exists()
 
 
-@pytest.mark.parametrize("entry, message", [
-    ({"name": "s", "count_per_class": -2},
+@pytest.mark.parametrize("domains, message", [
+    ([{"name": "s", "count_per_class": -2}],
      "domains[0]: domain count_per_class must be an integer >= 1"),
-    ({"name": "s", "gain": 5}, "domains[0]: domain gain must be 3 finite"),
-    ({"gain": [1, 1, 1]}, "domains[0]: "),
-    ([5], "domains[0] must be a JSON object"),
-], ids=["negative_count", "scalar_gain", "no_name", "not_an_object"])
-def test_gen_data_rejects_bad_domain_entry(capsys, tmp_path, entry, message):
+    ([{"name": "s", "gain": 5}], "domains[0]: domain gain must be 3 finite"),
+    ([{"gain": [1, 1, 1]}], "domains[0]: "),
+    ([[5]], "domains[0] must be a JSON object"),
+    ([{"name": "a"}, {"name": "a"}],
+     "domains[1]: domain name 'a' is already used"),
+    ([{"name": "../escaped"}],
+     "domains[0]: domain name must be a single path component"),
+], ids=["negative_count", "scalar_gain", "no_name", "not_an_object",
+        "repeated_name", "path_name"])
+def test_gen_data_rejects_bad_domain_entry(capsys, tmp_path, domains,
+                                           message):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"domains": [entry]}))
+    cfg.write_text(json.dumps({"count_per_class": 2, "domains": domains}))
     _, err = run(capsys, "gen-data", "--config", str(cfg),
                  "--out", str(tmp_path / "d"), expect=1)
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
-    assert not (tmp_path / "d").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

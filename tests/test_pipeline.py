@@ -1,5 +1,6 @@
 import dataclasses
-import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -80,14 +81,15 @@ def test_train_source_input_validation(workspace):
 
 def test_train_source_checkpoint_is_deterministic(workspace, tmp_path):
     config = P.TrainConfig(batch_size=8, stage1_epochs=2, lr=1e-3, seed=5)
-    P.train_source(config, workspace["src"], out_dir=str(tmp_path / "a"))
-    P.train_source(config, workspace["src"], out_dir=str(tmp_path / "b"))
-    blob_a = (tmp_path / "a" / "source.gdac").read_bytes()
-    blob_b = (tmp_path / "b" / "source.gdac").read_bytes()
-    assert blob_a == blob_b
-    log_a = (tmp_path / "a" / "train_source_log.csv").read_bytes()
-    log_b = (tmp_path / "b" / "train_source_log.csv").read_bytes()
-    assert log_a == log_b
+    blobs, logs = [], []
+    for name in ("a.gdac", "b.gdac"):
+        bundle, log = P.train_source(config, workspace["src"])
+        save_checkpoint(bundle, str(tmp_path / name))
+        blobs.append((tmp_path / name).read_bytes())
+        logs.append(log)
+    assert blobs[0] == blobs[1]
+    assert logs[0] == logs[1]
+    assert len(logs[0][0]) == len(P.STAGE1_LOG)
 
 
 def test_train_source_aborts_on_non_finite(workspace, monkeypatch):
@@ -105,15 +107,13 @@ def test_train_source_aborts_on_non_finite(workspace, monkeypatch):
 
 
 def test_evaluate_report_contract(workspace):
-    report = P.evaluate(workspace["bundle"], workspace["src"].subset("test"),
-                        config=workspace["config"])
+    report = P.evaluate(workspace["bundle"], workspace["src"].subset("test"))
     assert 0.0 <= report.auc <= 1.0
     assert 0.0 <= report.hter <= 1.0
     assert report.roc[0] == (0.0, 0.0)
     assert report.roc[-1] == (1.0, 1.0)
     tprs = [p[1] for p in report.roc]
     assert all(b >= a - 1e-12 for a, b in zip(tprs, tprs[1:]))
-    assert report.config["seed"] == workspace["config"].seed
     assert "source" in report.per_domain
 
 
@@ -139,24 +139,20 @@ def test_evaluate_merged_reports_both_domains(workspace):
     assert set(report.per_domain) == {"source", "target"}
 
 
-def test_adapt_preserves_frozen_model_and_moves_generator(workspace,
-                                                          tmp_path):
+def test_adapt_preserves_frozen_model_and_moves_generator(workspace):
     bundle = workspace["bundle"]
     before = [bundle.net(name).state() for name in P.FROZEN]
     generator = models.build_generator(3)
     g_before = [p.data.copy() for p in generator.params()]
 
     config = P.TrainConfig(batch_size=8, stage2_steps=3, lr=1e-2, seed=9)
-    P.adapt_generator(config, bundle, workspace["tgt"],
-                      out_dir=str(tmp_path), generator=generator)
+    P.adapt_generator(config, bundle, workspace["tgt"], generator=generator)
 
     for name, old in zip(P.FROZEN, before):
         assert _state_equal(old, bundle.net(name).state())
     moved = [not np.array_equal(old, p.data)
              for old, p in zip(g_before, generator.params())]
     assert any(moved)
-    assert os.path.exists(tmp_path / "adapted.gdac")
-    assert os.path.exists(tmp_path / "adapt_log.csv")
 
 
 def test_adapt_log_totals_match_declared_weights(workspace):
@@ -633,21 +629,20 @@ def test_ablation_config_algebra():
         P.ablation_config(config, "half")
 
 
-def test_ablation_run_rows(workspace, tmp_path):
+def test_ablation_run_rows(workspace):
     config = P.TrainConfig(batch_size=8, stage2_steps=2, lr=1e-3, seed=13)
     results = P.ablation_run(config, workspace["bundle"], workspace["tgt"],
-                             workspace["tgt"].subset("test"),
-                             out_dir=str(tmp_path))
+                             workspace["tgt"].subset("test"))
     assert [name for name, _ in results] == list(P.ABLATION_ROWS)
     baseline = P.evaluate(workspace["bundle"], workspace["tgt"].subset("test"))
     assert results[0][1].auc == baseline.auc
-    lines = (tmp_path / "ablation.csv").read_text().splitlines()
-    assert lines[0] == "config,hter,auc"
-    assert len(lines) == 5
     assert workspace["bundle"].G is None
 
 
-def test_csv_float_formatting(tmp_path):
-    path = str(tmp_path / "x.csv")
-    P.write_csv(path, ("a", "b", "c"), [(0.123456789123, 7, "txt")])
-    assert open(path).read() == "a,b,c\n0.123456789,7,txt\n"
+def test_pipeline_writes_no_files():
+    # the pipeline returns results; only the CLI writes a run directory
+    io = re.compile(r"\bopen\(|\bos\.|makedirs|save_checkpoint")
+    source = pathlib.Path(P.__file__).read_text().splitlines()
+    named = [f"{i}: {line.strip()}" for i, line in enumerate(source, 1)
+             if io.search(line)]
+    assert named == []
