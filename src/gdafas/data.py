@@ -8,9 +8,10 @@ passes, sensor noise) is applied around the class signal so that styles
 shift image statistics without destroying separability.
 
 Files are binary PPM (images) and PGM (depth); a JSON manifest lists every
-record; reading one decodes its pixels to ``tensor.COMPUTE`` (float32) in
-[0, 1]. Rendering is a pure function of (label, spec, seed), so datasets
-are byte-identical across machines and reruns.
+record. A loaded dataset keeps each image as the 8-bit pixels its file
+holds; ``decode`` turns a batch into ``tensor.COMPUTE`` (float32) values in
+[0, 1] where it leaves the dataset. Rendering is a pure function of (label,
+spec, seed), so datasets are byte-identical across machines and reruns.
 """
 
 import json
@@ -73,9 +74,14 @@ def _finite(value, kind=numbers.Real) -> bool:
 
 @dataclass
 class Dataset:
-    """In-memory view of one manifest."""
+    """In-memory view of one manifest.
 
-    images: np.ndarray  # [N,3,32,32]
+    ``images`` holds the files' uint8 pixels, C-contiguous, 3,072 bytes
+    per 32x32 record; ``decode`` a batch of them before it reaches a
+    network. Depths are decoded float32 at load.
+    """
+
+    images: np.ndarray  # [N,3,32,32] uint8
     labels: np.ndarray  # [N], -1 where the record is unlabeled
     depths: np.ndarray  # [N,1,8,8], zeros where absent
     splits: list = field(default_factory=list)
@@ -158,22 +164,37 @@ def render_sample(label: int, spec: DomainSpec, seed: int):
 # PPM / PGM
 
 
+def quantize(image: np.ndarray) -> np.ndarray:
+    """Values in [0, 1] to the 8-bit pixels a file stores, rounded."""
+    return np.clip(np.round(image * 255.0), 0, 255).astype(np.uint8)
+
+
+def decode(pixels: np.ndarray) -> np.ndarray:
+    """8-bit pixels to ``COMPUTE`` values in [0, 1], the bits of
+    ``pixels.astype(COMPUTE) / 255`` in one pass; anything but uint8 raises
+    ``TypeError``."""
+    dtype = getattr(pixels, "dtype", type(pixels).__name__)
+    if dtype != np.uint8:
+        raise TypeError(f"decode takes uint8 pixels, got {dtype}")
+    return np.divide(pixels, np.float32(255), dtype=COMPUTE)
+
+
+def _write_netpbm(path: str, magic: str, pixels: np.ndarray):
+    """Binary netpbm, maxval 255, of uint8 pixels [C,H,W]."""
+    _, h, w = pixels.shape
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(pixels.transpose(1, 2, 0).tobytes())
+
+
 def ppm_write(path: str, image: np.ndarray):
     """Binary P6, maxval 255; image is [3,H,W] in [0,1]."""
-    _, h, w = image.shape
-    pixels = np.clip(np.round(image * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(pixels.transpose(1, 2, 0).tobytes())
+    _write_netpbm(path, "P6", quantize(image))
 
 
 def pgm_write(path: str, image: np.ndarray):
     """Binary P5, maxval 255; image is [1,H,W] in [0,1]."""
-    _, h, w = image.shape
-    pixels = np.clip(np.round(image[0] * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+    _write_netpbm(path, "P5", quantize(image))
 
 
 def _read_netpbm(path: str, magic: bytes, channels: int):
@@ -217,9 +238,15 @@ def _read_netpbm(path: str, magic: bytes, channels: int):
     return np.frombuffer(payload, dtype=np.uint8), h, w
 
 
-def ppm_read(path: str) -> np.ndarray:
+def ppm_pixels(path: str) -> np.ndarray:
+    """A P6 file's uint8 pixels [3,H,W]."""
     raw, h, w = _read_netpbm(path, b"P6", 3)
-    return raw.reshape(h, w, 3).transpose(2, 0, 1).astype(COMPUTE) / 255.0
+    return raw.reshape(h, w, 3).transpose(2, 0, 1)
+
+
+def ppm_read(path: str) -> np.ndarray:
+    """A P6 file decoded to ``COMPUTE`` values [3,H,W] in [0, 1]."""
+    return decode(ppm_pixels(path))
 
 
 def pgm_read(path: str) -> np.ndarray:
@@ -245,24 +272,26 @@ def generate_domain_dataset(spec: DomainSpec, out_dir: str,
     total = 2 * spec.count_per_class
 
     def make(idx: int):
+        # keep only the file's pixels: 3,136 bytes, not 24.6 KB of float64
         label = 1 - (idx % 2)  # even index live, odd spoof
-        return idx, label, render_sample(
-            label, spec, derive_seed(spec.seed, idx)
-        )
+        image, depth = render_sample(label, spec, derive_seed(spec.seed, idx))
+        return idx, label, quantize(image), quantize(depth)
 
+    # render every record, then write; writing each file straight after
+    # its render measured slower
     rendered = [make(i) for i in range(total)]
     records = []
-    for idx, label, (image, depth) in rendered:
+    for idx, label, image, depth in rendered:
         split = "test" if idx % 5 == 4 else "train"
         stem = f"{spec.name}_{split}_{idx:05d}"
         image_rel = f"images/{stem}.ppm"
-        ppm_write(os.path.join(out_dir, image_rel), image)
+        _write_netpbm(os.path.join(out_dir, image_rel), "P6", image)
         record = {"image": image_rel, "domain": spec.name, "split": split}
         unlabeled = unlabeled_train and split == "train"
         if not unlabeled:
             record["label"] = label
             depth_rel = f"depth/{stem}.pgm"
-            pgm_write(os.path.join(out_dir, depth_rel), depth)
+            _write_netpbm(os.path.join(out_dir, depth_rel), "P5", depth)
             record["depth"] = depth_rel
         records.append(record)
 
@@ -318,12 +347,23 @@ def load_manifest(root: str) -> dict:
 
 
 def load_dataset(root: str) -> Dataset:
-    """Read every record of a manifest into memory."""
+    """Read every record of a manifest into memory, images as the uint8
+    pixels of their files. Every image must have the first one's shape."""
     manifest = load_manifest(root)
-    images, labels, depths = [], [], []
+    records = manifest["records"]
+    if not records:
+        raise ValueError(f"{root}: manifest lists no records")
+    images = None
+    labels, depths = [], []
     splits, domains = [], []
-    for rec in manifest["records"]:
-        images.append(ppm_read(os.path.join(root, rec["image"])))
+    for i, rec in enumerate(records):
+        pixels = ppm_pixels(os.path.join(root, rec["image"]))
+        if images is None:
+            images = np.empty((len(records), *pixels.shape), np.uint8)
+        elif pixels.shape != images.shape[1:]:
+            raise ValueError(f"{root}: {rec['image']} has shape "
+                             f"{pixels.shape}, expected {images.shape[1:]}")
+        images[i] = pixels
         labels.append(rec.get("label", -1))
         if "depth" in rec:
             depths.append(pgm_read(os.path.join(root, rec["depth"])))
@@ -332,7 +372,7 @@ def load_dataset(root: str) -> Dataset:
         splits.append(rec["split"])
         domains.append(rec["domain"])
     return Dataset(
-        images=np.stack(images),
+        images=images,
         labels=np.asarray(labels, dtype=np.int64),
         depths=np.stack(depths),
         splits=splits,
@@ -352,14 +392,14 @@ def merge_datasets(datasets) -> Dataset:
 
 
 def batch_iterator(dataset: Dataset, batch_size: int, seed: int):
-    """Yield full batches over a seeded shuffle of the dataset; the
-    remainder that does not fill a batch is dropped."""
+    """Yield full batches over a seeded shuffle of the dataset, images
+    decoded; the remainder that does not fill a batch is dropped."""
     n = len(dataset.images)
     order = Rng(seed).shuffle(np.arange(n))
     for start in range(0, (n // batch_size) * batch_size, batch_size):
         idx = order[start:start + batch_size]
         yield {
-            "images": dataset.images[idx],
+            "images": decode(dataset.images[idx]),
             "labels": dataset.labels[idx],
             "depths": dataset.depths[idx],
         }

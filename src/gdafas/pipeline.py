@@ -21,7 +21,7 @@ from . import metrics as M
 from . import models
 from . import spectrum as S
 from . import tensor as T
-from .data import Dataset, batch_iterator, merge_datasets
+from .data import Dataset, batch_iterator, decode, merge_datasets
 from .layers import Adam, BatchNorm2d
 from .rng import Rng, derive_seed
 
@@ -156,12 +156,13 @@ def _verify_snapshot(bundle, snapshot):
 
 
 def _draw_stage2_batch(pool: Dataset, config: TrainConfig, step: int):
-    """Half original target images, half amplitude-mixed copies of them."""
+    """Half decoded original target images, half amplitude-mixed copies of
+    them."""
     rng = Rng(derive_seed(config.seed, "stage2", step))
     half = config.batch_size // 2
     order = rng.shuffle(np.arange(len(pool.images)))
     idx = np.asarray(order[:half])
-    originals = pool.images[idx]
+    originals = decode(pool.images[idx])
     mixed, _, _ = S.specmix_batch(originals, rng, config.eta)
     return np.concatenate([originals, mixed], axis=0)
 
@@ -258,8 +259,8 @@ def eval_pass(bundle, dataset: Dataset, generator, outputs,
               batch_size: int = 64) -> dict:
     """One streaming eval-mode pass of the frozen model over a dataset.
 
-    Each manifest-order batch is stylized by ``generator`` when one is given
-    and run through F. ``outputs`` names what to return, a subset of
+    Each manifest-order batch is decoded, stylized by ``generator`` when one
+    is given and run through F. ``outputs`` names what to return, a subset of
     ``EVAL_OUTPUTS``; only the networks those read run:
 
     - ``scores``: live-class probabilities [N] (float64), through H;
@@ -276,7 +277,7 @@ def eval_pass(bundle, dataset: Dataset, generator, outputs,
     mean_acc = [0.0] * len(bundle.bn_layers())
     sq_acc = list(mean_acc)
     for start in range(0, len(dataset.images), batch_size):
-        x = dataset.images[start:start + batch_size]
+        x = decode(dataset.images[start:start + batch_size])
         if generator is not None:
             x = generator.forward(T.Tensor(x)).data
         blocks, f_inputs = bundle.F.forward(x, "eval")

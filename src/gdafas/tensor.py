@@ -53,12 +53,19 @@ _graph = None  # the open graph's nodes, in op order; None outside a graph
 
 
 class Tensor:
-    """Array wrapper with a grad flag and an optional gradient."""
+    """Array wrapper with a grad flag and an optional gradient.
+
+    Integer and boolean arrays raise ``TypeError``: 8-bit image pixels
+    must be decoded to [0, 1] before they reach an op. Other non-float
+    data is widened to float64.
+    """
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
+        if data.dtype.kind in "biu":
+            raise TypeError(f"Tensor takes float data, got {data.dtype}")
         self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         self.requires_grad = requires_grad
         self.grad = None

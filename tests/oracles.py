@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gdafas import models
+from gdafas import data, models
 from gdafas import tensor as T
 
 
@@ -86,7 +86,7 @@ def full_eval_pass(bundle, dataset, generator=None, batch_size=64):
     n = 0.0
     mean_acc = sq_acc = None
     for start in range(0, len(dataset.images), batch_size):
-        x = dataset.images[start:start + batch_size]
+        x = data.decode(dataset.images[start:start + batch_size])
         if generator is not None:
             x = generator.forward(T.Tensor(x)).data
         logits, _, inputs, blocks = models.forward_source(bundle, x, "eval")
@@ -110,6 +110,33 @@ def full_eval_pass(bundle, dataset, generator=None, batch_size=64):
         moments.append((mean, np.maximum(q_sum / n - mean * mean, 0.0)))
     return (np.concatenate(scores), moments,
             [np.concatenate(parts) for parts in pooled])
+
+
+def phase_loss_and_grad(x_ref, x):
+    """``spectrum.phase_alignment_loss``'s value and its gradient with
+    respect to x at upstream gradient 1, keeping every per-bin term from
+    the forward for the backward, as the loss's node once did."""
+    h, w = x.shape[-2:]
+    ref = np.fft.rfft2(np.asarray(x_ref, dtype=np.float64))
+    ref_norm = np.hypot(ref.real, ref.imag)
+    spec = np.fft.rfft2(x)
+    norm = np.hypot(spec.real, spec.imag)
+    mask = (ref_norm >= 1e-8) & (norm >= 1e-8)
+    unit = np.where(mask, ref / np.where(mask, ref_norm, 1.0), 0.0)
+    unit = unit.astype(spec.dtype)
+    safe = np.where(mask, norm, 1.0)
+    cos = (spec.real * unit.real + spec.imag * unit.imag) / safe
+    weights = np.full(spec.shape[-1], 2.0, cos.dtype)
+    weights[0] = 1.0
+    if w % 2 == 0:
+        weights[-1] = 1.0
+    batch = x.shape[0]
+    loss = -np.sum(cos * weights, dtype=np.float64) / batch
+    g_half = (unit - cos * spec / safe) / safe
+    scale = -np.float64(1.0) * (h * w) / batch
+    grad = (np.fft.irfft2(g_half, s=(h, w)) * scale).astype(x.dtype,
+                                                            copy=False)
+    return loss, grad
 
 
 def upsample_conv2d(x, weight, g):

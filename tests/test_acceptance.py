@@ -294,7 +294,7 @@ def test_checkpoint_float32_bound(workspace, capsys, tmp_path):
 
     worst = 0.0
     for domain in ("source", "target"):
-        images = workspace[domain].subset("test").images
+        images = data.decode(workspace[domain].subset("test").images)
         for stylized in (False, True):
             delta = np.abs(logits(bundle, images, stylized)
                            - logits(loaded, images, stylized))

@@ -1,5 +1,7 @@
 import json
 import os
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,6 +193,64 @@ def test_load_dataset_and_merge(tmp_path):
     assert merged.domains.count("b") == 10
 
 
+def test_load_dataset_keeps_file_pixels(tmp_path):
+    spec = D.DomainSpec(name="a", count_per_class=4, seed=3)
+    manifest = D.generate_domain_dataset(spec, str(tmp_path))
+    ds = D.load_dataset(str(tmp_path))
+    assert ds.images.dtype == np.uint8
+    assert ds.images.flags.c_contiguous
+    assert ds.images.nbytes == 8 * 3 * 32 * 32
+    read = np.stack([D.ppm_read(str(tmp_path / rec["image"]))
+                     for rec in manifest["records"]])
+    assert read.dtype == np.float32
+    assert D.decode(ds.images).tobytes() == read.tobytes()
+
+
+def test_decode_is_the_float32_division_on_every_byte():
+    pixels = np.arange(256, dtype=np.uint8)
+    want = pixels.astype(np.float32) / 255.0
+    got = D.decode(pixels)
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+    assert got[0] == 0.0 and got[255] == 1.0
+
+
+@pytest.mark.parametrize("value", [
+    np.zeros((2, 3), np.float32), np.zeros(3, np.int64),
+    np.zeros(3, bool), [0, 255],
+])
+def test_decode_takes_only_uint8(value):
+    with pytest.raises(TypeError, match="uint8"):
+        D.decode(value)
+
+
+def test_load_dataset_rejects_mixed_shapes_and_no_records(tmp_path):
+    spec = D.DomainSpec(name="a", count_per_class=1, seed=3)
+    manifest = D.generate_domain_dataset(spec, str(tmp_path))
+    D.ppm_write(str(tmp_path / manifest["records"][1]["image"]),
+                np.zeros((3, 1, 1)))
+    with pytest.raises(ValueError, match=r"shape \(3, 1, 1\)"):
+        D.load_dataset(str(tmp_path))
+    manifest["records"] = []
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="no records"):
+        D.load_dataset(str(tmp_path))
+
+
+def test_generate_holds_file_pixels_not_floats(tmp_path):
+    # rendered records wait for their files as uint8 pixels: 3,136 bytes
+    # each, where float64 images and depths took 24.6 KB
+    spec = D.DomainSpec(name="a", seed=3)
+    peaks = {}
+    for count in (20, 200):
+        out = str(tmp_path / str(count))
+        tracemalloc.start()
+        D.generate_domain_dataset(replace(spec, count_per_class=count), out)
+        peaks[count] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    per_record = (peaks[200] - peaks[20]) / (2 * (200 - 20))
+    assert per_record < 6000, per_record
+
+
 def test_batch_iterator_covers_epoch_deterministically(tmp_path):
     spec = D.DomainSpec(name="a", count_per_class=7, seed=1)
     D.generate_domain_dataset(spec, str(tmp_path))
@@ -202,7 +262,9 @@ def test_batch_iterator_covers_epoch_deterministically(tmp_path):
     assert len(batches) == 3
     for k, batch in enumerate(batches):
         idx = order[4 * k:4 * k + 4]
-        for key in ("images", "labels", "depths"):
+        assert batch["images"].dtype == np.float32
+        assert np.array_equal(batch["images"], D.decode(ds.images[idx]))
+        for key in ("labels", "depths"):
             assert np.array_equal(batch[key], getattr(ds, key)[idx])
 
     again = list(D.batch_iterator(ds, batch_size=4, seed=5))

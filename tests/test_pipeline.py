@@ -419,8 +419,8 @@ def test_stage2_batch_is_half_original_half_mixed(workspace):
     pool = workspace["tgt"].subset("train")
     config = P.TrainConfig(batch_size=8, seed=6)
     batch = P._draw_stage2_batch(pool, config, step=0)
-    assert batch.shape == (8, 3, 32, 32)
-    pool_index = {img.tobytes() for img in pool.images}
+    assert batch.shape == (8, 3, 32, 32) and batch.dtype == np.float32
+    pool_index = {img.tobytes() for img in D.decode(pool.images)}
     for img in batch[:4]:
         assert img.tobytes() in pool_index  # untouched originals
     assert batch.min() >= 0.0 and batch.max() <= 1.0

@@ -1,11 +1,12 @@
 """The FFT matches the literal DFT; mixup and the phase loss behave."""
 
 import numpy as np
+import pytest
 
 import gdafas.spectrum as S
 import gdafas.tensor as T
 from gdafas.rng import Rng, derive_seed
-from oracles import naive_dft2d
+from oracles import graph_bytes, naive_dft2d, phase_loss_and_grad
 
 
 def test_roundtrip_inverse_of_forward():
@@ -207,3 +208,22 @@ def test_phase_loss_float32_gradient_tracks_float64():
         grads.append(t.grad)
     g32, g64 = grads
     assert np.abs(g32 - g64).max() / np.abs(g64).max() < 1e-5
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_phase_loss_matches_the_kept_terms_oracle_bitwise(dtype):
+    # the node recomputes its per-bin terms in backward; no bit may move
+    r = Rng(869)
+    for h, w in ((32, 32), (5, 7)):
+        x_ref = r.uniform(4 * 3 * h * w).reshape(4, 3, h, w).astype(dtype)
+        x = r.uniform(4 * 3 * h * w).reshape(4, 3, h, w).astype(dtype)
+        x[0, 0] = 0.5  # a constant plane: masked bins
+        t = T.Tensor(x, requires_grad=True)
+        with T.graph():
+            loss = S.phase_alignment_loss(x_ref, t)
+            assert graph_bytes() == x_ref.nbytes + x.nbytes + loss.data.nbytes
+            T.backward(loss)
+        want_loss, want_grad = phase_loss_and_grad(x_ref, x)
+        assert loss.data.tobytes() == np.float64(want_loss).tobytes()
+        assert t.grad.dtype == dtype
+        assert t.grad.tobytes() == want_grad.tobytes()

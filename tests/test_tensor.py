@@ -34,6 +34,16 @@ def test_value_semantics():
     assert t.data[0, 0] == 1.0
 
 
+@pytest.mark.parametrize("data", [
+    np.zeros((1, 3, 32, 32), np.uint8), np.zeros(2, np.int64),
+    np.zeros(2, bool), [1, 2], 3,
+])
+def test_integer_and_boolean_data_is_refused(data):
+    # 8-bit pixels must be decoded first, not widened to 0..255 floats
+    with pytest.raises(TypeError, match="float"):
+        T.Tensor(data)
+
+
 def test_requires_grad_propagates_through_frozen_inputs():
     x = T.Tensor([[1.0, 2.0]], requires_grad=True)
     w = T.Tensor([[3.0], [4.0]], requires_grad=False)
