@@ -12,6 +12,7 @@ diagnostics go to stderr. Exit codes: 0 success, 1 validation error
 
 import argparse
 import json
+import numbers
 import os
 import sys
 from dataclasses import asdict, fields
@@ -182,14 +183,17 @@ def _cmd_gen_data(args, config):
     count = merged.get("count_per_class")
     if count is None:
         count = 320
-    seed = int(merged["seed"])
+    seed = _train_config(merged).seed
     if config.get("domains"):
         specs = []
         for i, entry in enumerate(config["domains"]):
             entry = dict(entry)
             entry.setdefault("count_per_class", count)
             entry.setdefault("seed", seed)
-            unlabeled = bool(entry.pop("unlabeled_train", False))
+            unlabeled = entry.pop("unlabeled_train", False)
+            if not isinstance(unlabeled, bool):
+                raise CliError(f"invalid domains[{i}]: unlabeled_train must "
+                               f"be true or false, got {unlabeled!r}")
             try:
                 spec = D.DomainSpec(**entry)
             except (TypeError, ValueError) as err:
@@ -227,7 +231,7 @@ def _cmd_train_source(args, config):
         "command": "train-source",
         "checkpoint": checkpoint,
         "steps": len(log),
-        "final_loss": log[-1][3],
+        "final_loss": log[-1][P.STAGE1_LOG.index("total")],
     }
 
 
@@ -244,8 +248,8 @@ def _cmd_adapt(args, config):
         "command": "adapt",
         "checkpoint": checkpoint,
         "steps": len(log),
-        "final_stat": log[-1][1],
-        "final_total": log[-1][7],
+        "final_stat": log[-1][P.STAGE2_LOG.index("stat")],
+        "final_total": log[-1][P.STAGE2_LOG.index("total")],
     }
 
 
@@ -285,12 +289,8 @@ def _cmd_specmix(args, config):
         raise CliError(
             f"image shapes differ: {image.shape} vs {ref.shape}"
         )
-    eta = float(merged["eta"])
-    try:
-        S.check_eta(eta)
-    except ValueError as err:
-        raise CliError(f"invalid --eta: {err}")
-    lam = S.sample_lambda(Rng(int(merged["seed"])), 1, eta)
+    train_config = _train_config(merged)
+    lam = S.sample_lambda(Rng(train_config.seed), 1, train_config.eta)
     mixed = S.specmix(image[None], ref[None], lam)[0]
     D.ppm_write(out, mixed)
     return {"command": "specmix", "out": out, "lambda": float(lam[0])}
@@ -348,8 +348,12 @@ def _cmd_ablate(args, config):
 
 def _cmd_grad_check(args, config):
     merged = _merge(args, config)
-    trials = 20 if merged.get("trials") is None else int(merged["trials"])
-    results = GC.run_checks(seed=int(merged["seed"]), trials=trials,
+    trials = merged.get("trials")
+    if trials is None:
+        trials = 20
+    elif not D.finite_number(trials, numbers.Integral):
+        raise CliError(f"trials must be an integer, got {trials!r}")
+    results = GC.run_checks(seed=_train_config(merged).seed, trials=trials,
                             fault=args.fault)
     table = GC.format_table(results)
     print(table, file=sys.stderr)

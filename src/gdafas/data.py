@@ -50,15 +50,18 @@ class DomainSpec:
              and self.name not in ("", ".", "..")
              and os.path.basename(self.name) == self.name,
              "a single path component other than . and .."),
-            ("gain", gain_ok and all(map(_finite, self.gain)),
+            ("gain", gain_ok and all(map(finite_number, self.gain)),
              "3 finite numbers"),
-            ("brightness", _finite(self.brightness), "finite"),
-            ("blur", _finite(self.blur, numbers.Integral) and self.blur >= 0,
-             "an integer >= 0"),
-            ("noise", _finite(self.noise) and self.noise >= 0,
+            ("brightness", finite_number(self.brightness), "finite"),
+            ("blur", finite_number(self.blur, numbers.Integral)
+             and self.blur >= 0, "an integer >= 0"),
+            ("noise", finite_number(self.noise) and self.noise >= 0,
              "finite and >= 0"),
-            ("count_per_class", _finite(self.count_per_class, numbers.Integral)
+            ("count_per_class",
+             finite_number(self.count_per_class, numbers.Integral)
              and self.count_per_class >= 1, "an integer >= 1"),
+            ("seed", finite_number(self.seed, numbers.Integral),
+             "an integer"),
         )
         for name, ok, rule in checks:
             if not ok:
@@ -66,7 +69,7 @@ class DomainSpec:
                                  f"{getattr(self, name)!r}")
 
 
-def _finite(value, kind=numbers.Real) -> bool:
+def finite_number(value, kind=numbers.Real) -> bool:
     """A finite number of ``kind``; a bool is not one."""
     return (isinstance(value, kind) and not isinstance(value, bool)
             and math.isfinite(value))
@@ -192,11 +195,6 @@ def ppm_write(path: str, image: np.ndarray):
     _write_netpbm(path, "P6", quantize(image))
 
 
-def pgm_write(path: str, image: np.ndarray):
-    """Binary P5, maxval 255; image is [1,H,W] in [0,1]."""
-    _write_netpbm(path, "P5", quantize(image))
-
-
 def _read_netpbm(path: str, magic: bytes, channels: int):
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -250,8 +248,9 @@ def ppm_read(path: str) -> np.ndarray:
 
 
 def pgm_read(path: str) -> np.ndarray:
+    """A P5 file decoded to ``COMPUTE`` values [1,H,W] in [0, 1]."""
     raw, h, w = _read_netpbm(path, b"P5", 1)
-    return raw.reshape(1, h, w).astype(COMPUTE) / 255.0
+    return decode(raw.reshape(1, h, w))
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,35 @@ def test_adapt_non_finite_hyperparameter_exits_one(cli_root, capsys, tmp_path,
     assert "invalid training configuration" in err
 
 
+@pytest.mark.parametrize("command, config", [
+    ("train-source", {"stage1_epochs": 1.5}),
+    ("train-source", {"stage1_epochs": True}),
+    ("train-source", {"seed": 1.5}),
+    ("train-source", {"seed": "7"}),
+    ("train-source", {"lr": True}),
+    ("adapt", {"batch_size": 4.0}),
+    ("adapt", {"use_dsc": "no", "stage2_steps": 1}),
+    ("gen-data", {"seed": 2.5}),
+    ("grad-check", {"trials": 2.5}),
+])
+def test_config_value_of_the_wrong_type_exits_one(cli_root, capsys, tmp_path,
+                                                   command, config):
+    # a JSON value of the wrong type is refused, not truncated or coerced
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    data = cli_root["root"] / "data"
+    inputs = {"train-source": ["--data", str(data / "source")],
+              "adapt": ["--data", str(data / "target"), "--model",
+                        str(cli_root["root"] / "src_run" / "source.gdac")]}
+    _, err = run(capsys, command, "--config", str(cfg),
+                 "--out", str(tmp_path / "out"), *inputs.get(command, []),
+                 expect=1)
+    key, value = next(iter(config.items()))
+    assert err.startswith("error: ")
+    assert f"{key} must be" in err and f"got {value!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_adapt_small_batch_exits_one(cli_root, capsys, tmp_path):
     out = tmp_path / "out"
     _, err = run(capsys, "adapt", "--config", cli_root["cfg"],
@@ -420,8 +449,12 @@ def test_gen_data_rejects_count_below_one(capsys, tmp_path, count):
      "domains[1]: domain name 'a' is already used"),
     ([{"name": "../escaped"}],
      "domains[0]: domain name must be a single path component"),
+    ([{"name": "a", "seed": 1.5}],
+     "domains[0]: domain seed must be an integer, got 1.5"),
+    ([{"name": "a", "unlabeled_train": "false"}],
+     "domains[0]: unlabeled_train must be true or false, got 'false'"),
 ], ids=["negative_count", "scalar_gain", "no_name", "not_an_object",
-        "repeated_name", "path_name"])
+        "repeated_name", "path_name", "seed_float", "unlabeled_string"])
 def test_gen_data_rejects_bad_domain_entry(capsys, tmp_path, domains,
                                            message):
     cfg = tmp_path / "cfg.json"

@@ -64,10 +64,14 @@ def test_pgm_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
     dep = rng.uniform(size=(1, 8, 8))
     path = str(tmp_path / "x.pgm")
-    D.pgm_write(path, dep)
+    pixels = D.quantize(dep)
+    D._write_netpbm(path, "P5", pixels)
     back = D.pgm_read(path)
     assert back.shape == (1, 8, 8)
     assert np.max(np.abs(back - dep)) <= 0.5 / 255 + 1e-12
+    # depths decode as images do
+    assert back.dtype == np.float32
+    assert np.array_equal(back, D.decode(pixels))
 
 
 def test_netpbm_extremes_exact(tmp_path):

@@ -32,7 +32,7 @@ def workspace(tmp_path_factory):
     tgt = D.load_dataset(str(root / "tgt"))
     config = P.TrainConfig(batch_size=8, stage1_epochs=10, stage2_steps=3,
                            lr=1e-3, seed=77)
-    bundle, log = P.train_source(config, src)
+    bundle, log = P.train_source(config, [src])
     return {"root": root, "src": src, "tgt": tgt, "config": config,
             "bundle": bundle, "log": log}
 
@@ -61,6 +61,16 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         P.TrainConfig(eta=1.5)
     assert P.TrainConfig(eta=1.0).eta == 1.0
+    # JSON values of the wrong type are refused, not truncated or coerced
+    for field, bad in (("stage1_epochs", 1.5), ("stage1_epochs", True),
+                       ("batch_size", 4.0), ("stage2_steps", "3"),
+                       ("seed", 1.5), ("seed", "7"), ("lr", True),
+                       ("eta", "0.1"), ("alpha", None), ("use_dsc", "no"),
+                       ("use_dsc", 0)):
+        with pytest.raises(ValueError, match=field):
+            P.TrainConfig(**{field: bad})
+    # an integer is a number, and a numpy integer is an integer
+    assert P.TrainConfig(lr=1, seed=np.int64(3)).seed == 3
 
 
 def test_train_source_learns_and_accumulates_stats(workspace):
@@ -74,22 +84,22 @@ def test_train_source_input_validation(workspace):
     config = workspace["config"]
     empty = workspace["src"].subset("no-such-split")
     with pytest.raises(ValueError, match="no training records"):
-        P.train_source(config, empty)
+        P.train_source(config, [empty])
     with pytest.raises(ValueError, match="label"):
-        P.train_source(config, workspace["tgt"])
+        P.train_source(config, [workspace["tgt"]])
 
 
 def test_train_source_checkpoint_is_deterministic(workspace, tmp_path):
     config = P.TrainConfig(batch_size=8, stage1_epochs=2, lr=1e-3, seed=5)
     blobs, logs = [], []
     for name in ("a.gdac", "b.gdac"):
-        bundle, log = P.train_source(config, workspace["src"])
+        bundle, log = P.train_source(config, [workspace["src"]])
         save_checkpoint(bundle, str(tmp_path / name))
         blobs.append((tmp_path / name).read_bytes())
         logs.append(log)
     assert blobs[0] == blobs[1]
     assert logs[0] == logs[1]
-    assert len(logs[0][0]) == len(P.STAGE1_LOG)
+    assert all(len(row) == len(P.STAGE1_LOG) for row in logs[0])
 
 
 def test_train_source_aborts_on_non_finite(workspace, monkeypatch):
@@ -102,7 +112,7 @@ def test_train_source_aborts_on_non_finite(workspace, monkeypatch):
 
     monkeypatch.setattr(P.models, "build_source_bundle", poisoned)
     with pytest.raises(RuntimeError, match="non-finite"):
-        P.train_source(workspace["config"], workspace["src"])
+        P.train_source(workspace["config"], [workspace["src"]])
     assert T.tape_size() == 0  # the aborted step's graph is not left behind
 
 
@@ -157,13 +167,19 @@ def test_adapt_preserves_frozen_model_and_moves_generator(workspace):
 
 def test_adapt_log_totals_match_declared_weights(workspace):
     bundle = workspace["bundle"]
-    config = P.TrainConfig(batch_size=8, stage2_steps=2, lr=1e-3, seed=10,
+    config = P.TrainConfig(batch_size=8, stage2_steps=3, lr=1e-3, seed=10,
                            lambda_ent=0.05, lambda_ph=0.002)
     _, rows = P.adapt_generator(config, bundle, workspace["tgt"],
                                 generator=models.build_generator(4))
+    assert all(len(row) == len(P.STAGE2_LOG) for row in rows)
     for step, stat, per, ent1, ent2, ph, ema, total in rows:
         expected = stat + per + 0.05 * (ent1 + ent2) + 0.002 * ph
         assert abs(total - expected) < 1e-9
+    # stat_ema is the 0.9/0.1 running mean of the stat column, bit for bit
+    emas = []
+    for row in rows:
+        emas.append(row[1] if not emas else 0.9 * emas[-1] + 0.1 * row[1])
+    assert [row[6] for row in rows] == emas
 
 
 def test_stage2_step_tapes_three_nodes_per_norm_layer(workspace, monkeypatch):
@@ -221,7 +237,7 @@ def test_real_steps_compute_in_float32(workspace, monkeypatch):
     tapes, steps = _spy_float32(monkeypatch)
     config = P.TrainConfig(batch_size=8, stage1_epochs=1, stage2_steps=1,
                            seed=13)
-    bundle, log = P.train_source(config, workspace["src"])
+    bundle, log = P.train_source(config, [workspace["src"]])
     P.adapt_generator(config, bundle, workspace["tgt"])
     monkeypatch.undo()
     assert len(steps) == len(tapes) == len(log) + 1
@@ -248,7 +264,7 @@ def test_step_graphs_hold_at_most_six_tenths_of_the_kept_copies(workspace,
     monkeypatch.setattr(T, "backward", spy)
     config = P.TrainConfig(batch_size=8, stage1_epochs=1, stage2_steps=1,
                            seed=13)
-    bundle, log = P.train_source(config, workspace["src"])
+    bundle, log = P.train_source(config, [workspace["src"]])
     P.adapt_generator(config, bundle, workspace["tgt"])
     monkeypatch.undo()
     assert len(held) == len(log) + 1
@@ -448,6 +464,21 @@ def test_eval_pass_streaming_is_exact(workspace):
                            streamed["features"][name], rtol=0, atol=1e-6)
 
 
+def test_eval_pass_scores_agree_at_batches_of_whole_row_blocks(workspace):
+    # F's pooled features do not depend on the batch size, but H's float32
+    # [n,128]@[128,2] GEMM rounds rows that fall in a tail block of fewer
+    # than four rows differently; at batch sizes that are multiples of 4
+    # every row lies in a full block, so the scores are bitwise equal
+    bundle = workspace["bundle"]
+    data = D.merge_datasets([workspace["src"], workspace["tgt"]] * 2)
+    assert len(data.images) == 128
+    for generator in (None, models.build_generator(4)):
+        want = P.predict_scores(bundle, data, generator, batch_size=16)
+        for batch in (32, 48, 64):
+            got = P.predict_scores(bundle, data, generator, batch_size=batch)
+            assert np.array_equal(got, want), (generator, batch)
+
+
 def test_bn_discrepancy_orders_source_below_target(workspace):
     bundle = workspace["bundle"]
     rows_src = P.bn_discrepancy(bundle, workspace["src"].subset("train"))
@@ -637,6 +668,14 @@ def test_ablation_run_rows(workspace):
     baseline = P.evaluate(workspace["bundle"], workspace["tgt"].subset("test"))
     assert results[0][1].auc == baseline.auc
     assert workspace["bundle"].G is None
+
+
+def test_both_stages_take_steps_through_one_loop():
+    # one graph, one backward and one optimizer step in the whole module
+    source = pathlib.Path(P.__file__).read_text()
+    counts = [source.count(call)
+              for call in ("T.graph()", "T.backward(", ".step()")]
+    assert counts == [1, 1, 1]
 
 
 def test_pipeline_writes_no_files():
