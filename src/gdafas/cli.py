@@ -1,9 +1,11 @@
 """Command-line front end: every experiment is a pure function of
 (flags, config file, input files, seed) to output files.
 
-The pipeline returns results and writes no files; each command writes its
-``--out`` run directory (``config.json`` plus its artifacts) here, once that
-work has returned.
+``dispatch`` merges flags over the config file over the defaults once and
+checks every value once, before any command does work, so bad input exits 1
+without a run having started. The pipeline returns results and writes no
+files; each command writes its ``--out`` run directory (``config.json`` plus
+its artifacts) here, once that work has returned.
 
 stdout carries exactly one JSON summary line per invocation; human-readable
 diagnostics go to stderr. Exit codes: 0 success, 1 validation error
@@ -15,7 +17,7 @@ import json
 import numbers
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -28,10 +30,13 @@ from .pipeline import TrainConfig
 from .rng import Rng
 
 _TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
-_PATH_KEYS = {"data", "model", "out", "source_data", "report", "input",
-              "ref", "split", "count_per_class", "trials"}
-_DOMAIN_KEYS = {"name", "gain", "brightness", "blur", "noise",
-                "count_per_class", "seed", "unlabeled_train"}
+# the JSON type of every other value a command reads; train-source also
+# takes ``data`` as a list of strings (one dataset each)
+_INPUT_KEYS = {"data": str, "model": str, "out": str, "source_data": str,
+               "report": str, "input": str, "ref": str, "split": str,
+               "count_per_class": numbers.Integral,
+               "trials": numbers.Integral}
+_DOMAIN_KEYS = {f.name for f in fields(D.DomainSpec)} | {"unlabeled_train"}
 
 
 class CliError(Exception):
@@ -58,7 +63,7 @@ def load_config(path: str) -> dict:
         )
     if not isinstance(config, dict):
         raise CliError(f"{path}: config root must be a JSON object")
-    unknown = set(config) - _TRAIN_KEYS - _PATH_KEYS - {"domains"}
+    unknown = set(config) - _TRAIN_KEYS - _INPUT_KEYS.keys() - {"domains"}
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
     domains = config.get("domains", [])
@@ -77,20 +82,41 @@ def load_config(path: str) -> dict:
 
 def _merge(args, config: dict) -> dict:
     """Layer flag values over file values over TrainConfig defaults."""
-    merged = asdict(TrainConfig())
+    merged = {f.name: f.default for f in fields(TrainConfig)}
     merged.update(config)
-    for key in _TRAIN_KEYS | _PATH_KEYS:
+    for key in _TRAIN_KEYS | _INPUT_KEYS.keys():
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
     return merged
 
 
-def _train_config(merged: dict) -> TrainConfig:
-    kwargs = {k: merged[k] for k in _TRAIN_KEYS if k in merged}
+def _validate(command: str, merged: dict) -> TrainConfig:
+    """Check the merged values before any work: the type of each input key,
+    then the values ``command`` cannot run without, then the training
+    fields. Returns the training configuration."""
+    for key, kind in _INPUT_KEYS.items():
+        value = merged.get(key)
+        if value is None:
+            continue
+        if kind is not str:
+            ok, rule = D.finite_number(value, kind), "an integer"
+        elif key == "data" and command == "train-source":
+            ok = isinstance(value, str) or (
+                isinstance(value, list) and len(value) > 0
+                and all(isinstance(v, str) for v in value))
+            rule = "a string or a non-empty list of strings"
+        else:
+            ok, rule = isinstance(value, str), "a string"
+        if not ok:
+            raise CliError(f"{key} must be {rule}, got {value!r}")
+    for key in _COMMANDS[command][1]:
+        if merged.get(key) is None:
+            raise CliError(
+                f"missing required value: --{key.replace('_', '-')}")
     try:
-        return TrainConfig(**kwargs)
-    except (TypeError, ValueError) as err:
+        return TrainConfig(**{k: merged[k] for k in _TRAIN_KEYS})
+    except ValueError as err:
         raise CliError(f"invalid training configuration: {err}")
 
 
@@ -145,13 +171,6 @@ def _write_run(merged: dict, bundle, checkpoint: str, log_name: str,
     return path
 
 
-def _require(merged: dict, key: str):
-    value = merged.get(key)
-    if value is None:
-        raise CliError(f"missing required value: --{key.replace('_', '-')}")
-    return value
-
-
 def _load_dir(path: str) -> D.Dataset:
     if not os.path.isdir(path):
         raise CliError(f"dataset directory not found: {path}")
@@ -177,19 +196,17 @@ def _split_of(dataset: D.Dataset, split) -> D.Dataset:
 # commands
 
 
-def _cmd_gen_data(args, config):
-    merged = _merge(args, config)
-    out = _require(merged, "out")
+def _cmd_gen_data(args, merged, train):
+    out = merged["out"]
     count = merged.get("count_per_class")
     if count is None:
         count = 320
-    seed = _train_config(merged).seed
-    if config.get("domains"):
+    if merged.get("domains"):
         specs = []
-        for i, entry in enumerate(config["domains"]):
+        for i, entry in enumerate(merged["domains"]):
             entry = dict(entry)
             entry.setdefault("count_per_class", count)
-            entry.setdefault("seed", seed)
+            entry.setdefault("seed", train.seed)
             unlabeled = entry.pop("unlabeled_train", False)
             if not isinstance(unlabeled, bool):
                 raise CliError(f"invalid domains[{i}]: unlabeled_train must "
@@ -203,7 +220,7 @@ def _cmd_gen_data(args, config):
                                f"{spec.name!r} is already used")
             specs.append((spec, unlabeled))
     else:
-        source, target = D.default_domain_specs(count, seed)
+        source, target = D.default_domain_specs(count, train.seed)
         specs = [(source, False), (target, True)]
     summary = []
     for spec, unlabeled in specs:
@@ -216,15 +233,12 @@ def _cmd_gen_data(args, config):
     return {"command": "gen-data", "out": out, "domains": summary}
 
 
-def _cmd_train_source(args, config):
-    merged = _merge(args, config)
-    _require(merged, "out")
-    data_dirs = _require(merged, "data")
+def _cmd_train_source(args, merged, train):
+    data_dirs = merged["data"]
     if isinstance(data_dirs, str):
         data_dirs = [data_dirs]
-    train_config = _train_config(merged)
     datasets = [_load_dir(d) for d in data_dirs]
-    bundle, log = P.train_source(train_config, datasets)
+    bundle, log = P.train_source(train, datasets)
     checkpoint = _write_run(merged, bundle, "source.gdac",
                             "train_source_log.csv", P.STAGE1_LOG, log)
     return {
@@ -235,13 +249,10 @@ def _cmd_train_source(args, config):
     }
 
 
-def _cmd_adapt(args, config):
-    merged = _merge(args, config)
-    _require(merged, "out")
-    train_config = _train_config(merged)
-    bundle = _load_model(_require(merged, "model"))
-    target = _load_dir(_require(merged, "data"))
-    bundle, log = P.adapt_generator(train_config, bundle, target)
+def _cmd_adapt(args, merged, train):
+    bundle = _load_model(merged["model"])
+    target = _load_dir(merged["data"])
+    bundle, log = P.adapt_generator(train, bundle, target)
     checkpoint = _write_run(merged, bundle, "adapted.gdac", "adapt_log.csv",
                             P.STAGE2_LOG, log)
     return {
@@ -253,13 +264,11 @@ def _cmd_adapt(args, config):
     }
 
 
-def _cmd_eval(args, config):
-    merged = _merge(args, config)
-    bundle = _load_model(_require(merged, "model"))
-    dataset = _split_of(_load_dir(_require(merged, "data")),
+def _cmd_eval(args, merged, train):
+    bundle = _load_model(merged["model"])
+    dataset = _split_of(_load_dir(merged["data"]),
                         merged.get("split") or "test")
     generator = None if args.raw else bundle.G
-    _train_config(merged)  # a config file's training keys must still be valid
     report = P.evaluate(bundle, dataset, generator=generator)
     # --report first: a missing parent directory exits 1 before --out exists
     if merged.get("report"):
@@ -280,27 +289,24 @@ def _cmd_eval(args, config):
     }
 
 
-def _cmd_specmix(args, config):
-    merged = _merge(args, config)
-    out = _require(merged, "out")
-    image = D.ppm_read(_require(merged, "input"))
-    ref = D.ppm_read(_require(merged, "ref"))
+def _cmd_specmix(args, merged, train):
+    out = merged["out"]
+    image = D.ppm_read(merged["input"])
+    ref = D.ppm_read(merged["ref"])
     if image.shape != ref.shape:
         raise CliError(
             f"image shapes differ: {image.shape} vs {ref.shape}"
         )
-    train_config = _train_config(merged)
-    lam = S.sample_lambda(Rng(train_config.seed), 1, train_config.eta)
+    lam = S.sample_lambda(Rng(train.seed), 1, train.eta)
     mixed = S.specmix(image[None], ref[None], lam)[0]
     D.ppm_write(out, mixed)
     return {"command": "specmix", "out": out, "lambda": float(lam[0])}
 
 
-def _cmd_analyze_stats(args, config):
-    merged = _merge(args, config)
-    out = _require(merged, "out")
-    bundle = _load_model(_require(merged, "model"))
-    target = _load_dir(_require(merged, "data"))
+def _cmd_analyze_stats(args, merged, train):
+    out = merged["out"]
+    bundle = _load_model(merged["model"])
+    target = _load_dir(merged["data"])
     source = None
     if merged.get("source_data"):
         source = _load_dir(merged["source_data"])
@@ -327,14 +333,12 @@ def _cmd_analyze_stats(args, config):
             "files": [name for name, _, _ in tables]}
 
 
-def _cmd_ablate(args, config):
-    merged = _merge(args, config)
-    out = _require(merged, "out")
-    train_config = _train_config(merged)
-    bundle = _load_model(_require(merged, "model"))
-    target = _load_dir(_require(merged, "data"))
+def _cmd_ablate(args, merged, train):
+    out = merged["out"]
+    bundle = _load_model(merged["model"])
+    target = _load_dir(merged["data"])
     eval_set = _split_of(target, merged.get("split") or "test")
-    results = P.ablation_run(train_config, bundle, target, eval_set)
+    results = P.ablation_run(train, bundle, target, eval_set)
     _persist_config(merged, out)
     write_csv(os.path.join(out, "ablation.csv"), ("config", "hter", "auc"),
               [(name, rep.hter, rep.auc) for name, rep in results])
@@ -346,15 +350,11 @@ def _cmd_ablate(args, config):
     }
 
 
-def _cmd_grad_check(args, config):
-    merged = _merge(args, config)
+def _cmd_grad_check(args, merged, train):
     trials = merged.get("trials")
     if trials is None:
         trials = 20
-    elif not D.finite_number(trials, numbers.Integral):
-        raise CliError(f"trials must be an integer, got {trials!r}")
-    results = GC.run_checks(seed=_train_config(merged).seed, trials=trials,
-                            fault=args.fault)
+    results = GC.run_checks(seed=train.seed, trials=trials, fault=args.fault)
     table = GC.format_table(results)
     print(table, file=sys.stderr)
     if merged.get("out"):
@@ -385,14 +385,10 @@ def _add_common(sub):
 
 
 def _add_train(sub):
-    sub.add_argument("--batch-size", dest="batch_size", type=int)
-    sub.add_argument("--stage1-epochs", dest="stage1_epochs", type=int)
-    sub.add_argument("--stage2-steps", dest="stage2_steps", type=int)
-    sub.add_argument("--lr", type=float)
-    sub.add_argument("--eta", type=float)
-    sub.add_argument("--lambda-ent", dest="lambda_ent", type=float)
-    sub.add_argument("--lambda-ph", dest="lambda_ph", type=float)
-    sub.add_argument("--alpha", type=float)
+    """A flag for each numeric training field but ``seed``, in field order."""
+    for f in fields(TrainConfig):
+        if f.type in (int, float) and f.name != "seed":
+            sub.add_argument("--" + f.name.replace("_", "-"), type=f.type)
 
 
 def build_parser() -> _Parser:
@@ -450,22 +446,25 @@ def build_parser() -> _Parser:
     return parser
 
 
+# each command and the values it cannot run without
 _COMMANDS = {
-    "gen-data": _cmd_gen_data,
-    "train-source": _cmd_train_source,
-    "adapt": _cmd_adapt,
-    "eval": _cmd_eval,
-    "specmix": _cmd_specmix,
-    "analyze-stats": _cmd_analyze_stats,
-    "ablate": _cmd_ablate,
-    "grad-check": _cmd_grad_check,
+    "gen-data": (_cmd_gen_data, ("out",)),
+    "train-source": (_cmd_train_source, ("out", "data")),
+    "adapt": (_cmd_adapt, ("out", "model", "data")),
+    "eval": (_cmd_eval, ("model", "data")),
+    "specmix": (_cmd_specmix, ("out", "input", "ref")),
+    "analyze-stats": (_cmd_analyze_stats, ("out", "model", "data")),
+    "ablate": (_cmd_ablate, ("out", "model", "data")),
+    "grad-check": (_cmd_grad_check, ()),
 }
 
 
 def dispatch(argv) -> dict:
     args = build_parser().parse_args(argv)
     config = load_config(args.config) if args.config else {}
-    return _COMMANDS[args.command](args, config)
+    merged = _merge(args, config)
+    train = _validate(args.command, merged)
+    return _COMMANDS[args.command][0](args, merged, train)
 
 
 def main(argv=None) -> int:

@@ -287,8 +287,7 @@ def _sign_flipped_relu(a):
     return out
 
 
-def run_checks(seed: int = 0, trials: int = 20, tol: float = TOLERANCE,
-               fault: str = None):
+def run_checks(seed: int = 0, trials: int = 20, fault: str = None):
     """Run every registered check; returns a list of CheckResult.
 
     ``fault="sign-flip"`` swaps in a relu whose backward rule negates the
@@ -308,7 +307,7 @@ def run_checks(seed: int = 0, trials: int = 20, tol: float = TOLERANCE,
             if fault == "sign-flip" and name == "relu":
                 build = (lambda ts: T.tsum(_sign_flipped_relu(ts[0])))
             worst = max(worst, max_rel_error(build, arrays))
-        results.append(CheckResult(name, trials, worst, worst < tol))
+        results.append(CheckResult(name, trials, worst, worst < TOLERANCE))
     return results
 
 

@@ -100,9 +100,9 @@ class BatchNorm2d:
     """
 
     STATE = ("gamma", "beta", "running_mean", "running_var", "num_updates")
+    eps = 1e-5
 
-    def __init__(self, num_channels: int, eps: float = 1e-5,
-                 momentum: float = 0.1):
+    def __init__(self, num_channels: int, momentum: float = 0.1):
         self.gamma = T.Tensor(np.ones(num_channels, T.COMPUTE),
                               requires_grad=True)
         self.beta = T.Tensor(np.zeros(num_channels, T.COMPUTE),
@@ -110,7 +110,6 @@ class BatchNorm2d:
         self.running_mean = np.zeros(num_channels, T.COMPUTE)
         self.running_var = np.ones(num_channels, T.COMPUTE)
         self.num_updates = 0
-        self.eps = eps
         self.momentum = momentum
 
     def forward(self, x, mode: str = "train"):
@@ -145,13 +144,13 @@ class InstanceNorm2d:
     """Per-sample, per-channel normalization over the spatial axes."""
 
     STATE = ("gamma", "beta")
+    eps = 1e-5
 
-    def __init__(self, num_channels: int, eps: float = 1e-5):
+    def __init__(self, num_channels: int):
         self.gamma = T.Tensor(np.ones(num_channels, T.COMPUTE),
                               requires_grad=True)
         self.beta = T.Tensor(np.zeros(num_channels, T.COMPUTE),
                              requires_grad=True)
-        self.eps = eps
 
     def forward(self, x):
         mean, var = T.moments(x, (2, 3))
@@ -165,13 +164,13 @@ class Adam:
     bundle containing frozen networks can hand its full parameter list over.
     """
 
-    def __init__(self, params, lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params, lr: float = 1e-4):
         self.params = [p for p in params if p.requires_grad]
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -355,23 +356,64 @@ def test_adapt_non_finite_hyperparameter_exits_one(cli_root, capsys, tmp_path,
     ("adapt", {"use_dsc": "no", "stage2_steps": 1}),
     ("gen-data", {"seed": 2.5}),
     ("grad-check", {"trials": 2.5}),
+    ("train-source", {"data": 5}),
+    ("train-source", {"data": []}),
+    ("train-source", {"out": 3}),
+    ("adapt", {"data": ["target"]}),
+    ("eval", {"model": ["adapted.gdac"]}),
+    ("eval", {"split": 7}),
+    ("analyze-stats", {"source_data": 1}),
+    ("analyze-stats", {"lr": "x", "stage2_steps": -3}),
+    ("specmix", {"ref": ["b.ppm"]}),
 ])
 def test_config_value_of_the_wrong_type_exits_one(cli_root, capsys, tmp_path,
-                                                   command, config):
-    # a JSON value of the wrong type is refused, not truncated or coerced
+                                                   monkeypatch, command,
+                                                   config):
+    # a JSON value of the wrong type is refused before any work, not
+    # truncated or coerced
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    data = cli_root["root"] / "data"
-    inputs = {"train-source": ["--data", str(data / "source")],
-              "adapt": ["--data", str(data / "target"), "--model",
-                        str(cli_root["root"] / "src_run" / "source.gdac")]}
-    _, err = run(capsys, command, "--config", str(cfg),
-                 "--out", str(tmp_path / "out"), *inputs.get(command, []),
-                 expect=1)
+    root = cli_root["root"]
+    images = root / "data" / "source" / "images"
+    image = images / sorted(os.listdir(images))[0]
+    inputs = {
+        "train-source": {"data": root / "data" / "source"},
+        "adapt": {"data": root / "data" / "target",
+                  "model": root / "src_run" / "source.gdac"},
+        "eval": {"data": root / "data" / "target",
+                 "model": root / "adapt_run" / "adapted.gdac"},
+        "analyze-stats": {"data": root / "data" / "target",
+                          "model": root / "adapt_run" / "adapted.gdac",
+                          "source_data": root / "data" / "source"},
+        "specmix": {"input": image, "ref": image},
+    }.get(command, {})
+    inputs["out"] = tmp_path / "out"
+    flags = [arg for key, path in inputs.items() if key not in config
+             for arg in (f"--{key.replace('_', '-')}", str(path))]
+    monkeypatch.chdir(tmp_path)  # a run with a relative --out lands here
+    _, err = run(capsys, command, "--config", str(cfg), *flags, expect=1)
     key, value = next(iter(config.items()))
     assert err.startswith("error: ")
     assert f"{key} must be" in err and f"got {value!r}" in err
     assert not (tmp_path / "out").exists()
+    assert not list(tmp_path.rglob("*.gdac"))  # no run wrote a checkpoint
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("train-source", ["--data"]),
+    ("adapt", ["--model", "--data"]),
+    ("ablate", ["--model", "--data", "--split"]),
+])
+def test_training_flags_keep_their_names_and_order(capsys, command, extra):
+    # the training flags are built from TrainConfig's fields; a renamed or
+    # reordered field must not rename or reorder a flag
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert re.findall(r"\[(-[-\w]+)", usage) == [
+        "-h", "--seed", "--config", "--out", "--batch-size",
+        "--stage1-epochs", "--stage2-steps", "--lr", "--eta", "--lambda-ent",
+        "--lambda-ph", "--alpha"] + extra
 
 
 def test_adapt_small_batch_exits_one(cli_root, capsys, tmp_path):
