@@ -92,8 +92,10 @@ def _take_steps(opt: Adam, stage: str, steps) -> list:
     otherwise the step logs ``(step, *parts.values(), total)`` and takes one
     Adam step. A generator's frame keeps a step's tensors until the next step
     replaces them; freed at each step's end, they let glibc trim the heap for
-    the next step to fault back in (3.8x the minor faults per stage-2 step,
-    up to 1.3x its time on 2-core x86_64 with OpenBLAS 0.3.31)."""
+    the next step to fault back in: about 4,600 minor faults per stage-2 step
+    at batch 16 against 1,050-1,490, and 2,900 per stage-1 step at batch 32
+    against 260-380, on 2-core x86_64 with OpenBLAS 0.3.31 (up to 1.3x the
+    stage-2 step time, measured while nodes still kept their outputs)."""
     rows = []
     while True:
         with T.graph():

@@ -91,7 +91,10 @@ def phase_alignment_loss(x_ref: np.ndarray, x: T.Tensor) -> T.Tensor:
     transform, scaled by H*W, is the gradient with respect to the image.
     """
     h, w = x.shape[-2:]
-    _, _, _, cos = _phase_terms(x_ref, x.data)
+    xd = x.data
+    spec = np.fft.rfft2(xd)
+    unit = _unit_reference(x_ref, spec)
+    _, cos = _cosines(spec, unit)
     weights = np.full(cos.shape[-1], 2.0, cos.dtype)
     weights[0] = 1.0
     if w % 2 == 0:
@@ -100,28 +103,31 @@ def phase_alignment_loss(x_ref: np.ndarray, x: T.Tensor) -> T.Tensor:
     out = T.Tensor(-np.sum(cos * weights, dtype=np.float64) / batch)
 
     def fn(g):
-        # recomputed, so the node keeps only x_ref, x and the output
-        spec, unit, safe, cos = _phase_terms(x_ref, x.data)
+        # x's terms are recomputed, so the node keeps only x and unit
+        spec = np.fft.rfft2(xd)
+        safe, cos = _cosines(spec, unit)
         g_half = (unit - cos * spec / safe) / safe
         scale = -np.float64(g) * (h * w) / batch
         return ((np.fft.irfft2(g_half, s=(h, w)) * scale).astype(
-            x.data.dtype, copy=False),)
+            xd.dtype, copy=False),)
 
     return T._record(out, (x,), fn)
 
 
-def _phase_terms(x_ref: np.ndarray, x: np.ndarray):
-    """The phase loss's per-bin terms: x's half spectrum, the unit
-    reference vectors (zero on masked bins), x's bin norms with masked bins
-    set to 1, and the cosines."""
+def _unit_reference(x_ref: np.ndarray, spec: np.ndarray) -> np.ndarray:
+    """The reference's unit half-spectrum vectors in the precision of x's
+    half spectrum ``spec``, zero on masked bins (either side's norm below
+    the floor), so their cosine is zero. A kept bin's unit vector is never
+    zero, so ``unit != 0`` is the mask."""
     ref = np.fft.rfft2(np.asarray(x_ref, dtype=np.float64))
     ref_norm = np.hypot(ref.real, ref.imag)
-    spec = np.fft.rfft2(x)
-    norm = np.hypot(spec.real, spec.imag)
-    mask = (ref_norm >= _NORM_FLOOR) & (norm >= _NORM_FLOOR)
-    # unit reference vectors, zero on masked bins, so their cosine is zero
+    mask = ((ref_norm >= _NORM_FLOOR)
+            & (np.hypot(spec.real, spec.imag) >= _NORM_FLOOR))
     unit = np.where(mask, ref / np.where(mask, ref_norm, 1.0), 0.0)
-    unit = unit.astype(spec.dtype)
-    safe = np.where(mask, norm, 1.0)
-    cos = (spec.real * unit.real + spec.imag * unit.imag) / safe
-    return spec, unit, safe, cos
+    return unit.astype(spec.dtype)
+
+
+def _cosines(spec: np.ndarray, unit: np.ndarray):
+    """x's bin norms with masked bins set to 1, and the per-bin cosines."""
+    safe = np.where(unit != 0, np.hypot(spec.real, spec.imag), 1.0)
+    return safe, (spec.real * unit.real + spec.imag * unit.imag) / safe

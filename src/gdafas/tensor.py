@@ -3,13 +3,21 @@
 Ops are taped only inside a ``with graph():`` block, and only when an input
 participates. The open graph owns the tape: ``backward`` on a scalar walks it
 once in reverse, freeing each node as it passes, and deposits gradients on
-taped tensors that have ``requires_grad`` set. Leaving the block drops the
-graph, also on an exception, so a step that fails halfway leaves nothing for
-the next one to walk. Graphs do not nest. Outside a graph an op only computes
-its value; scoring and analysis run that way. Tensors are value-semantic:
-every op allocates a fresh output and taped arrays are never mutated in
-place. A taped op keeps only its inputs and output (and per-channel
-divisors) and recomputes whatever else its backward reads.
+the graph's leaves: the inputs that have ``requires_grad`` set and were not
+made in the open graph (the parameters, and tensors made outside it or in an
+earlier graph). Tensors made in the graph pass gradients on but receive no
+``.grad``. Leaving the block drops the graph, also on an exception, so a step
+that fails halfway leaves nothing for the next one to walk. Graphs do not
+nest. Outside a graph an op only computes its value; scoring and analysis
+run that way. Tensors are value-semantic: every op allocates a fresh output
+and taped arrays are never mutated in place.
+
+A node holds its output's key, one (key, dtype, leaf) entry per input and
+its backward closure, which captures only the arrays that backward reads
+(``add`` and the reductions keep shapes only, ``relu`` its output, the convs
+their input and weight) and recomputes the rest. So an activation is freed
+as soon as the code that made it drops it, unless a later op's backward
+reads it; only leaves are held as tensors.
 
 Gradients flow *through* tensors regardless of their ``requires_grad`` flag;
 the flag only controls whether a gradient is accumulated on that tensor. A
@@ -50,6 +58,7 @@ _DIV_FLOOR = 1e-12
 _FLOATS = (np.float32, np.float64)
 
 _graph = None  # the open graph's nodes, in op order; None outside a graph
+_serial = 0    # the number of the open (or last) graph, part of output keys
 
 
 class Tensor:
@@ -60,7 +69,7 @@ class Tensor:
     data is widened to float64.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_key")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
@@ -69,6 +78,7 @@ class Tensor:
         self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         self.requires_grad = requires_grad
         self.grad = None
+        self._key = None  # (graph serial, node index) once taped
 
     @property
     def shape(self):
@@ -91,10 +101,10 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("out", "inputs", "fn")
+    __slots__ = ("key", "inputs", "fn")
 
-    def __init__(self, out, inputs, fn):
-        self.out = out
+    def __init__(self, key, inputs, fn):
+        self.key = key
         self.inputs = inputs
         self.fn = fn
 
@@ -105,9 +115,10 @@ def graph():
 
     Opening a graph while one is open raises ``RuntimeError``.
     """
-    global _graph
+    global _graph, _serial
     if _graph is not None:
         raise RuntimeError("a graph is already open; graphs do not nest")
+    _serial += 1
     _graph = []
     try:
         yield
@@ -133,11 +144,25 @@ def _operands(a, b):
     return as_tensor(a), as_tensor(b)
 
 
+def _entry(t: Tensor):
+    """(key, dtype, leaf) of an op input. A tensor made in the open graph is
+    known by its output key; one that needs a gradient and was made
+    elsewhere is a leaf, held and keyed by ``id``; any other input takes no
+    gradient (key None)."""
+    if t._key is not None and t._key[0] == _serial:
+        return t._key, t.data.dtype, None
+    if t.requires_grad:
+        return id(t), t.data.dtype, t
+    return None, t.data.dtype, None
+
+
 def _record(out: Tensor, inputs, fn):
-    """Tape the op if a graph is open and any input participates."""
+    """Tape the op if a graph is open and any input participates. The node
+    holds ``out``'s key, not ``out``: ``fn`` captures what backward reads."""
     if _graph is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _graph.append(_Node(out, inputs, fn))
+        out._key = (_serial, len(_graph))
+        _graph.append(_Node(out._key, tuple(map(_entry, inputs)), fn))
     return out
 
 
@@ -153,13 +178,16 @@ def unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 def backward(loss: Tensor):
-    """Accumulate gradients of a scalar into every taped requires_grad tensor.
+    """Accumulate gradients of a scalar into the open graph's leaves.
 
     Pops the open graph's nodes last to first, freeing each as it passes;
-    outside a graph it raises ``RuntimeError``. Gradients are keyed by
-    ``id``, which is safe: a tensor stays in ``seen`` while its id is a key
-    in ``grads``, and the walk creates no tensors. Each gradient is cast to
-    its tensor's dtype before it is passed on.
+    outside a graph it raises ``RuntimeError``. Gradients are routed by the
+    nodes' input keys: a tensor made in the graph by its (graph serial, node
+    index) key, which no tensor of an earlier graph shares, and a leaf by
+    ``id``, which is safe because its node or ``leaves`` holds it while the
+    id is a key. Only leaves receive ``.grad``; a gradient for an input that
+    is neither made in the graph nor a leaf is dropped. Each gradient is
+    cast to its input's dtype before it is passed on.
     """
     if _graph is None:
         raise RuntimeError("backward needs an open graph")
@@ -167,25 +195,24 @@ def backward(loss: Tensor):
         raise ValueError("backward expects a scalar loss")
     if not loss.requires_grad:
         raise ValueError("loss is detached from the graph")
-    grads = {id(loss): np.ones_like(loss.data)}
-    seen = {id(loss): loss}
+    key, _, leaf = _entry(loss)
+    grads = {key: np.ones_like(loss.data)}
+    leaves = {} if leaf is None else {key: leaf}
     while _graph:
         node = _graph.pop()
-        gout = grads.pop(id(node.out), None)
-        seen.pop(id(node.out), None)
+        gout = grads.pop(node.key, None)
         if gout is None:
             continue
-        for t, g in zip(node.inputs, node.fn(gout)):
-            if g is None:
+        for (key, dtype, leaf), g in zip(node.inputs, node.fn(gout)):
+            if g is None or key is None:
                 continue
-            if g.dtype != t.data.dtype:
-                g = g.astype(t.data.dtype)
-            key = id(t)
+            if g.dtype != dtype:
+                g = g.astype(dtype)
             grads[key] = grads[key] + g if key in grads else g
-            seen[key] = t
-    for key, t in seen.items():
-        if t.requires_grad and key in grads:
-            t.grad = grads[key] if t.grad is None else t.grad + grads[key]
+            if leaf is not None:
+                leaves[key] = leaf
+    for key, t in leaves.items():
+        t.grad = grads[key] if t.grad is None else t.grad + grads[key]
 
 
 # ---------------------------------------------------------------------------
@@ -195,32 +222,29 @@ def backward(loss: Tensor):
 def add(a, b) -> Tensor:
     a, b = _operands(a, b)
     out = Tensor(a.data + b.data)
-    return _record(
-        out,
-        (a, b),
-        lambda g: (unbroadcast(g, a.shape), unbroadcast(g, b.shape)),
-    )
+    sa, sb = a.shape, b.shape
+    return _record(out, (a, b),
+                   lambda g: (unbroadcast(g, sa), unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _operands(a, b)
     out = Tensor(a.data - b.data)
-    return _record(
-        out,
-        (a, b),
-        lambda g: (unbroadcast(g, a.shape), unbroadcast(-g, b.shape)),
-    )
+    sa, sb = a.shape, b.shape
+    return _record(out, (a, b),
+                   lambda g: (unbroadcast(g, sa), unbroadcast(-g, sb)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b)
-    out = Tensor(a.data * b.data)
+    ad, bd = a.data, b.data
+    out = Tensor(ad * bd)
     return _record(
         out,
         (a, b),
         lambda g: (
-            unbroadcast(g * b.data, a.shape),
-            unbroadcast(g * a.data, b.shape),
+            unbroadcast(g * bd, ad.shape),
+            unbroadcast(g * ad, bd.shape),
         ),
     )
 
@@ -232,15 +256,16 @@ def _safe_denominator(d: np.ndarray) -> np.ndarray:
 
 def div(a, b) -> Tensor:
     a, b = _operands(a, b)
-    out = Tensor(a.data / _safe_denominator(b.data))
+    ad, bd = a.data, b.data
+    out = Tensor(ad / _safe_denominator(bd))
 
     def fn(g):
-        safe = _safe_denominator(b.data)
-        ga = unbroadcast(g / safe, a.shape)
+        safe = _safe_denominator(bd)
+        ga = unbroadcast(g / safe, ad.shape)
         gb_full = np.where(
-            np.abs(b.data) < _DIV_FLOOR, 0.0, -g * a.data / (safe * safe)
+            np.abs(bd) < _DIV_FLOOR, 0.0, -g * ad / (safe * safe)
         )
-        return ga, unbroadcast(gb_full, b.shape)
+        return ga, unbroadcast(gb_full, bd.shape)
 
     return _record(out, (a, b), fn)
 
@@ -253,8 +278,9 @@ def neg(a) -> Tensor:
 
 def square(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data * a.data)
-    return _record(out, (a,), lambda g: (2.0 * a.data * g,))
+    ad = a.data
+    out = Tensor(ad * ad)
+    return _record(out, (a,), lambda g: (2.0 * ad * g,))
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +289,14 @@ def square(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0))
-    return _record(out, (a,), lambda g: (g * (a.data > 0.0),))
+    od = np.maximum(a.data, 0.0)  # positive exactly where a.data is
+    return _record(Tensor(od), (a,), lambda g: (g * (od > 0.0),))
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.exp(a.data))
-    return _record(out, (a,), lambda g: (g * out.data,))
+    od = np.exp(a.data)
+    return _record(Tensor(od), (a,), lambda g: (g * od,))
 
 
 def log(a) -> Tensor:
@@ -280,31 +306,33 @@ def log(a) -> Tensor:
     there is zero; this matches a finite-difference probe on either side.
     """
     a = as_tensor(a)
-    out = Tensor(np.log(np.maximum(a.data, _LOG_FLOOR)))
-    fn = lambda g: (np.where(a.data >= _LOG_FLOOR,
-                             g / np.maximum(a.data, _LOG_FLOOR), 0.0),)
+    ad = a.data
+    out = Tensor(np.log(np.maximum(ad, _LOG_FLOOR)))
+    fn = lambda g: (np.where(ad >= _LOG_FLOOR,
+                             g / np.maximum(ad, _LOG_FLOOR), 0.0),)
     return _record(out, (a,), fn)
 
 
 def sqrt(a) -> Tensor:
     """Square root of max(x, 0); gradient is zero at and below zero."""
     a = as_tensor(a)
-    out = Tensor(np.sqrt(np.maximum(a.data, 0.0)))
+    ad = a.data
+    od = np.sqrt(np.maximum(ad, 0.0))
 
     def fn(g):
-        pos = a.data > 0.0
-        denom = np.where(pos, out.data, 1.0)
+        pos = ad > 0.0
+        denom = np.where(pos, od, 1.0)
         return (np.where(pos, 0.5 * g / denom, 0.0),)
 
-    return _record(out, (a,), fn)
+    return _record(Tensor(od), (a,), fn)
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     # the two-branch form never exponentiates a positive argument
     ex = np.exp(-np.abs(a.data))
-    out = Tensor(np.where(a.data >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex)))
-    return _record(out, (a,), lambda g: (g * out.data * (1.0 - out.data),))
+    od = np.where(a.data >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    return _record(Tensor(od), (a,), lambda g: (g * od * (1.0 - od),))
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +352,10 @@ def _accumulator(a: Tensor, axes_n):
     return np.float64 if len(axes_n) == a.ndim else None
 
 
-def _spread(g: np.ndarray, a: Tensor) -> np.ndarray:
-    """A reduction's gradient broadcast back over its input, in its dtype."""
-    return np.broadcast_to(g.astype(a.data.dtype, copy=False), a.shape).copy()
+def _spread(g: np.ndarray, shape, dtype) -> np.ndarray:
+    """A reduction's gradient broadcast back over its input's shape, in its
+    dtype."""
+    return np.broadcast_to(g.astype(dtype, copy=False), shape).copy()
 
 
 def tsum(a, axes=None, keepdims: bool = False) -> Tensor:
@@ -335,11 +364,12 @@ def tsum(a, axes=None, keepdims: bool = False) -> Tensor:
     axes_n = _normalize_axes(axes, a.ndim)
     out = Tensor(a.data.sum(axis=axes_n, keepdims=keepdims,
                             dtype=_accumulator(a, axes_n)))
+    shape, dtype = a.shape, a.data.dtype
 
     def fn(g):
         if not keepdims:
             g = np.expand_dims(g, axes_n)
-        return (_spread(g, a),)
+        return (_spread(g, shape, dtype),)
 
     return _record(out, (a,), fn)
 
@@ -353,11 +383,12 @@ def tmean(a, axes=None, keepdims: bool = False) -> Tensor:
         count *= a.shape[ax]
     out = Tensor(a.data.mean(axis=axes_n, keepdims=keepdims,
                              dtype=_accumulator(a, axes_n)))
+    shape, dtype = a.shape, a.data.dtype
 
     def fn(g):
         if not keepdims:
             g = np.expand_dims(g, axes_n)
-        return (_spread(g / count, a),)
+        return (_spread(g / count, shape, dtype),)
 
     return _record(out, (a,), fn)
 
@@ -372,8 +403,9 @@ def matmul(a, b) -> Tensor:
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(f"matmul takes 2-D operands, got {a.shape} and "
                          f"{b.shape}")
-    out = Tensor(a.data @ b.data)
-    return _record(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    ad, bd = a.data, b.data
+    out = Tensor(ad @ bd)
+    return _record(out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
 # Bytes of one im2col column block. conv2d walks a batch in chunks of as many
@@ -500,32 +532,34 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     is not computed: its slot comes back None.
     """
     x, weight = as_tensor(x), as_tensor(weight)
-    kh, kw = weight.shape[2], weight.shape[3]
-    out_data = _correlate(_pad(x.data, padding, padding), weight.data, stride)
+    xd, wd = x.data, weight.data
+    kh, kw = wd.shape[2], wd.shape[3]
+    out_data = _correlate(_pad(xd, padding, padding), wd, stride)
     if bias is not None:
         bias = as_tensor(bias)
         out_data += bias.data[:, None, None]
     out = Tensor(out_data)
     inputs = (x, weight) if bias is None else (x, weight, bias)
+    want_x, want_w = x.requires_grad, weight.requires_grad
+    want_b = None if bias is None else bias.requires_grad
     direct = stride == 1 and padding < min(kh, kw)
 
     def fn(g):
         gx = gw = None
-        if x.requires_grad and direct:
+        if want_x and direct:
             ph, pw = kh - 1 - padding, kw - 1 - padding
-            flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             gx = _correlate(_pad(g, ph, pw), flipped, 1)
-        scatter = x.requires_grad and not direct
-        if weight.requires_grad or scatter:
-            gw, gxp = _column_grads(g, _pad(x.data, padding, padding),
-                                    weight.data, stride,
-                                    weight.requires_grad, scatter)
+        scatter = want_x and not direct
+        if want_w or scatter:
+            gw, gxp = _column_grads(g, _pad(xd, padding, padding), wd, stride,
+                                    want_w, scatter)
             if scatter:
                 gx = gxp if padding == 0 else \
                     gxp[:, :, padding:-padding, padding:-padding]
-        if bias is None:
+        if want_b is None:
             return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
+        return gx, gw, g.sum(axis=(0, 2, 3)) if want_b else None
 
     return _record(out, inputs, fn)
 
@@ -572,23 +606,24 @@ def upsample_conv2d(x, weight) -> Tensor:
         raise ValueError(f"upsample_conv2d needs a 3x3 kernel, got "
                          f"{weight.shape}")
     b, _, h, w = x.shape
-    xp = _pad(x.data, 1, 1)
-    wd = weight.data
+    xd, wd = x.data, weight.data
+    xp = _pad(xd, 1, 1)
     out_data = np.empty((b, wd.shape[0], 2 * h, 2 * w),
                         np.result_type(xp, wd))
     for a, c, wk in _phase_kernels(wd):
         _correlate(xp[:, :, a:a + h + 1, c:c + w + 1], wk, 1,
                    out=out_data[:, :, a::2, c::2])
     out = Tensor(out_data)
+    want_x, want_w = x.requires_grad, weight.requires_grad
 
     def fn(g):
         gx = gw = None
-        if x.requires_grad:
+        if want_x:
             taps = _GRAD_ROWS.astype(wd.dtype)
             flipped = taps @ wd[:, :, ::-1, ::-1] @ taps.T
             gx = _correlate(_pad(g, 1, 1), flipped.transpose(1, 0, 2, 3), 2)
-        if weight.requires_grad:
-            xp = _pad(x.data, 1, 1)
+        if want_w:
+            xp = _pad(xd, 1, 1)
             for a, c, wk in _phase_kernels(wd):
                 gwk, _ = _column_grads(g[:, :, a::2, c::2],
                                        xp[:, :, a:a + h + 1, c:c + w + 1],
@@ -625,9 +660,10 @@ def normalize(x, mean, var, gamma, beta, eps: float) -> Tensor:
     [B,C,1,1] (instance norm); ``gamma`` and ``beta`` are [C]. The forward
     runs the float operations of the composed ``add``/``sqrt``/``sub``/
     ``div``/``mul``/``add`` chain in the same order, so its output has the
-    same bits. Only the inputs, the output and s are kept: backward
-    recomputes xhat. With s = sqrt(var + eps), xhat = (x - mean) / s, and
-    sums taken over the axes each operand was broadcast along:
+    same bits. The node keeps x, mean and the divisors (gamma and beta are
+    leaves), and backward recomputes xhat. With s = sqrt(var + eps),
+    xhat = (x - mean) / s, and sums taken over the axes each operand was
+    broadcast along:
 
         dx = g*gamma/s           dmean = -sum(g)*gamma/s
         dgamma = sum(g*xhat)     dvar = -0.5*sum(g*xhat)*gamma/s²
@@ -645,30 +681,32 @@ def normalize(x, mean, var, gamma, beta, eps: float) -> Tensor:
         raise ValueError(
             f"moments of shape {mean.shape}/{var.shape} do not fit {x.shape}"
         )
+    xd, md = x.data, mean.data
     std = np.sqrt(np.maximum(var.data + eps, 0.0))
     safe = _safe_denominator(std)
     scale = gamma.data.reshape(1, c, 1, 1)
-    out_data = x.data - mean.data
+    out_data = xd - md
     out_data /= safe
     out_data *= scale
     out_data += beta.data.reshape(1, c, 1, 1)
     out = Tensor(out_data)
+    want_x, want_gamma, want_beta = (t.requires_grad for t in (x, gamma, beta))
 
     def fn(g):
-        gxhat = x.data - mean.data
+        gxhat = xd - md
         gxhat /= safe
         gxhat *= g
-        g_sum = unbroadcast(g, mean.shape)
-        gxhat_sum = unbroadcast(gxhat, mean.shape)
+        g_sum = unbroadcast(g, md.shape)
+        gxhat_sum = unbroadcast(gxhat, md.shape)
         gain = scale / safe
-        gx = g * gain if x.requires_grad else None
+        gx = g * gain if want_x else None
         gmean = -g_sum * gain
         gvar = np.where(std < _DIV_FLOOR, 0.0,
                         -0.5 * gxhat_sum * gain / safe)
         ggamma = gbeta = None
-        if gamma.requires_grad:
+        if want_gamma:
             ggamma = gxhat_sum.sum(axis=0).reshape(c)
-        if beta.requires_grad:
+        if want_beta:
             gbeta = g_sum.sum(axis=0).reshape(c)
         return gx, gmean, gvar, ggamma, gbeta
 
@@ -688,16 +726,17 @@ def moments(x: Tensor, axes):
     """
     mean = tmean(x, axes=axes, keepdims=True)
     axes_n = _normalize_axes(axes, x.ndim)
-    sq = x.data - mean.data
+    xd, md = x.data, mean.data
+    sq = xd - md
     sq *= sq
     var = Tensor(sq.mean(axis=axes_n, keepdims=True,
                          dtype=_accumulator(x, axes_n)))
 
     def fn(g):
         # d * (2 * (g / count)) is 2 * d * (g / count) exactly: 2x is exact
-        gx = x.data - mean.data
-        gx *= (g / (x.size // mean.size) * 2.0).astype(gx.dtype, copy=False)
-        return gx, unbroadcast(-gx, mean.shape)
+        gx = xd - md
+        gx *= (g / (xd.size // md.size) * 2.0).astype(gx.dtype, copy=False)
+        return gx, unbroadcast(-gx, md.shape)
 
     return mean, _record(var, (x, mean), fn)
 

@@ -152,8 +152,8 @@ def upsample_conv2d(x, weight, g):
 
 def graph_bytes() -> int:
     """Bytes held by the open graph: the distinct base arrays that its
-    nodes' outputs and inputs, and their backward closures' cells, refer to
-    (through tensors, lists and tuples)."""
+    nodes' leaf inputs and their backward closures' cells refer to (through
+    tensors, lists and tuples)."""
     bases = {}
 
     def visit(obj):
@@ -168,7 +168,6 @@ def graph_bytes() -> int:
             bases[id(obj)] = obj.nbytes
 
     for node in T._graph:
-        visit(node.out)
-        visit(node.inputs)
+        visit([leaf for _, _, leaf in node.inputs])
         visit([cell.cell_contents for cell in node.fn.__closure__ or ()])
     return sum(bases.values())

@@ -212,7 +212,8 @@ def test_phase_loss_float32_gradient_tracks_float64():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_phase_loss_matches_the_kept_terms_oracle_bitwise(dtype):
-    # the node recomputes its per-bin terms in backward; no bit may move
+    # the node keeps x and the unit reference vectors and recomputes x's
+    # per-bin terms in backward; no bit may move
     r = Rng(869)
     for h, w in ((32, 32), (5, 7)):
         x_ref = r.uniform(4 * 3 * h * w).reshape(4, 3, h, w).astype(dtype)
@@ -221,7 +222,8 @@ def test_phase_loss_matches_the_kept_terms_oracle_bitwise(dtype):
         t = T.Tensor(x, requires_grad=True)
         with T.graph():
             loss = S.phase_alignment_loss(x_ref, t)
-            assert graph_bytes() == x_ref.nbytes + x.nbytes + loss.data.nbytes
+            unit_bytes = x.size // w * (w // 2 + 1) * 2 * x.itemsize
+            assert graph_bytes() == x.nbytes + unit_bytes
             T.backward(loss)
         want_loss, want_grad = phase_loss_and_grad(x_ref, x)
         assert loss.data.tobytes() == np.float64(want_loss).tobytes()

@@ -498,6 +498,95 @@ def test_phase_kernels_and_weight_fold_match_matmul_forms(dtype):
     assert tw.grad.dtype == dtype and np.array_equal(tw.grad, want)
 
 
+def test_a_graph_keeps_neither_normalize_outputs_nor_add_operands():
+    # relu's backward reads its own output and add's only shapes, so the
+    # normalize output and the add operands go once the code drops them
+    r = Rng(951)
+    x = T.Tensor(r.gaussian(2 * 3 * 5 * 5).reshape(2, 3, 5, 5),
+                 requires_grad=True)
+    w, w2 = (T.Tensor(r.gaussian(4 * 3 * 3 * 3).reshape(4, 3, 3, 3),
+                      requires_grad=True) for _ in range(2))
+    gamma = T.Tensor(r.gaussian(4, mean=1.0), requires_grad=True)
+    beta = T.Tensor(r.gaussian(4), requires_grad=True)
+    with T.graph():
+        c = T.conv2d(x, w, padding=1)
+        mean, var = T.moments(c, (0, 2, 3))
+        n = T.normalize(c, mean, var, gamma, beta, 1e-5)
+        k = T.conv2d(x, w2, padding=1)
+        y = T.relu(n)
+        s = T.add(n, k)
+        dropped = [weakref.ref(t.data) for t in (n, k)]
+        del n, k
+        assert all(ref() is None for ref in dropped)
+        T.backward(T.tsum(T.mul(y, s)))
+    assert all(t.grad is not None for t in (x, w, w2, gamma, beta))
+
+
+def _routed(arrays, hold: bool):
+    """Loss and leaf gradients of three conv/norm/relu blocks with skip adds
+    over shared leaves. With ``hold`` every intermediate stays referenced;
+    without it each is dropped at once and fresh tensors are made between
+    the taped ops, so they can take the dropped tensors' ids."""
+    leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
+    x, w, gamma, beta = leaves
+    held = []
+    with T.graph():
+        h = x
+        for _ in range(3):
+            c = T.conv2d(h, w, padding=1)
+            mean, var = T.moments(c, (0, 2, 3))
+            n = T.normalize(c, mean, var, gamma, beta, 1e-5)
+            if hold:
+                held += [c, mean, var, n]
+            del c, mean, var
+            junk = [T.Tensor(np.zeros(3)) for _ in range(8)]
+            h = T.add(T.relu(n), h)
+            del n, junk
+        loss = T.tsum(T.mul(h, h))
+        T.backward(loss)
+    return [loss.data] + [t.grad for t in leaves]
+
+
+def test_gradients_are_routed_alike_when_intermediates_are_dropped():
+    r = Rng(952)
+    arrays = [r.gaussian(2 * 3 * 5 * 5).reshape(2, 3, 5, 5),
+              r.gaussian(3 * 3 * 3 * 3).reshape(3, 3, 3, 3) * 0.3,
+              r.gaussian(3, mean=1.0), r.gaussian(3)]
+    for dtype in (np.float32, np.float64):
+        arrays = [a.astype(dtype) for a in arrays]
+        have, want = _routed(arrays, False), _routed(arrays, True)
+        for a, b in zip(have, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_a_tensor_from_an_earlier_or_aborted_graph_is_a_leaf():
+    # y, z and this graph's first product are each node 0 of their graph:
+    # the graph serial in the key keeps them apart
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    with T.graph():
+        y = T.square(x)
+    with pytest.raises(KeyError):
+        with T.graph():
+            z = T.mul(x, 3.0)
+            raise KeyError("a step that fails halfway")
+    with T.graph():
+        T.backward(T.tsum(T.add(T.mul(y, 2.0), z)))
+    assert np.array_equal(y.grad, [2.0, 2.0])
+    assert np.array_equal(z.grad, [1.0, 1.0])
+    assert x.grad is None
+
+
+def test_tensors_made_in_the_graph_receive_no_grad():
+    x = T.Tensor([1.0, -2.0, 3.0], requires_grad=True)
+    frozen = T.Tensor([2.0, 2.0, 2.0])
+    with T.graph():
+        y = T.relu(T.mul(x, frozen))
+        loss = T.tsum(T.square(y))
+        T.backward(loss)
+    assert np.array_equal(x.grad, [8.0, 0.0, 24.0])
+    assert y.grad is None and loss.grad is None and frozen.grad is None
+
+
 def test_upsample_conv2d_rejects_other_kernels():
     with pytest.raises(ValueError, match="3x3"):
         T.upsample_conv2d(T.Tensor(np.zeros((1, 2, 3, 3))),
@@ -645,8 +734,8 @@ def test_backward_detached_loss_raises():
 def test_only_tensor_names_the_graph_internals():
     # other modules reach the tape only through graph(), backward,
     # tape_size and _record; the pre-graph controls are gone
-    internals = re.compile(
-        r"\b(_graph|_Node|_tape|clear_tape|no_grad|_grad_enabled)\b")
+    internals = re.compile(r"\b(_graph|_Node|_entry|_serial|_key|_tape|"
+                           r"clear_tape|no_grad|_grad_enabled)\b")
     package = pathlib.Path(T.__file__).parent
     named = [f"{path.name}:{i}: {line.strip()}"
              for path in sorted(package.glob("*.py"))
