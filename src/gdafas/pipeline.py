@@ -91,11 +91,9 @@ def _take_steps(opt: Adam, stage: str, steps) -> list:
     floats) inside the graph opened for it. A non-finite total aborts;
     otherwise the step logs ``(step, *parts.values(), total)`` and takes one
     Adam step. A generator's frame keeps a step's tensors until the next step
-    replaces them; freed at each step's end, they let glibc trim the heap for
-    the next step to fault back in: about 4,600 minor faults per stage-2 step
-    at batch 16 against 1,050-1,490, and 2,900 per stage-1 step at batch 32
-    against 260-380, on 2-core x86_64 with OpenBLAS 0.3.31 (up to 1.3x the
-    stage-2 step time, measured while nodes still kept their outputs)."""
+    replaces them: freed at each step's end, they would let glibc trim the
+    heap for the next step to fault back in (CHANGES.md records the fault
+    counts and step times that chose this)."""
     rows = []
     while True:
         with T.graph():

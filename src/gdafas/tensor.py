@@ -35,6 +35,10 @@ trace binds it by name. There is no reshape, pooling, padding, slicing,
 concatenation or transposition op; every op has a check in
 :mod:`gdafas.gradcheck`.
 
+The convs are chunked im2col GEMMs that read their input in place: no
+padded copy is made, and a tap that falls in the zero padding is clipped to
+the input and written as zero into the column block.
+
 Precision policy: an op computes in the dtype numpy promotes its operands
 to, so float32 operands give float32 results and buffers, and a float64
 operand anywhere gives float64. A Python number takes the dtype of the
@@ -411,19 +415,70 @@ def matmul(a, b) -> Tensor:
 # Bytes of one im2col column block. conv2d walks a batch in chunks of as many
 # images as fit in this (at least one) and reuses the block chunk after
 # chunk. Half of a core's L2 (2 MiB on the reference machine), so the block
-# shares the cache with the GEMM's other operands: in paired benchmark runs
-# against a block of the whole L2, stage-2 steps and scoring ran about 3.5%
-# faster, stage-1 steps no slower, and every peak RSS fell by 1.5 MB.
+# shares the cache with the GEMM's other operands; CHANGES.md records the
+# paired runs that chose it.
 _COL_BLOCK_BYTES = 1024 * 1024
 
 
-def _fill_cols(cols: np.ndarray, xp: np.ndarray, start: int, stride: int):
-    """Unfold images xp[start:start+n] into cols [Cin, kh, kw, n, Ho, Wo]."""
-    _, kh, kw, n, ho, wo = cols.shape
+def _window(size: int, out: int, offset: int, stride: int, tap: int):
+    """Outputs [first, stop) whose tap reads inside an axis of ``size``, and
+    the index the first one reads: output i reads stride*i + tap - offset."""
+    first = min(out, max(0, -((tap - offset) // stride)))
+    stop = min(out, max(first, -((tap - offset - size) // stride)))
+    return first, stop, stride * first + tap - offset
+
+
+def _fill_cols(cols: np.ndarray, x: np.ndarray, start: int, stride: int,
+               offsets):
+    """Unfold images x[start:start+n] into cols [Cin, kh, kw, n, Ho, Wo].
+
+    Tap (u, v) of output (i, j) reads x[s*i+u-pr, s*j+v-pc] for offsets
+    (pr, pc), and is zero where that lies outside x. When the output has
+    x's size at stride 1, a tap is one shift of each flat [H*W] plane: one
+    contiguous copy per (channel, image) plane, then zeros for the rows
+    shifted in from outside and the |v-pc| columns that wrap to the next
+    row. Any other shape copies each tap's in-bounds window and zeroes the
+    border around it.
+    """
+    cin, kh, kw, n, ho, wo = cols.shape
+    h, w = x.shape[2:]
+    pr, pc = offsets
+    xs = x[start:start + n].transpose(1, 0, 2, 3)
+    if stride == 1 and (ho, wo) == (h, w):
+        hw = h * w
+        src = xs.reshape(cin, n, hw)
+        flat = cols.reshape(cin, kh, kw, n, hw)
+        for u in range(kh):
+            for v in range(kw):
+                d = (u - pr) * w + v - pc
+                lo = min(hw, max(0, -d))
+                hi = max(lo, min(hw, hw - d))
+                tap = flat[:, u, v]
+                tap[:, :, lo:hi] = src[:, :, lo + d:hi + d]
+                if lo:
+                    tap[:, :, :lo] = 0
+                if hi < hw:
+                    tap[:, :, hi:] = 0
+                if v > pc:
+                    cols[:, u, v, :, :, max(0, w - v + pc):] = 0
+                elif v < pc:
+                    cols[:, u, v, :, :, :min(w, pc - v)] = 0
+        return
     for u in range(kh):
+        i0, i1, r0 = _window(h, ho, pr, stride, u)
         for v in range(kw):
-            cols[:, u, v] = xp[start:start + n, :, u:u + ho * stride:stride,
-                               v:v + wo * stride:stride].transpose(1, 0, 2, 3)
+            j0, j1, c0 = _window(w, wo, pc, stride, v)
+            tap = cols[:, u, v]
+            tap[:, :, i0:i1, j0:j1] = xs[:, :, r0:r0 + stride * (i1 - i0):stride,
+                                         c0:c0 + stride * (j1 - j0):stride]
+            if i0:
+                tap[:, :, :i0] = 0
+            if i1 < ho:
+                tap[:, :, i1:] = 0
+            if j0:
+                tap[:, :, i0:i1, :j0] = 0
+            if j1 < wo:
+                tap[:, :, i0:i1, j1:] = 0
 
 
 def _chunk_images(b: int, k: int, pix: int, itemsize: int) -> int:
@@ -431,33 +486,23 @@ def _chunk_images(b: int, k: int, pix: int, itemsize: int) -> int:
     return max(1, min(b, _COL_BLOCK_BYTES // (itemsize * k * pix)))
 
 
-def _pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """Zero-pad the two spatial axes of [B,C,H,W] (np.pad's result, without
-    its general-purpose overhead); with no padding, x itself."""
-    if not (ph or pw):
-        return x
-    b, c, h, w = x.shape
-    out = np.zeros((b, c, h + 2 * ph, w + 2 * pw), x.dtype)
-    out[:, :, ph:ph + h, pw:pw + w] = x
-    return out
-
-
-def _correlate(xp: np.ndarray, w: np.ndarray, stride: int,
+def _correlate(x: np.ndarray, w: np.ndarray, stride: int, offsets, out_hw,
                out: np.ndarray = None) -> np.ndarray:
-    """Cross-correlate padded images xp [B,Cin,Hp,Wp] with w [Cout,Cin,kh,kw].
+    """Cross-correlate images x [B,Cin,H,W] with w [Cout,Cin,kh,kw] into
+    [B,Cout,Ho,Wo] for ``out_hw`` (Ho, Wo), reading x only through the taps
+    of :func:`_fill_cols` (``offsets`` is the zero padding it stands for).
 
     The batch is walked in chunks: each chunk's images are unfolded into one
     reused column block [Cin*kh*kw, n*Ho*Wo] of at most ``_COL_BLOCK_BYTES``,
     multiplied by the [Cout, Cin*kh*kw] filter matrix in one GEMM, and
-    written back transposed into the [B,Cout,Ho,Wo] result: a fresh array,
-    or ``out`` (which may be a strided view) when given.
+    written back transposed into the result: a fresh array, or ``out``
+    (which may be a strided view) when given.
     """
-    b, cin = xp.shape[0], xp.shape[1]
+    b, cin = x.shape[0], x.shape[1]
     cout, _, kh, kw = w.shape
-    ho = (xp.shape[2] - kh) // stride + 1
-    wo = (xp.shape[3] - kw) // stride + 1
+    ho, wo = out_hw
     k, pix = cin * kh * kw, ho * wo
-    dtype = np.result_type(xp, w)
+    dtype = np.result_type(x, w)
     chunk = _chunk_images(b, k, pix, dtype.itemsize)
     w2 = w.reshape(cout, k)
     col_buf = np.empty(k * chunk * pix, dtype)
@@ -467,30 +512,66 @@ def _correlate(xp: np.ndarray, w: np.ndarray, stride: int,
     for s in range(0, b, chunk):
         n = min(chunk, b - s)
         cols = col_buf[:k * n * pix].reshape(cin, kh, kw, n, ho, wo)
-        _fill_cols(cols, xp, s, stride)
+        _fill_cols(cols, x, s, stride, offsets)
         y = np.matmul(w2, cols.reshape(k, n * pix),
                       out=y_buf[:cout * n * pix].reshape(cout, n * pix))
         out[s:s + n] = y.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3)
     return out
 
 
-def _column_grads(g, xp, w, stride, want_w: bool, want_x: bool):
-    """Weight gradient and col2im input gradient of a correlation, by chunk.
+def _col2im(cols: np.ndarray, gx: np.ndarray, stride: int, offsets,
+            buf: np.ndarray):
+    """Write into gx [n, Cin, H, W] the sum of the column gradients cols
+    [Cin, kh, kw, n, Ho, Wo] at the x pixels their taps read.
 
-    Each chunk's column block is rebuilt from the padded input xp for
-    ``gW += gᵀ·colsᵀ``; the spent block's buffer then takes the column
-    gradient ``Wᵀ·g``, scattered back with one strided add per kernel
-    offset. Returns (gW or None, gradient of xp or None).
+    Each tap adds its in-bounds window (see :func:`_fill_cols`) into the
+    stride phase of x it reads, kept as its own zeroed contiguous plane in
+    ``buf``; the phases are then interleaved into gx. Taps are added u
+    outer, v inner, and a tap outside x is dropped, so each pixel sums its
+    taps from zero in one fixed order.
     """
-    b, cin = xp.shape[0], xp.shape[1]
+    cin, kh, kw, n, ho, wo = cols.shape
+    h, w = gx.shape[2:]
+    pr, pc = offsets
+    s = stride
+    hp, wp = -(-h // s), -(-w // s)
+    phases = buf[:s * s * cin * n * hp * wp].reshape(s, s, cin, n, hp, wp)
+    phases[...] = 0
+    for u in range(kh):
+        i0, i1, r0 = _window(h, ho, pr, s, u)
+        for v in range(kw):
+            j0, j1, c0 = _window(w, wo, pc, s, v)
+            phases[r0 % s, c0 % s, :, :, r0 // s:r0 // s + i1 - i0,
+                   c0 // s:c0 // s + j1 - j0] += cols[:, u, v, :, i0:i1, j0:j1]
+    gxt = gx.transpose(1, 0, 2, 3)
+    for a in range(s):
+        for c in range(s):
+            gxt[:, :, a::s, c::s] = phases[a, c, :, :, :(h - a + s - 1) // s,
+                                           :(w - c + s - 1) // s]
+
+
+def _column_grads(g, x, w, stride, offsets, want_w: bool, want_x: bool):
+    """Weight gradient and col2im input gradient of ``_correlate(x, w,
+    stride, offsets, g.shape[2:])``, by chunk.
+
+    Each chunk's column block is rebuilt from x for ``gW += gᵀ·colsᵀ``; the
+    spent block's buffer then takes the column gradient ``Wᵀ·g``, which
+    :func:`_col2im` sums into the chunk's slice of x's gradient.
+    Returns (gW or None, gradient of x or None).
+    """
+    b, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
     ho, wo = g.shape[2], g.shape[3]
     k, pix = cin * kh * kw, ho * wo
-    dtype = np.result_type(g, xp, w)
+    dtype = np.result_type(g, x, w)
     chunk = _chunk_images(b, k, pix, dtype.itemsize)
     w2 = w.reshape(cout, k)
     gw2 = np.zeros((cout, k), dtype) if want_w else None
-    gxp = np.zeros(xp.shape, dtype) if want_x else None
+    gx = phase_buf = None
+    if want_x:
+        gx = np.empty(x.shape, dtype)
+        phase_buf = np.empty(chunk * cin * -(-h // stride) * stride
+                             * -(-wd // stride) * stride, dtype)
     col_buf = np.empty(k * chunk * pix, dtype)
     gy_buf = np.empty(cout * chunk * pix, dtype)
     for s in range(0, b, chunk):
@@ -500,41 +581,43 @@ def _column_grads(g, xp, w, stride, want_w: bool, want_x: bool):
         gy = gy.reshape(cout, n * pix)
         cols = col_buf[:k * n * pix].reshape(cin, kh, kw, n, ho, wo)
         if want_w:
-            _fill_cols(cols, xp, s, stride)
+            _fill_cols(cols, x, s, stride, offsets)
             gw2 += gy @ cols.reshape(k, n * pix).T
         if want_x:
             np.matmul(w2.T, gy, out=cols.reshape(k, n * pix))
-            for u in range(kh):
-                for v in range(kw):
-                    gxp[s:s + n, :, u:u + ho * stride:stride,
-                        v:v + wo * stride:stride] += \
-                        cols[:, u, v].transpose(1, 0, 2, 3)
-    return (None if gw2 is None else gw2.reshape(w.shape)), gxp
+            _col2im(cols, gx[s:s + n], stride, offsets, phase_buf)
+    return (None if gw2 is None else gw2.reshape(w.shape)), gx
 
 
 def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of [B,Cin,H,W] with [Cout,Cin,kh,kw] filters.
 
-    The forward is one chunked im2col GEMM (``_correlate``) over a padded
-    copy of x that is freed when it returns. Where backward needs the copy
-    (the weight gradient or the col2im scatter), it pads x again, and
-    ``_column_grads`` rebuilds each chunk's column block from it.
+    The forward is one chunked im2col GEMM (``_correlate``) that reads x in
+    place: a tap that falls in the zero padding is written as zero into the
+    column block, so no padded copy of x is made. Where backward needs the
+    column block (the weight gradient or the col2im scatter),
+    ``_column_grads`` rebuilds it per chunk from x the same way.
 
     The input gradient at stride 1 with padding p <= k-1 is itself a
-    stride-1 correlation: the output gradient padded by k-1-p, against the
-    kernel flipped in both spatial axes with Cin and Cout swapped. It runs
-    through the same GEMM as the forward. A strided conv (or a padding
-    larger than k-1) instead multiplies the column gradient out per chunk
-    and scatters it back with one strided add per kernel offset (col2im):
-    as a correlation it would need a zero-dilated output gradient, with
-    stride² times the GEMM work spent on zeros. A gradient that no tensor
-    can receive (an input, weight or bias whose ``requires_grad`` is off)
-    is not computed: its slot comes back None.
+    stride-1 correlation: the output gradient, read with tap offset k-1-p,
+    against the kernel flipped in both spatial axes with Cin and Cout
+    swapped. It runs through the same GEMM as the forward. A strided conv
+    (or a padding larger than k-1) instead multiplies the column gradient
+    out per chunk and adds it back into x's gradient one tap at a time
+    (col2im), skipping taps that fall in the padding: as a correlation it
+    would need a zero-dilated output gradient, with stride² times the GEMM
+    work spent on zeros. A gradient that no tensor can receive (an input,
+    weight or bias whose ``requires_grad`` is off) is not computed: its
+    slot comes back None.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     xd, wd = x.data, weight.data
+    h, w = xd.shape[2], xd.shape[3]
     kh, kw = wd.shape[2], wd.shape[3]
-    out_data = _correlate(_pad(xd, padding, padding), wd, stride)
+    pad = (padding, padding)
+    out_hw = ((h + 2 * padding - kh) // stride + 1,
+              (w + 2 * padding - kw) // stride + 1)
+    out_data = _correlate(xd, wd, stride, pad, out_hw)
     if bias is not None:
         bias = as_tensor(bias)
         out_data += bias.data[:, None, None]
@@ -547,16 +630,14 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     def fn(g):
         gx = gw = None
         if want_x and direct:
-            ph, pw = kh - 1 - padding, kw - 1 - padding
             flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx = _correlate(_pad(g, ph, pw), flipped, 1)
+            gx = _correlate(g, flipped, 1,
+                            (kh - 1 - padding, kw - 1 - padding), (h, w))
         scatter = want_x and not direct
         if want_w or scatter:
-            gw, gxp = _column_grads(g, _pad(xd, padding, padding), wd, stride,
-                                    want_w, scatter)
+            gw, gxs = _column_grads(g, xd, wd, stride, pad, want_w, scatter)
             if scatter:
-                gx = gxp if padding == 0 else \
-                    gxp[:, :, padding:-padding, padding:-padding]
+                gx = gxs
         if want_b is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3)) if want_b else None
@@ -567,11 +648,12 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
 # Sub-pixel maps of a 3x3 kernel over a 2x nearest upsampling. Output row
 # 2m+a of the pad-1 correlation reads kernel rows u at upsampled rows
 # 2m+a+u-1, that is low-res rows m-1, m, m (a=0) or m, m, m+1 (a=1): two
-# taps of the pad-1 low-res input from row m+a on, tap 0 summing kernel
-# rows [0, 1+a) and tap 1 rows [1+a, 3), so the weight gradient repeats the
-# taps' rows 1+a and 2-a times. Columns split the same way. The input
-# gradient gathers the output gradient rows 2r-1..2r+2 onto low-res row r:
-# the flipped kernel's rows summed by _GRAD_ROWS into 4 taps at stride 2.
+# taps of the low-res input at rows m+a-1 and m+a (tap offset 1-a), tap 0
+# summing kernel rows [0, 1+a) and tap 1 rows [1+a, 3), so the weight
+# gradient repeats the taps' rows 1+a and 2-a times. Columns split the same
+# way. The input gradient gathers the output gradient rows 2r-1..2r+2 onto
+# low-res row r: the flipped kernel's rows summed by _GRAD_ROWS into 4 taps
+# at stride 2 and tap offset 1.
 _GRAD_ROWS = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1]])
 
 
@@ -588,17 +670,17 @@ def upsample_conv2d(x, weight) -> Tensor:
     """``conv2d(upsample_nearest(x, 2), weight, stride=1, padding=1)`` for a
     3x3 ``weight``, without building the upsampled map.
 
-    Each output phase (a, b), the pixels [2m+a, 2n+b], is a 2x2 correlation
-    of the pad-1 low-res input window starting at (a, b) with the kernel
-    ``R_a · W · R_bᵀ`` (W's rows, then columns, summed by slices), written
+    Each output phase (a, c), the pixels [2m+a, 2n+c], is a 2x2 correlation
+    of the low-res input at tap offsets (1-a, 1-c) with the kernel
+    ``R_a · W · R_cᵀ`` (W's rows, then columns, summed by slices), written
     straight into its strided slots of the [B,Cout,2H,2W] result: 4·4 = 16
     multiply-adds per output pixel and channel pair instead of 9·4 = 36
     over the upsampled map, and as many fewer im2col bytes. Backward is
-    closed-form: the weight gradient is ``Σ R_aᵀ · gW_ab · R_b`` over the
+    closed-form: the weight gradient is ``Σ R_aᵀ · gW_ac · R_c`` over the
     four phases' 2x2 weight gradients, each a gather of repeated rows and
     columns, and the input gradient is one stride-2 correlation of the
-    pad-1 output gradient with a 4x4 kernel (``_GRAD_ROWS``). As in
-    :func:`conv2d`, the padded input is not kept, and a gradient that no
+    output gradient at tap offset 1 with a 4x4 kernel (``_GRAD_ROWS``). As
+    in :func:`conv2d`, no padded copy is made, and a gradient that no
     tensor can receive is not computed.
     """
     x, weight = as_tensor(x), as_tensor(weight)
@@ -607,11 +689,10 @@ def upsample_conv2d(x, weight) -> Tensor:
                          f"{weight.shape}")
     b, _, h, w = x.shape
     xd, wd = x.data, weight.data
-    xp = _pad(xd, 1, 1)
     out_data = np.empty((b, wd.shape[0], 2 * h, 2 * w),
-                        np.result_type(xp, wd))
+                        np.result_type(xd, wd))
     for a, c, wk in _phase_kernels(wd):
-        _correlate(xp[:, :, a:a + h + 1, c:c + w + 1], wk, 1,
+        _correlate(xd, wk, 1, (1 - a, 1 - c), (h, w),
                    out=out_data[:, :, a::2, c::2])
     out = Tensor(out_data)
     want_x, want_w = x.requires_grad, weight.requires_grad
@@ -621,13 +702,12 @@ def upsample_conv2d(x, weight) -> Tensor:
         if want_x:
             taps = _GRAD_ROWS.astype(wd.dtype)
             flipped = taps @ wd[:, :, ::-1, ::-1] @ taps.T
-            gx = _correlate(_pad(g, 1, 1), flipped.transpose(1, 0, 2, 3), 2)
+            gx = _correlate(g, flipped.transpose(1, 0, 2, 3), 2, (1, 1),
+                            (h, w))
         if want_w:
-            xp = _pad(xd, 1, 1)
             for a, c, wk in _phase_kernels(wd):
-                gwk, _ = _column_grads(g[:, :, a::2, c::2],
-                                       xp[:, :, a:a + h + 1, c:c + w + 1],
-                                       wk, 1, True, False)
+                gwk, _ = _column_grads(g[:, :, a::2, c::2], xd, wk, 1,
+                                       (1 - a, 1 - c), True, False)
                 part = np.repeat(np.repeat(gwk, (1 + a, 2 - a), axis=-2),
                                  (1 + c, 2 - c), axis=-1)
                 gw = part if gw is None else gw + part

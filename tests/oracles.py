@@ -150,6 +150,125 @@ def upsample_conv2d(x, weight, g):
     return out.data, tx.grad, tw.grad
 
 
+def _pad(x, ph, pw):
+    """x [B,C,H,W] zero-padded by ph rows and pw columns on each side."""
+    return np.pad(x, [(0, 0), (0, 0), (ph, ph), (pw, pw)])
+
+
+def _padded_fill(cols, xp, start, stride):
+    """Unfold padded images xp[start:start+n] into cols [Cin, kh, kw, n, Ho,
+    Wo]: one strided-slice copy per tap."""
+    _, kh, kw, n, ho, wo = cols.shape
+    for u in range(kh):
+        for v in range(kw):
+            cols[:, u, v] = xp[start:start + n, :, u:u + ho * stride:stride,
+                               v:v + wo * stride:stride].transpose(1, 0, 2, 3)
+
+
+def _padded_correlate(xp, w, stride, out=None):
+    """Chunked im2col correlation of padded images xp with w, with
+    ``tensor._correlate``'s column layout, chunking and GEMM."""
+    b, cin = xp.shape[0], xp.shape[1]
+    cout, _, kh, kw = w.shape
+    ho = (xp.shape[2] - kh) // stride + 1
+    wo = (xp.shape[3] - kw) // stride + 1
+    k, pix = cin * kh * kw, ho * wo
+    dtype = np.result_type(xp, w)
+    chunk = T._chunk_images(b, k, pix, dtype.itemsize)
+    w2 = w.reshape(cout, k)
+    col_buf = np.empty(k * chunk * pix, dtype)
+    y_buf = np.empty(cout * chunk * pix, dtype)
+    if out is None:
+        out = np.empty((b, cout, ho, wo), dtype)
+    for s in range(0, b, chunk):
+        n = min(chunk, b - s)
+        cols = col_buf[:k * n * pix].reshape(cin, kh, kw, n, ho, wo)
+        _padded_fill(cols, xp, s, stride)
+        y = np.matmul(w2, cols.reshape(k, n * pix),
+                      out=y_buf[:cout * n * pix].reshape(cout, n * pix))
+        out[s:s + n] = y.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3)
+    return out
+
+
+def _padded_column_grads(g, xp, w, stride, want_w, want_x):
+    """(weight gradient, gradient of the padded xp) of
+    ``_padded_correlate(xp, w, stride)``: the column block rebuilt per chunk,
+    and col2im by one strided add per tap into a zeroed padded buffer."""
+    b, cin = xp.shape[0], xp.shape[1]
+    cout, _, kh, kw = w.shape
+    ho, wo = g.shape[2], g.shape[3]
+    k, pix = cin * kh * kw, ho * wo
+    dtype = np.result_type(g, xp, w)
+    chunk = T._chunk_images(b, k, pix, dtype.itemsize)
+    w2 = w.reshape(cout, k)
+    gw2 = np.zeros((cout, k), dtype) if want_w else None
+    gxp = np.zeros(xp.shape, dtype) if want_x else None
+    col_buf = np.empty(k * chunk * pix, dtype)
+    gy_buf = np.empty(cout * chunk * pix, dtype)
+    for s in range(0, b, chunk):
+        n = min(chunk, b - s)
+        gy = gy_buf[:cout * n * pix].reshape(cout, n, ho, wo)
+        gy[...] = g[s:s + n].transpose(1, 0, 2, 3)
+        gy = gy.reshape(cout, n * pix)
+        cols = col_buf[:k * n * pix].reshape(cin, kh, kw, n, ho, wo)
+        if want_w:
+            _padded_fill(cols, xp, s, stride)
+            gw2 += gy @ cols.reshape(k, n * pix).T
+        if want_x:
+            np.matmul(w2.T, gy, out=cols.reshape(k, n * pix))
+            for u in range(kh):
+                for v in range(kw):
+                    gxp[s:s + n, :, u:u + ho * stride:stride,
+                        v:v + wo * stride:stride] += \
+                        cols[:, u, v].transpose(1, 0, 2, 3)
+    return (None if gw2 is None else gw2.reshape(w.shape)), gxp
+
+
+def padded_conv2d(x, w, stride, padding, g):
+    """``tensor.conv2d`` (no bias) over an explicitly padded copy of x: its
+    output, and the input and weight gradients for output gradient g. The
+    input gradient at stride 1 with padding <= k-1 correlates the padded g
+    with the flipped kernel; otherwise it is col2im into the padded buffer,
+    cropped. Same GEMMs, operands and chunks as ``tensor.conv2d``, so the
+    same bits."""
+    kh, kw = w.shape[2], w.shape[3]
+    xp = _pad(x, padding, padding)
+    out = _padded_correlate(xp, w, stride)
+    if stride == 1 and padding < min(kh, kw):
+        flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        gx = _padded_correlate(_pad(g, kh - 1 - padding, kw - 1 - padding),
+                               flipped, 1)
+        gw, _ = _padded_column_grads(g, xp, w, stride, True, False)
+    else:
+        gw, gxp = _padded_column_grads(g, xp, w, stride, True, True)
+        h, wd = x.shape[2:]
+        gx = gxp[:, :, padding:padding + h, padding:padding + wd]
+    return out, gx, gw
+
+
+def padded_upsample_conv2d(x, w, g):
+    """``tensor.upsample_conv2d`` over padded windows: each phase (a, c) a
+    2x2 correlation of the pad-1 input's window from (a, c), the input
+    gradient one stride-2 correlation of the pad-1 g, the weight gradient
+    the phases' column gradients folded by repeats. Returns (out, gx, gw)."""
+    b, _, h, wd = x.shape
+    xp = _pad(x, 1, 1)
+    out = np.empty((b, w.shape[0], 2 * h, 2 * wd), np.result_type(x, w))
+    gw = None
+    for a, c, wk in T._phase_kernels(w):
+        window = xp[:, :, a:a + h + 1, c:c + wd + 1]
+        _padded_correlate(window, wk, 1, out=out[:, :, a::2, c::2])
+        gwk, _ = _padded_column_grads(g[:, :, a::2, c::2], window, wk, 1,
+                                      True, False)
+        part = np.repeat(np.repeat(gwk, (1 + a, 2 - a), axis=-2),
+                         (1 + c, 2 - c), axis=-1)
+        gw = part if gw is None else gw + part
+    taps = T._GRAD_ROWS.astype(w.dtype)
+    flipped = taps @ w[:, :, ::-1, ::-1] @ taps.T
+    gx = _padded_correlate(_pad(g, 1, 1), flipped.transpose(1, 0, 2, 3), 2)
+    return out, gx, gw
+
+
 def graph_bytes() -> int:
     """Bytes held by the open graph: the distinct base arrays that its
     nodes' leaf inputs and their backward closures' cells refer to (through

@@ -9,6 +9,7 @@ import pytest
 
 import gdafas.tensor as T
 from gdafas.rng import Rng, derive_seed
+from oracles import padded_conv2d, padded_upsample_conv2d
 from oracles import upsample_conv2d as composed_upsample_conv2d
 
 
@@ -306,31 +307,37 @@ def _einsum_conv2d(x, w, b, stride, padding, g):
     return out, gx, gw, None if b is None else g.sum(axis=(0, 2, 3))
 
 
-# (batch, Cin, H=W, Cout, kernel, stride, padding, bias)
+# (batch, Cin, H, W, Cout, kernel, stride, padding, bias)
 _CONV_CASES = [
-    (22, 3, 32, 4, 3, 1, 1, True),    # five chunks of 4 images, then 2
-    (20, 16, 32, 4, 3, 2, 1, True),   # six chunks of 3 images, then 2
-    (20, 3, 32, 4, 3, 1, 0, True),
-    (20, 3, 31, 4, 3, 2, 0, False),
-    (6, 5, 9, 3, 1, 1, 0, True),      # 1x1 kernel
-    (6, 5, 9, 3, 1, 2, 0, False),
-    (6, 5, 9, 3, 1, 1, 1, True),      # padding > k-1: col2im at stride 1
+    (22, 3, 32, 32, 4, 3, 1, 1, True),    # five chunks of 4 images, then 2
+    (20, 16, 32, 32, 4, 3, 2, 1, True),   # six chunks of 3 images, then 2
+    (20, 3, 32, 32, 4, 3, 1, 0, True),
+    (20, 3, 31, 31, 4, 3, 2, 0, False),
+    (6, 5, 9, 9, 3, 1, 1, 0, True),       # 1x1 kernel
+    (6, 5, 9, 9, 3, 1, 2, 0, False),
+    (6, 5, 9, 9, 3, 1, 1, 1, True),       # padding > k-1: col2im at stride 1
+    (5, 3, 6, 11, 4, 3, 1, 1, True),      # H != W
+    (5, 3, 12, 7, 4, 3, 2, 1, False),     # H != W at stride 2
+    (5, 3, 9, 10, 4, 3, 2, 1, True),      # odd H at stride 2
+    (4, 3, 1, 6, 2, 3, 1, 1, True),       # H = 1: a flat shift by a whole row
+    (4, 3, 6, 1, 2, 3, 1, 1, False),      # W = 1: every column wraps
 ]
 
 
 def _conv_case(trial, case):
-    bsz, cin, hw, cout, k, stride, padding, has_bias = case
+    bsz, cin, h, w, cout, k, stride, padding, has_bias = case
     r = Rng(derive_seed(707, trial))
-    x = r.gaussian(bsz * cin * hw * hw).reshape(bsz, cin, hw, hw)
-    w = r.gaussian(cout * cin * k * k).reshape(cout, cin, k, k)
+    x = r.gaussian(bsz * cin * h * w).reshape(bsz, cin, h, w)
+    wt = r.gaussian(cout * cin * k * k).reshape(cout, cin, k, k)
     b = r.gaussian(cout) if has_bias else None
-    return x, w, b, stride, padding
+    return x, wt, b, stride, padding
 
 
 def test_conv_chunks_span_short_last_chunk():
-    bsz, cin, hw, _, k, stride, padding, _ = _CONV_CASES[0]
-    ho = (hw + 2 * padding - k) // stride + 1
-    chunk = T._COL_BLOCK_BYTES // (8 * cin * k * k * ho * ho)
+    bsz, cin, h, w, _, k, stride, padding, _ = _CONV_CASES[0]
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (w + 2 * padding - k) // stride + 1
+    chunk = T._COL_BLOCK_BYTES // (8 * cin * k * k * ho * wo)
     assert -(-bsz // chunk) >= 3 and bsz % chunk != 0
 
 
@@ -363,14 +370,14 @@ def test_conv_input_gradient_path(case, monkeypatch):
     x, w, b, stride, padding = _conv_case(3, case)
     calls = []
     correlate = T._correlate
-    monkeypatch.setattr(T, "_correlate",
-                        lambda *a: calls.append(a) or correlate(*a))
+    monkeypatch.setattr(T, "_correlate", lambda *a, **kw:
+                        calls.append(a[2]) or correlate(*a, **kw))
     tx = T.Tensor(x, requires_grad=True)
     with T.graph():
         T.backward(T.tsum(T.conv2d(tx, T.Tensor(w), b, stride=stride,
                                    padding=padding)))
     direct = stride == 1 and padding <= w.shape[2] - 1
-    assert len(calls) == (2 if direct else 1)
+    assert calls == ([stride, 1] if direct else [stride])
 
 
 def test_conv_gradient_reaches_inputs_past_frozen_operand():
@@ -399,6 +406,95 @@ def test_conv_output_does_not_depend_on_batch(case):
         assert np.abs(part - full[lo:hi]).max() <= 1e-12 * np.abs(full).max()
 
 
+def _conv_slots(op, arrays, g):
+    """An op's output and the backward slots of its node for gradient g,
+    every input taking a gradient."""
+    with T.graph():
+        out = op(*(T.Tensor(a, requires_grad=True) for a in arrays))
+        slots = T._graph[-1].fn(g)
+    return (out.data,) + tuple(slots)
+
+
+def _assert_same_bits(got, want):
+    for have, ref in zip(got, want):
+        assert have.dtype == ref.dtype and have.shape == ref.shape
+        assert np.array_equal(have, ref)
+
+
+# Every conv the pipeline runs: (networks, Cin, Cout, H=W, kernel, stride,
+# padding).
+_PIPELINE_CONVS = [
+    ("F.conv1 G.enc1", 3, 32, 32, 3, 2, 1),
+    ("F.conv2 G.enc2", 32, 64, 16, 3, 2, 1),
+    ("F.conv3", 64, 128, 8, 3, 2, 1),
+    ("R.conv1 G.res", 64, 64, 8, 3, 1, 1),
+    ("R.conv2", 64, 32, 8, 3, 1, 1),
+    ("R.conv3", 32, 1, 8, 1, 1, 0),
+    ("phi.conv1", 3, 16, 32, 3, 1, 1),
+    ("phi.conv2", 16, 32, 32, 3, 2, 1),
+    ("G.head", 16, 3, 32, 3, 1, 1),
+]
+# G's decoder convs: (layer, Cin, Cout, low-res H=W)
+_PIPELINE_UPCONVS = [("G.dec1", 64, 32, 8), ("G.dec2", 32, 16, 16)]
+
+
+def _pinned_arrays(seed, dtype, *shapes):
+    r = Rng(seed)
+    return [r.gaussian(int(np.prod(s))).reshape(s).astype(dtype)
+            for s in shapes]
+
+
+def test_pipeline_conv_pins_span_a_short_last_chunk():
+    # at batch 16 the 64->64 res conv runs 7+7+2 images in float32 and
+    # 3+3+3+3+3+1 in float64
+    for itemsize in (4, 8):
+        chunk = T._chunk_images(16, 64 * 9, 64, itemsize)
+        assert chunk < 16 and 16 % chunk != 0
+
+
+@pytest.mark.parametrize("batch", [16, 64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", _PIPELINE_CONVS, ids=lambda c: c[0])
+def test_conv_matches_padded_im2col_bit_for_bit(case, dtype, batch):
+    # reading x in place with clipped taps moves no bit of the output or of
+    # either gradient against im2col over an explicitly padded copy
+    _, cin, cout, hw, k, stride, padding = case
+    ho = (hw + 2 * padding - k) // stride + 1
+    x, w, g = _pinned_arrays(derive_seed(961, cin, cout, hw), dtype,
+                             (batch, cin, hw, hw), (cout, cin, k, k),
+                             (batch, cout, ho, ho))
+    op = lambda tx, tw: T.conv2d(tx, tw, stride=stride, padding=padding)
+    _assert_same_bits(_conv_slots(op, (x, w), g),
+                      padded_conv2d(x, w, stride, padding, g))
+
+
+@pytest.mark.parametrize("batch", [16, 64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", _PIPELINE_UPCONVS, ids=lambda c: c[0])
+def test_upsample_conv2d_matches_padded_im2col_bit_for_bit(case, dtype,
+                                                           batch):
+    _, cin, cout, hw = case
+    x, w, g = _pinned_arrays(derive_seed(962, cin, cout, hw), dtype,
+                             (batch, cin, hw, hw), (cout, cin, 3, 3),
+                             (batch, cout, 2 * hw, 2 * hw))
+    _assert_same_bits(_conv_slots(T.upsample_conv2d, (x, w), g),
+                      padded_upsample_conv2d(x, w, g))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", _CONV_CASES)
+def test_conv_edge_shapes_match_padded_im2col_bit_for_bit(case, dtype):
+    bsz, cin, h, w, cout, k, stride, padding, _ = case
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (w + 2 * padding - k) // stride + 1
+    x, wt, g = _pinned_arrays(derive_seed(963, *case[:8]), dtype,
+                              (bsz, cin, h, w), (cout, cin, k, k),
+                              (bsz, cout, ho, wo))
+    op = lambda tx, tw: T.conv2d(tx, tw, stride=stride, padding=padding)
+    _assert_same_bits(_conv_slots(op, (x, wt), g),
+                      padded_conv2d(x, wt, stride, padding, g))
+
+
 def test_pool_and_upsample_gradients_seeded():
     for trial in range(20):
         r = Rng(derive_seed(606, trial))
@@ -424,6 +520,8 @@ _UPCONV_CASES = [
     (3, 4, 5, 7, 6),      # H != W
     (4, 3, 1, 5, 2),      # H = 1
     (2, 2, 6, 1, 3),      # W = 1
+    (3, 2, 1, 1, 4),      # H = W = 1: every tap but one reads the padding
+    (2, 3, 3, 6, 2),      # odd H
     (30, 32, 12, 12, 8),  # forward and both backward GEMMs in chunks
 ]
 
@@ -442,6 +540,13 @@ def test_upconv_chunked_case_spans_chunks():
     phase = T._chunk_images(bsz, 4 * cin, h * w, 8)   # forward, weight grad
     grad_x = T._chunk_images(bsz, 16 * cout, h * w, 8)  # input grad
     assert -(-bsz // phase) >= 3 and -(-bsz // grad_x) >= 3
+
+
+@pytest.mark.parametrize("case", _UPCONV_CASES)
+def test_upsample_conv2d_edge_shapes_match_padded_im2col_bit_for_bit(case):
+    x, w, g = (a.astype(np.float32) for a in _upconv_case(case))
+    _assert_same_bits(_conv_slots(T.upsample_conv2d, (x, w), g),
+                      padded_upsample_conv2d(x, w, g))
 
 
 @pytest.mark.parametrize("case", _UPCONV_CASES)
@@ -486,13 +591,10 @@ def test_phase_kernels_and_weight_fold_match_matmul_forms(dtype):
     tw = T.Tensor(w, requires_grad=True)
     with T.graph():
         T.backward(T.tsum(T.mul(T.upsample_conv2d(T.Tensor(x), tw), g)))
-    h, wd = x.shape[2:]
-    xp = T._pad(x, 1, 1)
     want = None
     for a, c, k in kernels:
-        gwk, _ = T._column_grads(g[:, :, a::2, c::2],
-                                 xp[:, :, a:a + h + 1, c:c + wd + 1],
-                                 k, 1, True, False)
+        gwk, _ = T._column_grads(g[:, :, a::2, c::2], x, k, 1, (1 - a, 1 - c),
+                                 True, False)
         part = rows[a].T @ gwk @ rows[c]
         want = part if want is None else want + part
     assert tw.grad.dtype == dtype and np.array_equal(tw.grad, want)
