@@ -399,21 +399,51 @@ def test_config_value_of_the_wrong_type_exits_one(cli_root, capsys, tmp_path,
     assert not list(tmp_path.rglob("*.gdac"))  # no run wrote a checkpoint
 
 
+_TRAIN_FLAGS = [
+    "--batch-size BATCH_SIZE", "--stage1-epochs STAGE1_EPOCHS",
+    "--stage2-steps STAGE2_STEPS", "--lr LR", "--eta ETA",
+    "--lambda-ent LAMBDA_ENT", "--lambda-ph LAMBDA_PH", "--alpha ALPHA"]
+
+
 @pytest.mark.parametrize("command, extra", [
-    ("train-source", ["--data"]),
-    ("adapt", ["--model", "--data"]),
-    ("ablate", ["--model", "--data", "--split"]),
+    ("train-source", _TRAIN_FLAGS + ["--data DATA"]),
+    ("adapt", _TRAIN_FLAGS + ["--model MODEL", "--data DATA"]),
+    ("ablate", _TRAIN_FLAGS + ["--model MODEL", "--data DATA",
+                               "--split SPLIT"]),
+    ("gen-data", ["--count-per-class COUNT_PER_CLASS"]),
+    ("eval", ["--model MODEL", "--data DATA", "--report REPORT",
+              "--split SPLIT", "--raw"]),
+    ("specmix", ["--input INPUT", "--ref REF", "--eta ETA"]),
+    ("analyze-stats", ["--model MODEL", "--data DATA",
+                       "--source-data SOURCE_DATA"]),
+    ("grad-check", ["--trials TRIALS", "--fault {sign-flip}"]),
 ])
 def test_training_flags_keep_their_names_and_order(capsys, command, extra):
-    # the training flags are built from TrainConfig's fields; a renamed or
-    # reordered field must not rename or reorder a flag
+    # every command's flags, each with its metavar (so its dest), in order;
+    # a renamed or reordered TrainConfig field or config key must not rename
+    # or reorder a flag
     with pytest.raises(SystemExit):
         main([command, "--help"])
     usage = capsys.readouterr().out.split("\n\n")[0]
-    assert re.findall(r"\[(-[-\w]+)", usage) == [
-        "-h", "--seed", "--config", "--out", "--batch-size",
-        "--stage1-epochs", "--stage2-steps", "--lr", "--eta", "--lambda-ent",
-        "--lambda-ph", "--alpha"] + extra
+    assert re.findall(r"\[(-[^\]]*)\]", usage) == [
+        "-h", "--seed SEED", "--config CONFIG", "--out OUT"] + extra
+
+
+def test_training_flags_keep_their_types_and_actions(capsys, tmp_path):
+    # train-source appends every --data; the integer and float flags convert
+    for argv, message in [
+            (["train-source", "--batch-size", "1.5"], "invalid int value"),
+            (["adapt", "--lr", "x"], "invalid float value"),
+            (["gen-data", "--count-per-class", "x"], "invalid int value"),
+            (["grad-check", "--trials", "x"], "invalid int value"),
+            (["specmix", "--eta", "x"], "invalid float value"),
+            (["grad-check", "--fault", "x"], "invalid choice")]:
+        _, err = run(capsys, *argv, expect=1)
+        assert message in err
+    _, err = run(capsys, "train-source", "--data", str(tmp_path / "a"),
+                 "--data", str(tmp_path / "b"), "--out", str(tmp_path / "o"),
+                 expect=1)
+    assert "dataset directory not found: " + str(tmp_path / "a") in err
 
 
 def test_adapt_small_batch_exits_one(cli_root, capsys, tmp_path):
