@@ -29,13 +29,18 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .pipeline import TrainConfig
 from .rng import Rng
 
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
-# the JSON type of every other value a command reads; train-source also
-# takes ``data`` as a list of strings (one dataset each)
-_INPUT_KEYS = {"data": str, "model": str, "out": str, "source_data": str,
-               "report": str, "input": str, "ref": str, "split": str,
-               "count_per_class": numbers.Integral,
-               "trials": numbers.Integral}
+_TRAIN = tuple(f.name for f in fields(TrainConfig))
+# the JSON type of every config key; train-source also takes ``data`` as a
+# list of strings (one dataset each). The int, float and str keys a command
+# reads are its flags.
+_TYPES = {**{f.name: f.type for f in fields(TrainConfig)},
+          "data": str, "model": str, "out": str, "source_data": str,
+          "report": str, "input": str, "ref": str, "split": str,
+          "count_per_class": int, "trials": int, "domains": list}
+# each key's value when neither the config file nor a flag sets it
+_DEFAULTS = {**dict.fromkeys(_TYPES),
+             **{f.name: f.default for f in fields(TrainConfig)},
+             "count_per_class": 320, "trials": 20, "split": "test"}
 _DOMAIN_KEYS = {f.name for f in fields(D.DomainSpec)} | {"unlabeled_train"}
 
 
@@ -63,7 +68,7 @@ def load_config(path: str) -> dict:
         )
     if not isinstance(config, dict):
         raise CliError(f"{path}: config root must be a JSON object")
-    unknown = set(config) - _TRAIN_KEYS - _INPUT_KEYS.keys() - {"domains"}
+    unknown = set(config) - _TYPES.keys()
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
     domains = config.get("domains", [])
@@ -80,27 +85,37 @@ def load_config(path: str) -> dict:
     return config
 
 
-def _merge(args, config: dict) -> dict:
-    """Layer flag values over file values over TrainConfig defaults."""
-    merged = {f.name: f.default for f in fields(TrainConfig)}
-    merged.update(config)
-    for key in _TRAIN_KEYS | _INPUT_KEYS.keys():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    return merged
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _validate(command: str, merged: dict) -> TrainConfig:
-    """Check the merged values before any work: the type of each input key,
-    then the values ``command`` cannot run without, then the training
-    fields. Returns the training configuration."""
-    for key, kind in _INPUT_KEYS.items():
-        value = merged.get(key)
-        if value is None:
-            continue
-        if kind is not str:
-            ok, rule = D.finite_number(value, kind), "an integer"
+def _merge(args, config: dict):
+    """Layer flag values over file values over the defaults. A null in the
+    file leaves a key outside TrainConfig unset. Returns the merged values
+    and the keys the file or a flag set."""
+    given = {k: v for k, v in config.items() if v is not None or k in _TRAIN}
+    given.update((k, getattr(args, k)) for k in _TYPES
+                 if getattr(args, k, None) is not None)
+    return {**_DEFAULTS, **given}, given.keys()
+
+
+def _train_config(values: dict) -> TrainConfig:
+    try:
+        return TrainConfig(**{k: values[k] for k in _TRAIN})
+    except ValueError as err:
+        raise CliError(f"invalid training configuration: {err}")
+
+
+def _validate(command: str, merged: dict):
+    """Check the merged values before any work, read by ``command`` or not:
+    the type of each input key, then the values ``command`` cannot run
+    without, then the training fields."""
+    for key, kind in _TYPES.items():
+        value = merged[key]
+        if value is None or key in _TRAIN or kind is list:
+            continue  # TrainConfig and load_config check the rest
+        if kind is int:
+            ok, rule = D.finite_number(value, numbers.Integral), "an integer"
         elif key == "data" and command == "train-source":
             ok = isinstance(value, str) or (
                 isinstance(value, list) and len(value) > 0
@@ -110,14 +125,10 @@ def _validate(command: str, merged: dict) -> TrainConfig:
             ok, rule = isinstance(value, str), "a string"
         if not ok:
             raise CliError(f"{key} must be {rule}, got {value!r}")
-    for key in _COMMANDS[command][1]:
-        if merged.get(key) is None:
-            raise CliError(
-                f"missing required value: --{key.replace('_', '-')}")
-    try:
-        return TrainConfig(**{k: merged[k] for k in _TRAIN_KEYS})
-    except ValueError as err:
-        raise CliError(f"invalid training configuration: {err}")
+    for key in _COMMANDS[command][3]:
+        if merged[key] is None:
+            raise CliError(f"missing required value: {_flag(key)}")
+    _train_config(merged)
 
 
 def _fmt(value) -> str:
@@ -151,20 +162,20 @@ def eval_report_rows(report: P.EvalReport):
     return rows
 
 
-def _persist_config(merged: dict, out_dir: str):
+def _persist_config(cfg: dict, out_dir: str):
     os.makedirs(out_dir, exist_ok=True)
-    serializable = {k: v for k, v in merged.items() if v is not None}
+    serializable = {k: v for k, v in cfg.items() if v is not None}
     with open(os.path.join(out_dir, "config.json"), "w") as fh:
         json.dump(serializable, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
-def _write_run(merged: dict, bundle, checkpoint: str, log_name: str,
+def _write_run(cfg: dict, bundle, checkpoint: str, log_name: str,
                header, log) -> str:
     """Write a finished training run into ``--out``: ``config.json``, the
     bundle's checkpoint and the step log. Returns the checkpoint path."""
-    out = merged["out"]
-    _persist_config(merged, out)
+    out = cfg["out"]
+    _persist_config(cfg, out)
     path = os.path.join(out, checkpoint)
     save_checkpoint(bundle, path)
     write_csv(os.path.join(out, log_name), header, log)
@@ -183,8 +194,8 @@ def _load_model(path: str):
     return load_checkpoint(path)
 
 
-def _split_of(dataset: D.Dataset, split) -> D.Dataset:
-    if split in (None, "all"):
+def _split_of(dataset: D.Dataset, split: str) -> D.Dataset:
+    if split == "all":
         return dataset
     subset = dataset.subset(split)
     if len(subset.images) == 0:
@@ -193,20 +204,17 @@ def _split_of(dataset: D.Dataset, split) -> D.Dataset:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the parsed flags and the values of the keys it reads
 
 
-def _cmd_gen_data(args, merged, train):
-    out = merged["out"]
-    count = merged.get("count_per_class")
-    if count is None:
-        count = 320
-    if merged.get("domains"):
+def _cmd_gen_data(args, cfg):
+    out, count, seed = cfg["out"], cfg["count_per_class"], cfg["seed"]
+    if cfg["domains"]:
         specs = []
-        for i, entry in enumerate(merged["domains"]):
+        for i, entry in enumerate(cfg["domains"]):
             entry = dict(entry)
             entry.setdefault("count_per_class", count)
-            entry.setdefault("seed", train.seed)
+            entry.setdefault("seed", seed)
             unlabeled = entry.pop("unlabeled_train", False)
             if not isinstance(unlabeled, bool):
                 raise CliError(f"invalid domains[{i}]: unlabeled_train must "
@@ -220,7 +228,7 @@ def _cmd_gen_data(args, merged, train):
                                f"{spec.name!r} is already used")
             specs.append((spec, unlabeled))
     else:
-        source, target = D.default_domain_specs(count, train.seed)
+        source, target = D.default_domain_specs(count, seed)
         specs = [(source, False), (target, True)]
     summary = []
     for spec, unlabeled in specs:
@@ -229,17 +237,17 @@ def _cmd_gen_data(args, merged, train):
         )
         summary.append({"name": spec.name,
                         "records": len(manifest["records"])})
-    _persist_config(merged, out)
+    _persist_config(cfg, out)
     return {"command": "gen-data", "out": out, "domains": summary}
 
 
-def _cmd_train_source(args, merged, train):
-    data_dirs = merged["data"]
+def _cmd_train_source(args, cfg):
+    data_dirs = cfg["data"]
     if isinstance(data_dirs, str):
         data_dirs = [data_dirs]
     datasets = [_load_dir(d) for d in data_dirs]
-    bundle, log = P.train_source(train, datasets)
-    checkpoint = _write_run(merged, bundle, "source.gdac",
+    bundle, log = P.train_source(_train_config(cfg), datasets)
+    checkpoint = _write_run(cfg, bundle, "source.gdac",
                             "train_source_log.csv", P.STAGE1_LOG, log)
     return {
         "command": "train-source",
@@ -249,11 +257,11 @@ def _cmd_train_source(args, merged, train):
     }
 
 
-def _cmd_adapt(args, merged, train):
-    bundle = _load_model(merged["model"])
-    target = _load_dir(merged["data"])
-    bundle, log = P.adapt_generator(train, bundle, target)
-    checkpoint = _write_run(merged, bundle, "adapted.gdac", "adapt_log.csv",
+def _cmd_adapt(args, cfg):
+    bundle = _load_model(cfg["model"])
+    target = _load_dir(cfg["data"])
+    bundle, log = P.adapt_generator(_train_config(cfg), bundle, target)
+    checkpoint = _write_run(cfg, bundle, "adapted.gdac", "adapt_log.csv",
                             P.STAGE2_LOG, log)
     return {
         "command": "adapt",
@@ -264,19 +272,18 @@ def _cmd_adapt(args, merged, train):
     }
 
 
-def _cmd_eval(args, merged, train):
-    bundle = _load_model(merged["model"])
-    dataset = _split_of(_load_dir(merged["data"]),
-                        merged.get("split") or "test")
+def _cmd_eval(args, cfg):
+    bundle = _load_model(cfg["model"])
+    dataset = _split_of(_load_dir(cfg["data"]), cfg["split"])
     generator = None if args.raw else bundle.G
     report = P.evaluate(bundle, dataset, generator=generator)
     # --report first: a missing parent directory exits 1 before --out exists
-    if merged.get("report"):
-        write_csv(merged["report"], ("metric", "value"),
+    if cfg["report"]:
+        write_csv(cfg["report"], ("metric", "value"),
                   eval_report_rows(report))
-    out = merged.get("out")
+    out = cfg["out"]
     if out:
-        _persist_config(merged, out)
+        _persist_config(cfg, out)
         write_csv(os.path.join(out, "eval_report.csv"), ("metric", "value"),
                   eval_report_rows(report))
         write_csv(os.path.join(out, "roc.csv"), ("far", "tpr"), report.roc)
@@ -289,27 +296,27 @@ def _cmd_eval(args, merged, train):
     }
 
 
-def _cmd_specmix(args, merged, train):
-    out = merged["out"]
-    image = D.ppm_read(merged["input"])
-    ref = D.ppm_read(merged["ref"])
+def _cmd_specmix(args, cfg):
+    out = cfg["out"]
+    image = D.ppm_read(cfg["input"])
+    ref = D.ppm_read(cfg["ref"])
     if image.shape != ref.shape:
         raise CliError(
             f"image shapes differ: {image.shape} vs {ref.shape}"
         )
-    lam = S.sample_lambda(Rng(train.seed), 1, train.eta)
+    lam = S.sample_lambda(Rng(cfg["seed"]), 1, cfg["eta"])
     mixed = S.specmix(image[None], ref[None], lam)[0]
     D.ppm_write(out, mixed)
     return {"command": "specmix", "out": out, "lambda": float(lam[0])}
 
 
-def _cmd_analyze_stats(args, merged, train):
-    out = merged["out"]
-    bundle = _load_model(merged["model"])
-    target = _load_dir(merged["data"])
+def _cmd_analyze_stats(args, cfg):
+    out = cfg["out"]
+    bundle = _load_model(cfg["model"])
+    target = _load_dir(cfg["data"])
     source = None
-    if merged.get("source_data"):
-        source = _load_dir(merged["source_data"])
+    if cfg["source_data"]:
+        source = _load_dir(cfg["source_data"])
 
     # one pass per (dataset, generator): the target raw and stylized, each
     # read for both curves, and the source once for its features
@@ -326,20 +333,20 @@ def _cmd_analyze_stats(args, merged, train):
         tables += [(f"mmd_{kind}.csv", ("block", "mmd"),
                     P.mmd_rows(src, result["features"]))
                    for kind, result in passes]
-    _persist_config(merged, out)
+    _persist_config(cfg, out)
     for name, header, rows in tables:
         write_csv(os.path.join(out, name), header, rows)
     return {"command": "analyze-stats", "out": out,
             "files": [name for name, _, _ in tables]}
 
 
-def _cmd_ablate(args, merged, train):
-    out = merged["out"]
-    bundle = _load_model(merged["model"])
-    target = _load_dir(merged["data"])
-    eval_set = _split_of(target, merged.get("split") or "test")
-    results = P.ablation_run(train, bundle, target, eval_set)
-    _persist_config(merged, out)
+def _cmd_ablate(args, cfg):
+    out = cfg["out"]
+    bundle = _load_model(cfg["model"])
+    target = _load_dir(cfg["data"])
+    eval_set = _split_of(target, cfg["split"])
+    results = P.ablation_run(_train_config(cfg), bundle, target, eval_set)
+    _persist_config(cfg, out)
     write_csv(os.path.join(out, "ablation.csv"), ("config", "hter", "auc"),
               [(name, rep.hter, rep.auc) for name, rep in results])
     return {
@@ -350,16 +357,14 @@ def _cmd_ablate(args, merged, train):
     }
 
 
-def _cmd_grad_check(args, merged, train):
-    trials = merged.get("trials")
-    if trials is None:
-        trials = 20
-    results = GC.run_checks(seed=train.seed, trials=trials, fault=args.fault)
+def _cmd_grad_check(args, cfg):
+    trials = cfg["trials"]
+    results = GC.run_checks(seed=cfg["seed"], trials=trials, fault=args.fault)
     table = GC.format_table(results)
     print(table, file=sys.stderr)
-    if merged.get("out"):
-        os.makedirs(merged["out"], exist_ok=True)
-        with open(os.path.join(merged["out"], "grad_check.txt"), "w") as fh:
+    if cfg["out"]:
+        os.makedirs(cfg["out"], exist_ok=True)
+        with open(os.path.join(cfg["out"], "grad_check.txt"), "w") as fh:
             fh.write(table + "\n")
     passed = all(r.passed for r in results)
     if not passed:
@@ -377,103 +382,76 @@ def _cmd_grad_check(args, merged, train):
 # ---------------------------------------------------------------------------
 # argument wiring
 
-
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--config", default=None)
-    sub.add_argument("--out", default=None)
-
-
-def _add_train(sub):
-    """A flag for each numeric training field but ``seed``, in field order."""
-    for f in fields(TrainConfig):
-        if f.type in (int, float) and f.name != "seed":
-            sub.add_argument("--" + f.name.replace("_", "-"), type=f.type)
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="gda", description=__doc__)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("gen-data", help="render the synthetic domains")
-    _add_common(p)
-    p.add_argument("--count-per-class", dest="count_per_class", type=int)
-
-    p = subs.add_parser("train-source", help="stage-1 source training")
-    _add_common(p)
-    _add_train(p)
-    p.add_argument("--data", action="append")
-
-    p = subs.add_parser("adapt", help="stage-2 generator adaptation")
-    _add_common(p)
-    _add_train(p)
-    p.add_argument("--model")
-    p.add_argument("--data")
-
-    p = subs.add_parser("eval", help="score a labeled dataset")
-    _add_common(p)
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.add_argument("--report")
-    p.add_argument("--split")
-    p.add_argument("--raw", action="store_true",
-                   help="ignore any generator in the checkpoint")
-
-    p = subs.add_parser("specmix", help="amplitude-mix two images")
-    _add_common(p)
-    p.add_argument("--input")
-    p.add_argument("--ref")
-    p.add_argument("--eta", type=float, default=None)
-
-    p = subs.add_parser("analyze-stats", help="BN and MMD discrepancy curves")
-    _add_common(p)
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.add_argument("--source-data", dest="source_data")
-
-    p = subs.add_parser("ablate", help="component ablation table")
-    _add_common(p)
-    _add_train(p)
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.add_argument("--split")
-
-    p = subs.add_parser("grad-check", help="verify every backward rule")
-    _add_common(p)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--fault", choices=["sign-flip"], default=None)
-
-    return parser
-
-
-# each command and the values it cannot run without
+# each command: its function, its help, the keys it reads (in flag order)
+# and the keys it cannot run without
 _COMMANDS = {
-    "gen-data": (_cmd_gen_data, ("out",)),
-    "train-source": (_cmd_train_source, ("out", "data")),
-    "adapt": (_cmd_adapt, ("out", "model", "data")),
-    "eval": (_cmd_eval, ("model", "data")),
-    "specmix": (_cmd_specmix, ("out", "input", "ref")),
-    "analyze-stats": (_cmd_analyze_stats, ("out", "model", "data")),
-    "ablate": (_cmd_ablate, ("out", "model", "data")),
-    "grad-check": (_cmd_grad_check, ()),
+    "gen-data": (_cmd_gen_data, "render the synthetic domains",
+                 ("seed", "out", "count_per_class", "domains"), ("out",)),
+    "train-source": (_cmd_train_source, "stage-1 source training",
+                     _TRAIN + ("out", "data"), ("out", "data")),
+    "adapt": (_cmd_adapt, "stage-2 generator adaptation",
+              _TRAIN + ("out", "model", "data"), ("out", "model", "data")),
+    "eval": (_cmd_eval, "score a labeled dataset",
+             ("out", "model", "data", "report", "split"), ("model", "data")),
+    "specmix": (_cmd_specmix, "amplitude-mix two images",
+                ("seed", "out", "input", "ref", "eta"),
+                ("out", "input", "ref")),
+    "analyze-stats": (_cmd_analyze_stats, "BN and MMD discrepancy curves",
+                      ("out", "model", "data", "source_data"),
+                      ("out", "model", "data")),
+    "ablate": (_cmd_ablate, "component ablation table",
+               _TRAIN + ("out", "model", "data", "split"),
+               ("out", "model", "data")),
+    "grad-check": (_cmd_grad_check, "verify every backward rule",
+                   ("seed", "out", "trials"), ()),
 }
 
 
+def build_parser() -> _Parser:
+    """Every command takes --seed, --config and --out, then a flag for each
+    other int, float or str key it reads."""
+    parser = _Parser(prog="gda", description=__doc__)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_, reads, _) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_)
+        sub.add_argument("--seed", type=int)
+        sub.add_argument("--config")
+        sub.add_argument("--out")
+        for key in reads:
+            kind = _TYPES[key]
+            if key not in ("seed", "out") and kind in (int, float, str):
+                sub.add_argument(
+                    _flag(key), type=None if kind is str else kind,
+                    action="append" if (name, key) == ("train-source", "data")
+                    else None)
+    subs.choices["eval"].add_argument(
+        "--raw", action="store_true",
+        help="ignore any generator in the checkpoint")
+    subs.choices["grad-check"].add_argument("--fault", choices=["sign-flip"])
+    return parser
+
+
 def dispatch(argv) -> dict:
+    """Run one command on the values of the keys it reads; name on stderr,
+    once it has returned, the keys the file or a flag set that it did not
+    read."""
     args = build_parser().parse_args(argv)
     config = load_config(args.config) if args.config else {}
-    merged = _merge(args, config)
-    train = _validate(args.command, merged)
-    return _COMMANDS[args.command][0](args, merged, train)
+    merged, given = _merge(args, config)
+    _validate(args.command, merged)
+    run, _, reads, _ = _COMMANDS[args.command]
+    summary = run(args, {key: merged[key] for key in reads})
+    unread = sorted(given - set(reads))
+    if unread:
+        print(f"note: {args.command} does not read {', '.join(unread)}",
+              file=sys.stderr)
+    return summary
 
 
 def main(argv=None) -> int:
     try:
         summary = dispatch(sys.argv[1:] if argv is None else argv)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, FileNotFoundError) as err:
+    except (CliError, ValueError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (RuntimeError, CheckpointError, OSError) as err:

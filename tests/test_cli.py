@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -49,9 +50,83 @@ def test_gen_data_summary_and_config_echo(cli_root, capsys, tmp_path):
     assert out["command"] == "gen-data"
     assert {d["name"] for d in out["domains"]} == {"source", "target"}
     assert all(d["records"] == 20 for d in out["domains"])
+    # config.json records only the keys gen-data reads: the flags, the
+    # file's count_per_class, and none of the file's training keys
     echoed = json.loads((tmp_path / "d" / "config.json").read_text())
-    assert echoed["seed"] == 9  # flag wins over config file
-    assert echoed["batch_size"] == 8
+    assert echoed == {"seed": 9, "out": str(tmp_path / "d"),
+                      "count_per_class": 10}
+
+
+_TRAIN_KEYS = {"batch_size", "stage1_epochs", "stage2_steps", "lr", "eta",
+               "lambda_ent", "lambda_ph", "alpha", "seed", "use_dsc"}
+_READS = {
+    "gen-data": {"seed", "out", "count_per_class", "domains"},
+    "train-source": _TRAIN_KEYS | {"out", "data"},
+    "adapt": _TRAIN_KEYS | {"out", "model", "data"},
+    "eval": {"out", "model", "data", "report", "split"},
+    "analyze-stats": {"out", "model", "data", "source_data"},
+    "ablate": _TRAIN_KEYS | {"out", "model", "data", "split"},
+}
+
+
+@pytest.mark.parametrize("command", list(_READS))
+def test_config_json_holds_exactly_the_keys_the_command_reads(
+        cli_root, capsys, tmp_path, command):
+    # one file that sets every key: each command records what it reads and
+    # names the rest in one stderr line once its work is done
+    root = cli_root["root"]
+    images = root / "data" / "source" / "images"
+    config = {
+        "batch_size": 8, "stage1_epochs": 1, "stage2_steps": 1, "lr": 1e-3,
+        "eta": 0.1, "lambda_ent": 0.01, "lambda_ph": 0.01, "alpha": 0.1,
+        "seed": 5, "use_dsc": True,
+        "data": str(root / "data" / "target"),
+        "model": str(root / "src_run" / "source.gdac"),
+        "source_data": str(root / "data" / "source"),
+        "report": str(tmp_path / "r.csv"), "split": "test",
+        "input": str(images / "a.ppm"), "ref": str(images / "b.ppm"),
+        "count_per_class": 2, "trials": 2, "domains": [{"name": "s"}],
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    flags = {"train-source": ["--data", str(root / "data" / "source")],
+             "eval": ["--model", str(root / "adapt_run" / "adapted.gdac")]}
+    out = tmp_path / "out"
+    _, err = run(capsys, command, "--config", str(cfg), "--out", str(out),
+                 *flags.get(command, []))
+    echoed = json.loads((out / "config.json").read_text())
+    assert set(echoed) == _READS[command]
+    unread = ", ".join(sorted(set(config) - _READS[command]))
+    assert err.splitlines()[-1] == f"note: {command} does not read {unread}"
+    assert err.count("note: ") == 1
+
+
+def test_gen_data_names_the_keys_it_does_not_read(capsys, tmp_path,
+                                                  monkeypatch):
+    rendered = D.generate_domain_dataset
+
+    def render(spec, *args, **kwargs):
+        print(f"rendered {spec.name}", file=sys.stderr)
+        return rendered(spec, *args, **kwargs)
+
+    monkeypatch.setattr(D, "generate_domain_dataset", render)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 3, "model": "x.gdac",
+                               "report": "r.csv", "count_per_class": 1}))
+    out, err = run(capsys, "gen-data", "--config", str(cfg),
+                   "--out", str(tmp_path / "g"))
+    assert [d["records"] for d in out["domains"]] == [2, 2]
+    assert err.splitlines() == [
+        "rendered source", "rendered target",
+        "note: gen-data does not read model, report, trials"]
+    echoed = json.loads((tmp_path / "g" / "config.json").read_text())
+    assert echoed == {"seed": 0, "out": str(tmp_path / "g"),
+                      "count_per_class": 1}
+    # a refused run names no unread key: stderr is its one error line
+    cfg.write_text(json.dumps({"report": "r.csv", "count_per_class": 0}))
+    _, err = run(capsys, "gen-data", "--config", str(cfg),
+                 "--out", str(tmp_path / "h"), expect=1)
+    assert err.startswith("error: ") and "note:" not in err
 
 
 def test_gen_data_is_byte_identical_across_reruns(cli_root, capsys,
