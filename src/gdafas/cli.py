@@ -90,30 +90,29 @@ def _flag(key: str) -> str:
 
 
 def _merge(args, config: dict):
-    """Layer flag values over file values over the defaults. A null in the
-    file leaves a key outside TrainConfig unset. Returns the merged values
-    and the keys the file or a flag set."""
-    given = {k: v for k, v in config.items() if v is not None or k in _TRAIN}
+    """Layer flag values over file values over the defaults. Returns the
+    merged values and the values the file or a flag set."""
+    given = dict(config)
     given.update((k, getattr(args, k)) for k in _TYPES
                  if getattr(args, k, None) is not None)
-    return {**_DEFAULTS, **given}, given.keys()
+    return {**_DEFAULTS, **given}, given
 
 
 def _train_config(values: dict) -> TrainConfig:
     try:
-        return TrainConfig(**{k: values[k] for k in _TRAIN})
+        return TrainConfig(**{k: values[k] for k in _TRAIN if k in values})
     except ValueError as err:
         raise CliError(f"invalid training configuration: {err}")
 
 
-def _validate(command: str, merged: dict):
-    """Check the merged values before any work, read by ``command`` or not:
-    the type of each input key, then the values ``command`` cannot run
-    without, then the training fields."""
+def _validate(command: str, given: dict):
+    """Check the given values before any work, read by ``command`` or not:
+    the type of each given input key (a null is of no key's type), then the
+    values ``command`` cannot run without, then the training fields."""
     for key, kind in _TYPES.items():
-        value = merged[key]
-        if value is None or key in _TRAIN or kind is list:
+        if key not in given or key in _TRAIN or kind is list:
             continue  # TrainConfig and load_config check the rest
+        value = given[key]
         if kind is int:
             ok, rule = D.finite_number(value, numbers.Integral), "an integer"
         elif key == "data" and command == "train-source":
@@ -126,9 +125,9 @@ def _validate(command: str, merged: dict):
         if not ok:
             raise CliError(f"{key} must be {rule}, got {value!r}")
     for key in _COMMANDS[command][3]:
-        if merged[key] is None:
+        if key not in given:
             raise CliError(f"missing required value: {_flag(key)}")
-    _train_config(merged)
+    _train_config(given)
 
 
 def _fmt(value) -> str:
@@ -438,10 +437,10 @@ def dispatch(argv) -> dict:
     args = build_parser().parse_args(argv)
     config = load_config(args.config) if args.config else {}
     merged, given = _merge(args, config)
-    _validate(args.command, merged)
+    _validate(args.command, given)
     run, _, reads, _ = _COMMANDS[args.command]
     summary = run(args, {key: merged[key] for key in reads})
-    unread = sorted(given - set(reads))
+    unread = sorted(given.keys() - set(reads))
     if unread:
         print(f"note: {args.command} does not read {', '.join(unread)}",
               file=sys.stderr)

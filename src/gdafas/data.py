@@ -104,12 +104,13 @@ class Dataset:
 def _box_blur(img: np.ndarray, passes: int) -> np.ndarray:
     """3x3 mean filter with edge replication, applied per channel."""
     out = img
+    h, w = img.shape[1:]
     for _ in range(passes):
         padded = np.pad(out, [(0, 0), (1, 1), (1, 1)], mode="edge")
         acc = np.zeros_like(out)
         for dy in range(3):
             for dx in range(3):
-                acc += padded[:, dy : dy + 32, dx : dx + 32]
+                acc += padded[:, dy : dy + h, dx : dx + w]
         out = acc / 9.0
     return out
 
@@ -347,7 +348,8 @@ def load_manifest(root: str) -> dict:
 
 def load_dataset(root: str) -> Dataset:
     """Read every record of a manifest into memory, images as the uint8
-    pixels of their files. Every image must have the first one's shape."""
+    pixels of their files. Every image, and every depth map, must have the
+    first one's shape."""
     manifest = load_manifest(root)
     records = manifest["records"]
     if not records:
@@ -365,7 +367,11 @@ def load_dataset(root: str) -> Dataset:
         images[i] = pixels
         labels.append(rec.get("label", -1))
         if "depth" in rec:
-            depths.append(pgm_read(os.path.join(root, rec["depth"])))
+            depth = pgm_read(os.path.join(root, rec["depth"]))
+            if depths and depth.shape != depths[0].shape:
+                raise ValueError(f"{root}: {rec['depth']} has shape "
+                                 f"{depth.shape}, expected {depths[0].shape}")
+            depths.append(depth)
         else:
             depths.append(np.zeros((1, 8, 8), COMPUTE))
         splits.append(rec["split"])

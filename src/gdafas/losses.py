@@ -10,7 +10,6 @@ prediction entropies of the classifier and the depth head, and ``ph`` is the
 spectrum phase-alignment term from :mod:`gdafas.spectrum`.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +24,6 @@ _VAR_EPS = 1e-12
 class LossWeights:
     lambda_ent: float = 0.01
     lambda_ph: float = 0.01
-
-    def __post_init__(self):
-        if not all(0 <= w < math.inf for w in (self.lambda_ent,
-                                                self.lambda_ph)):
-            raise ValueError("loss weights must be nonnegative and finite")
 
 
 def _l2_norm(diff: T.Tensor) -> T.Tensor:

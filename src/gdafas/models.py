@@ -29,7 +29,6 @@ from .layers import BatchNorm2d, Conv2d, Dense, InstanceNorm2d
 from .rng import Rng, derive_seed
 
 IMAGE_SHAPE = (3, 32, 32)
-DEPTH_SHAPE = (1, 8, 8)
 NETS = ("F", "H", "R", "phi", "G")
 
 

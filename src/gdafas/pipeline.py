@@ -12,7 +12,6 @@ and tapes nothing. The module writes no files: each function returns its
 results, and the CLI writes them into a run directory.
 """
 
-import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
 
@@ -63,11 +62,14 @@ class TrainConfig:
                 raise ValueError(f"{f.name} must be {rule}, got {value!r}")
         if min(self.batch_size, self.stage1_epochs, self.stage2_steps) < 1:
             raise ValueError("batch size, epochs, and steps must be >= 1")
-        if not 0 < self.lr < math.inf:
+        if self.lr <= 0:
             raise ValueError(f"learning rate must be positive and finite, "
                              f"got {self.lr}")
-        S.check_eta(self.eta)
-        self.weights()  # validates the loss weights
+        # lambda ~ U(0, eta) must stay a convex amplitude-mixing weight
+        if not 0 <= self.eta <= 1:
+            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+        if min(self.lambda_ent, self.lambda_ph) < 0:
+            raise ValueError("loss weights must be nonnegative")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
 

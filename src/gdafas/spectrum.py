@@ -33,14 +33,6 @@ def reconstruct(amp: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(amp * np.cos(phase) + 1j * (amp * np.sin(phase))).real
 
 
-def check_eta(eta: float):
-    """Raise ``ValueError`` unless the mixing cap eta lies in [0, 1], so that
-    every lambda ~ U(0, eta) keeps the mixed amplitude a convex combination
-    (NaN fails the comparison too)."""
-    if not 0 <= eta <= 1:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-
-
 def sample_lambda(rng: Rng, n: int, eta: float) -> np.ndarray:
     """Per-image mixing weights, uniform on [0, eta)."""
     return rng.uniform(n, 0.0, eta)

@@ -834,20 +834,3 @@ def log_softmax(x, axis: int = -1) -> Tensor:
     shift = sub(x, x.data.max(axis=axis, keepdims=True))
     lse = log(tsum(exp(shift), axes=axis, keepdims=True))
     return sub(shift, lse)
-
-
-def finite_difference(f, arrays, h: float = 1e-6):
-    """Central-difference gradients of scalar f(list of arrays) per array."""
-    grads = []
-    for k, base in enumerate(arrays):
-        g = np.zeros_like(base, dtype=np.float64)
-        flat = g.reshape(-1)
-        for i in range(base.size):
-            probe = [a.copy() for a in arrays]
-            probe[k].reshape(-1)[i] += h
-            hi = f(probe)
-            probe[k].reshape(-1)[i] -= 2.0 * h
-            lo = f(probe)
-            flat[i] = (hi - lo) / (2.0 * h)
-        grads.append(g)
-    return grads

@@ -8,7 +8,7 @@ import pytest
 
 from gdafas import data as D
 from gdafas import gradcheck, models
-from gdafas.cli import load_config, main, write_csv
+from gdafas.cli import _TYPES, load_config, main, write_csv
 
 pytestmark = pytest.mark.usefixtures("capsys")
 
@@ -472,6 +472,19 @@ def test_config_value_of_the_wrong_type_exits_one(cli_root, capsys, tmp_path,
     assert f"{key} must be" in err and f"got {value!r}" in err
     assert not (tmp_path / "out").exists()
     assert not list(tmp_path.rglob("*.gdac"))  # no run wrote a checkpoint
+
+
+@pytest.mark.parametrize("key", list(_TYPES))
+def test_config_null_exits_one_and_names_the_key(capsys, tmp_path,
+                                                 monkeypatch, key):
+    # a null has no key's JSON type: it is refused, not taken as unset
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: None}))
+    monkeypatch.chdir(tmp_path)  # a run with a relative --out lands here
+    out = [] if key == "out" else ["--out", "run"]
+    _, err = run(capsys, "gen-data", "--config", str(cfg), *out, expect=1)
+    assert err.startswith("error: ") and f"{key} must be" in err
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 _TRAIN_FLAGS = [

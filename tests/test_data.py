@@ -240,6 +240,16 @@ def test_load_dataset_rejects_mixed_shapes_and_no_records(tmp_path):
         D.load_dataset(str(tmp_path))
 
 
+def test_load_dataset_names_a_depth_map_of_another_shape(tmp_path):
+    spec = D.DomainSpec(name="a", count_per_class=1, seed=3)
+    manifest = D.generate_domain_dataset(spec, str(tmp_path))
+    depth = manifest["records"][1]["depth"]
+    (tmp_path / depth).write_bytes(b"P5\n16 16\n255\n" + bytes(256))
+    with pytest.raises(ValueError, match=rf"{depth} has shape \(1, 16, 16\),"
+                                         rf" expected \(1, 8, 8\)"):
+        D.load_dataset(str(tmp_path))
+
+
 def test_generate_holds_file_pixels_not_floats(tmp_path):
     # rendered records wait for their files as uint8 pixels: 3,136 bytes
     # each, where float64 images and depths took 24.6 KB

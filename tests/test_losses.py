@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gdafas.tensor as T
+from gdafas.gradcheck import max_rel_error
 from gdafas.losses import (
     LossWeights,
     cross_entropy_loss,
@@ -14,18 +15,6 @@ from gdafas.losses import (
     total_loss,
 )
 from gdafas.rng import Rng, derive_seed
-
-
-def _fd_check(build, arrays, tol=1e-5):
-    tensors = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
-    with T.graph():
-        T.backward(build(tensors))
-    numeric = T.finite_difference(
-        lambda arrs: build([T.Tensor(a) for a in arrs]).item(), arrays
-    )
-    for t, num in zip(tensors, numeric):
-        scale = max(np.abs(num).max(), 1e-8)
-        assert np.abs(t.grad - num).max() / scale < tol
 
 
 def _stat_pairs(means, variances):
@@ -92,7 +81,8 @@ def test_stat_loss_gradients_seeded():
             batch = [(ts[0], ts[1]), (ts[2], ts[3])]
             return stat_consistency_loss(batch, stored)
 
-        _fd_check(build, [means[0], variances[0], means[1], variances[1]])
+        arrays = [means[0], variances[0], means[1], variances[1]]
+        assert max_rel_error(build, arrays) < 1e-5
 
 
 def test_mse_loss_values_and_shape_check():
@@ -114,7 +104,7 @@ def test_perceptual_loss_gradients_seeded():
         r = Rng(derive_seed(1002, trial))
         gen = r.gaussian(2 * 3 * 4 * 4).reshape(2, 3, 4, 4)
         tgt = r.gaussian(2 * 3 * 4 * 4).reshape(2, 3, 4, 4)
-        _fd_check(lambda ts: mse_loss(ts[0], tgt), [gen])
+        assert max_rel_error(lambda ts: mse_loss(ts[0], tgt), [gen]) < 1e-5
 
 
 def test_depth_regression_pinned_values_and_gradient():
@@ -129,7 +119,7 @@ def test_depth_regression_pinned_values_and_gradient():
         tgt = r.gaussian(8).reshape(2, 1, 2, 2)
         got = mse_loss(T.Tensor(pred), tgt).item()
         assert abs(got - np.mean((pred - tgt) ** 2)) < 1e-12
-        _fd_check(lambda ts: mse_loss(ts[0], tgt), [pred])
+        assert max_rel_error(lambda ts: mse_loss(ts[0], tgt), [pred]) < 1e-5
 
 
 def test_entropy_classifier_pinned_values():
@@ -172,11 +162,11 @@ def test_entropy_gradients_seeded():
     for trial in range(20):
         r = Rng(derive_seed(1003, trial))
         logits = r.gaussian(8).reshape(4, 2)
-        _fd_check(
+        assert max_rel_error(
             lambda ts: entropy_classifier(T.softmax(ts[0], axis=1)), [logits]
-        )
+        ) < 1e-5
         depth = r.gaussian(1 * 1 * 3 * 3).reshape(1, 1, 3, 3)
-        _fd_check(lambda ts: entropy_depth(ts[0]), [depth])
+        assert max_rel_error(lambda ts: entropy_depth(ts[0]), [depth]) < 1e-5
 
 
 def test_entropy_gradient_vanishes_at_one_hot():
@@ -193,16 +183,6 @@ def test_total_loss_pinned_arithmetic():
     assert total_loss(0.0, 0.0, 0.0, 0.0, 0.0, w).item() == 0.0
     off = LossWeights(0.0, 0.0)
     assert abs(total_loss(1.5, 2.5, 9.0, 9.0, 9.0, off).item() - 4.0) < 1e-12
-
-
-def test_loss_weights_reject_negative():
-    with pytest.raises(ValueError):
-        LossWeights(lambda_ent=-0.1)
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="finite"):
-            LossWeights(lambda_ent=bad)
-        with pytest.raises(ValueError, match="finite"):
-            LossWeights(lambda_ph=bad)
 
 
 def test_cross_entropy_pinned_values():
@@ -222,5 +202,6 @@ def test_cross_entropy_matches_direct_formula():
         p = e / e.sum(axis=1, keepdims=True)
         expect = -np.mean(np.log(p[np.arange(5), labels]))
         assert abs(got - expect) < 1e-9
-        _fd_check(lambda ts: cross_entropy_loss(ts[0], labels), [logits])
+        assert max_rel_error(
+            lambda ts: cross_entropy_loss(ts[0], labels), [logits]) < 1e-5
 

@@ -49,6 +49,9 @@ def test_train_config_validation():
         P.TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
         P.TrainConfig(eta=-0.1)
+    for field in ("lambda_ent", "lambda_ph"):
+        with pytest.raises(ValueError, match="nonnegative"):
+            P.TrainConfig(**{field: -0.1})
     with pytest.raises(ValueError):
         P.TrainConfig(alpha=0.0)
     with pytest.raises(ValueError):
