@@ -188,7 +188,7 @@ def _load_dir(path: str) -> D.Dataset:
 
 
 def _load_model(path: str):
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise CliError(f"checkpoint not found: {path}")
     return load_checkpoint(path)
 

@@ -22,8 +22,8 @@ _VAR_EPS = 1e-12
 
 @dataclass
 class LossWeights:
-    lambda_ent: float = 0.01
-    lambda_ph: float = 0.01
+    lambda_ent: float
+    lambda_ph: float
 
 
 def _l2_norm(diff: T.Tensor) -> T.Tensor:

@@ -399,6 +399,11 @@ def test_missing_inputs_exit_one(cli_root, capsys, tmp_path):
                  "--data", str(cli_root["root"] / "data" / "target"),
                  expect=1)
     assert "missing.gdac" in err
+    # a directory is no checkpoint either: bad input, not a failure
+    _, err = run(capsys, "eval", "--model", str(tmp_path),
+                 "--data", str(cli_root["root"] / "data" / "target"),
+                 expect=1)
+    assert err.startswith("error: checkpoint not found: " + str(tmp_path))
     _, err = run(capsys, "train-source", "--data",
                  str(cli_root["root"] / "data" / "source"), expect=1)
     assert "--out" in err

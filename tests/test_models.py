@@ -10,16 +10,7 @@ import pytest
 
 import gdafas.tensor as T
 from gdafas import checkpoint
-from gdafas.checkpoint import (
-    BadMagicError,
-    CrcMismatchError,
-    DimOverflowError,
-    MalformedError,
-    MissingTensorError,
-    VersionError,
-    load_checkpoint,
-    save_checkpoint,
-)
+from gdafas.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from gdafas.cli import main as cli_main
 from gdafas.models import (
     build_generator,
@@ -282,20 +273,20 @@ def test_checkpoint_error_taxonomy(tmp_path):
 
     truncated = tmp_path / "trunc.gdac"
     truncated.write_bytes(blob[: len(blob) // 2])
-    with pytest.raises(CrcMismatchError):
+    with pytest.raises(CheckpointError, match="checksum mismatch"):
         load_checkpoint(str(truncated))
 
     flipped = bytearray(blob)
     flipped[40] ^= 0xFF
     corrupt = tmp_path / "corrupt.gdac"
     corrupt.write_bytes(bytes(flipped))
-    with pytest.raises(CrcMismatchError):
+    with pytest.raises(CheckpointError, match="checksum mismatch"):
         load_checkpoint(str(corrupt))
 
     bad_magic = _reseal(b"XGDA" + blob[4:-4])
     path_magic = tmp_path / "magic.gdac"
     path_magic.write_bytes(bad_magic)
-    with pytest.raises(BadMagicError):
+    with pytest.raises(CheckpointError, match="bad magic"):
         load_checkpoint(str(path_magic))
 
     # an older or newer format version has no reader
@@ -303,7 +294,7 @@ def test_checkpoint_error_taxonomy(tmp_path):
         bumped = _reseal(blob[:4] + struct.pack("<H", version) + blob[6:-4])
         path_version = tmp_path / f"version{version}.gdac"
         path_version.write_bytes(bumped)
-        with pytest.raises(VersionError) as err:
+        with pytest.raises(CheckpointError) as err:
             load_checkpoint(str(path_version))
         assert f"version {version}" in str(err.value)
 
@@ -324,7 +315,7 @@ def test_version_2_checkpoint_is_rejected(tmp_path, monkeypatch):
     monkeypatch.setattr(checkpoint, "VERSION", 2)
     save_checkpoint(SimpleNamespace(state=lambda: entries), path)
     monkeypatch.undo()
-    with pytest.raises(VersionError, match="version 2 unsupported"):
+    with pytest.raises(CheckpointError, match="version 2 unsupported"):
         load_checkpoint(path)
 
 
@@ -346,21 +337,49 @@ def _first_entry_twice(body: bytes) -> bytes:
     return _count_plus_one(body[:end] + again + body[end:])
 
 
-@pytest.mark.parametrize("damage", [
-    _count_plus_one,
-    lambda body: body + b"\x00" * 7,    # trailing bytes after the last entry
-    lambda body: body[:-2],              # last payload cut short
-    lambda body: body[:12] + b"\xff" + body[13:],  # first name not utf-8
-    _first_entry_twice,
+def _bn1_gamma_beta_swapped(body: bytes) -> bytes:
+    """F.bn1.gamma and F.bn1.beta, both of shape (32,), in each other's
+    place: every entry is well formed, but out of walk order."""
+    gamma, beta, end = (body.index(name) - 2 for name in (
+        b"F.bn1.gamma", b"F.bn1.beta", b"F.bn1.running_mean"))
+    return body[:gamma] + body[beta:end] + body[gamma:beta] + body[end:]
+
+
+def _resealed(damage):
+    return lambda blob: _reseal(damage(blob[:-4]))
+
+
+def _flip_byte_40(blob: bytes) -> bytes:
+    return blob[:40] + bytes([blob[40] ^ 0xFF]) + blob[41:]
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_resealed(_count_plus_one), "42 entries, expected 41 or 67"),
+    # trailing bytes after the last entry
+    (_resealed(lambda body: body + b"\x00" * 7), "7 bytes follow"),
+    # last payload cut short
+    (_resealed(lambda body: body[:-2]), "runs past the end"),
+    # first name not utf-8
+    (_resealed(lambda body: body[:12] + b"\xff" + body[13:]),
+     "entry 0 is not F.conv1.weight"),
+    (_resealed(_first_entry_twice), "42 entries"),
+    (_flip_byte_40, "checksum mismatch"),
+    (_resealed(lambda body: b"XGDA" + body[4:]), "bad magic"),
+    (_resealed(lambda body: body[:4] + struct.pack("<H", 4) + body[6:]),
+     "version 4 unsupported"),
+    (_resealed(_bn1_gamma_beta_swapped), "entry 2 is not F.bn1.gamma"),
 ], ids=["count_plus_one", "trailing_bytes", "truncated_payload",
-        "non_utf8_name", "repeated_entry_name"])
-def test_resealed_malformed_body_is_rejected(tmp_path, capsys, damage):
+        "non_utf8_name", "repeated_entry_name", "crc_mismatch", "bad_magic",
+        "version", "entries_swapped"])
+def test_resealed_malformed_body_is_rejected(tmp_path, capsys, damage,
+                                             message):
+    # also the unsealed CRC case, so every kind of damage meets the CLI
     bundle = build_source_bundle(11)
     path = tmp_path / "model.gdac"
     save_checkpoint(bundle, str(path))
     bad = tmp_path / "bad.gdac"
-    bad.write_bytes(_reseal(damage(path.read_bytes()[:-4])))
-    with pytest.raises(MalformedError):
+    bad.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(CheckpointError, match=message):
         load_checkpoint(str(bad))
     # the CLI reports it as a runtime failure, not a traceback
     assert cli_main(["eval", "--model", str(bad), "--data",
@@ -381,7 +400,7 @@ def test_checkpoint_dim_product_over_limit(tmp_path):
         head = body[:at] + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
         bad = tmp_path / "huge.gdac"
         bad.write_bytes(_reseal(head + body[at + 1 + 4 * body[at]:]))
-        with pytest.raises(DimOverflowError):
+        with pytest.raises(CheckpointError, match="is not F.conv1.weight"):
             load_checkpoint(str(bad))
 
 
@@ -396,7 +415,7 @@ def test_checkpoint_missing_tensor(tmp_path):
     blob[12:12 + name_len] = b"X" * name_len
     bad = tmp_path / "renamed.gdac"
     bad.write_bytes(_reseal(bytes(blob[:-4])))
-    with pytest.raises(MissingTensorError):
+    with pytest.raises(CheckpointError, match="is not F.conv1.weight"):
         load_checkpoint(str(bad))
 
 
