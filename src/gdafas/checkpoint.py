@@ -18,8 +18,9 @@ count: 41 entries without G, 67 with it. A load checks the CRC, the magic
 and the version, in that order, then compares the body with the one an
 undrawn skeleton of that count writes: each entry's header bytes, in walk
 order, with its payload inside the body and no byte after the last entry.
-No size is read from the file. Every violation raises ``CheckpointError``,
-the one error class. Weights are stored at 32-bit precision, the precision
+No size is read from the file. Each BN layer's ``num_updates`` must hold a
+whole number >= 0. Every violation raises ``CheckpointError``, the one
+error class. Weights are stored at 32-bit precision, the precision
 the pipeline computes in (``tensor.COMPUTE``), and load as float32 arrays: a
 float32 bundle round-trips bit for bit.
 
@@ -109,5 +110,8 @@ def load_checkpoint(path: str) -> ModelBundle:
     if pos != len(body):
         raise CheckpointError(
             f"{len(body) - pos} bytes follow the last of {count} entries")
-    bundle.load_state(tensors)
+    try:
+        bundle.load_state(tensors)
+    except ValueError as err:
+        raise CheckpointError(str(err))
     return bundle

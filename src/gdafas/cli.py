@@ -8,8 +8,8 @@ files; each command writes its ``--out`` run directory (``config.json`` plus
 its artifacts) here, once that work has returned.
 
 stdout carries exactly one JSON summary line per invocation; human-readable
-diagnostics go to stderr. Exit codes: 0 success, 1 validation error
-(flags, config, missing inputs), 2 runtime failure.
+diagnostics go to stderr. Exit codes: 0 success, 1 bad input (an
+``InputError`` or a missing file), 2 any other failure.
 """
 
 import argparse
@@ -25,7 +25,8 @@ from . import data as D
 from . import gradcheck as GC
 from . import pipeline as P
 from . import spectrum as S
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
+from .data import InputError
 from .pipeline import TrainConfig
 from .rng import Rng
 
@@ -44,42 +45,36 @@ _DEFAULTS = {**dict.fromkeys(_TYPES),
 _DOMAIN_KEYS = {f.name for f in fields(D.DomainSpec)} | {"unlabeled_train"}
 
 
-class CliError(Exception):
-    """Invalid flags, config, or inputs; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise CliError(message)
+        raise InputError(message)
+
+
+def _need(path: str, what: str, exists=os.path.isfile) -> str:
+    """``path`` if ``exists(path)``, by default if it names a file."""
+    if not exists(path):
+        raise InputError(f"{what} not found: {path}")
+    return path
 
 
 def load_config(path: str) -> dict:
     """Parse and validate a JSON config; unknown keys are named and fatal."""
-    try:
-        with open(path) as fh:
-            config = json.load(fh)
-    except FileNotFoundError:
-        raise CliError(f"config file not found: {path}")
-    except json.JSONDecodeError as err:
-        raise CliError(
-            f"malformed JSON in {path}: line {err.lineno} column {err.colno}:"
-            f" {err.msg}"
-        )
+    config = D.read_json(_need(path, "config file"))
     if not isinstance(config, dict):
-        raise CliError(f"{path}: config root must be a JSON object")
+        raise InputError(f"{path}: config root must be a JSON object")
     unknown = set(config) - _TYPES.keys()
     if unknown:
-        raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise InputError(f"unknown config keys: {', '.join(sorted(unknown))}")
     domains = config.get("domains", [])
     if not isinstance(domains, list):
-        raise CliError("domains must be a list of objects")
+        raise InputError("domains must be a list of objects")
     for i, domain in enumerate(domains):
         if not isinstance(domain, dict):
-            raise CliError(f"domains[{i}] must be a JSON object")
+            raise InputError(f"domains[{i}] must be a JSON object")
         bad = set(domain) - _DOMAIN_KEYS
         if bad:
-            raise CliError(
+            raise InputError(
                 f"unknown keys in domains[{i}]: {', '.join(sorted(bad))}"
             )
     return config
@@ -101,8 +96,8 @@ def _merge(args, config: dict):
 def _train_config(values: dict) -> TrainConfig:
     try:
         return TrainConfig(**{k: values[k] for k in _TRAIN if k in values})
-    except ValueError as err:
-        raise CliError(f"invalid training configuration: {err}")
+    except InputError as err:
+        raise InputError(f"invalid training configuration: {err}")
 
 
 def _validate(command: str, given: dict):
@@ -123,10 +118,10 @@ def _validate(command: str, given: dict):
         else:
             ok, rule = isinstance(value, str), "a string"
         if not ok:
-            raise CliError(f"{key} must be {rule}, got {value!r}")
+            raise InputError(f"{key} must be {rule}, got {value!r}")
     for key in _COMMANDS[command][3]:
         if key not in given:
-            raise CliError(f"missing required value: {_flag(key)}")
+            raise InputError(f"missing required value: {_flag(key)}")
     _train_config(given)
 
 
@@ -182,15 +177,11 @@ def _write_run(cfg: dict, bundle, checkpoint: str, log_name: str,
 
 
 def _load_dir(path: str) -> D.Dataset:
-    if not os.path.isdir(path):
-        raise CliError(f"dataset directory not found: {path}")
-    return D.load_dataset(path)
+    return D.load_dataset(_need(path, "dataset directory", os.path.isdir))
 
 
 def _load_model(path: str):
-    if not os.path.isfile(path):
-        raise CliError(f"checkpoint not found: {path}")
-    return load_checkpoint(path)
+    return load_checkpoint(_need(path, "checkpoint"))
 
 
 def _split_of(dataset: D.Dataset, split: str) -> D.Dataset:
@@ -198,7 +189,7 @@ def _split_of(dataset: D.Dataset, split: str) -> D.Dataset:
         return dataset
     subset = dataset.subset(split)
     if len(subset.images) == 0:
-        raise CliError(f"dataset has no records in split {split!r}")
+        raise InputError(f"dataset has no records in split {split!r}")
     return subset
 
 
@@ -216,15 +207,15 @@ def _cmd_gen_data(args, cfg):
             entry.setdefault("seed", seed)
             unlabeled = entry.pop("unlabeled_train", False)
             if not isinstance(unlabeled, bool):
-                raise CliError(f"invalid domains[{i}]: unlabeled_train must "
-                               f"be true or false, got {unlabeled!r}")
+                raise InputError(f"invalid domains[{i}]: unlabeled_train "
+                                 f"must be true or false, got {unlabeled!r}")
             try:
                 spec = D.DomainSpec(**entry)
-            except (TypeError, ValueError) as err:
-                raise CliError(f"invalid domains[{i}]: {err}")
+            except (TypeError, InputError) as err:
+                raise InputError(f"invalid domains[{i}]: {err}")
             if any(spec.name == other.name for other, _ in specs):
-                raise CliError(f"invalid domains[{i}]: domain name "
-                               f"{spec.name!r} is already used")
+                raise InputError(f"invalid domains[{i}]: domain name "
+                                 f"{spec.name!r} is already used")
             specs.append((spec, unlabeled))
     else:
         source, target = D.default_domain_specs(count, seed)
@@ -297,12 +288,10 @@ def _cmd_eval(args, cfg):
 
 def _cmd_specmix(args, cfg):
     out = cfg["out"]
-    image = D.ppm_read(cfg["input"])
-    ref = D.ppm_read(cfg["ref"])
+    image = D.ppm_read(_need(cfg["input"], "image"))
+    ref = D.ppm_read(_need(cfg["ref"], "image"))
     if image.shape != ref.shape:
-        raise CliError(
-            f"image shapes differ: {image.shape} vs {ref.shape}"
-        )
+        raise InputError(f"image shapes differ: {image.shape} vs {ref.shape}")
     lam = S.sample_lambda(Rng(cfg["seed"]), 1, cfg["eta"])
     mixed = S.specmix(image[None], ref[None], lam)[0]
     D.ppm_write(out, mixed)
@@ -450,10 +439,10 @@ def dispatch(argv) -> dict:
 def main(argv=None) -> int:
     try:
         summary = dispatch(sys.argv[1:] if argv is None else argv)
-    except (CliError, ValueError, FileNotFoundError) as err:
+    except (InputError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (RuntimeError, CheckpointError, OSError) as err:
+    except Exception as err:
         print(f"failure: {err}", file=sys.stderr)
         return 2
     print(json.dumps(summary, sort_keys=True))

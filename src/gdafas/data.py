@@ -26,6 +26,13 @@ from .rng import Rng, derive_seed
 from .tensor import COMPUTE
 
 MANIFEST_SCHEMA_VERSION = 1
+DEPTH_SHAPE = (1, 8, 8)  # the map the depth estimator predicts
+
+
+class InputError(ValueError):
+    """Bad input: flags, config, dataset, manifest and image files, settings,
+    or dataset content such as an unlabeled or one-class split. ``gda``
+    exits 1 on it and 2 on any other error."""
 
 
 @dataclass
@@ -65,7 +72,7 @@ class DomainSpec:
         )
         for name, ok, rule in checks:
             if not ok:
-                raise ValueError(f"domain {name} must be {rule}, got "
+                raise InputError(f"domain {name} must be {rule}, got "
                                  f"{getattr(self, name)!r}")
 
 
@@ -200,19 +207,19 @@ def _read_netpbm(path: str, magic: bytes, channels: int):
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:2] in (b"P3", b"P2"):
-        raise ValueError(
+        raise InputError(
             f"{path}: ASCII netpbm variant {blob[:2].decode()} not supported,"
             " expected binary " + magic.decode()
         )
     if blob[:2] != magic:
-        raise ValueError(f"{path}: bad magic {blob[:2]!r}, expected {magic!r}")
+        raise InputError(f"{path}: bad magic {blob[:2]!r}, expected {magic!r}")
     # header: magic, width, height, maxval as whitespace-separated tokens,
     # with optional '#' comments; payload starts after the maxval whitespace
     pos = 2
     tokens = []
     while len(tokens) < 3:
         if pos >= len(blob):
-            raise ValueError(f"{path}: malformed header")
+            raise InputError(f"{path}: malformed header")
         ch = blob[pos:pos + 1]
         if ch == b"#":
             while pos < len(blob) and blob[pos:pos + 1] != b"\n":
@@ -228,12 +235,14 @@ def _read_netpbm(path: str, magic: bytes, channels: int):
     try:
         w, h, maxval = (int(t) for t in tokens)
     except ValueError as err:
-        raise ValueError(f"{path}: malformed header") from err
+        raise InputError(f"{path}: malformed header") from err
     if maxval != 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval}")
+        raise InputError(f"{path}: unsupported maxval {maxval}")
+    if min(w, h) < 1:
+        raise InputError(f"{path}: image of {w}x{h} pixels")
     payload = blob[pos:pos + w * h * channels]
     if len(payload) != w * h * channels:
-        raise ValueError(f"{path}: truncated payload")
+        raise InputError(f"{path}: truncated payload")
     return np.frombuffer(payload, dtype=np.uint8), h, w
 
 
@@ -307,53 +316,65 @@ def generate_domain_dataset(spec: DomainSpec, out_dir: str,
 
 
 def _check_records(path: str, records):
-    """Raise ``ValueError`` naming the first record that a dataset load
+    """Raise ``InputError`` naming the first record that a dataset load
     could not read: each needs string ``image``, ``split`` and ``domain``,
     an optional string ``depth`` and an optional ``label`` of 0 or 1."""
     if not isinstance(records, list):
-        raise ValueError(f"{path}: records must be a list of objects")
+        raise InputError(f"{path}: records must be a list of objects")
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
-            raise ValueError(f"{path}: records[{i}] must be an object")
+            raise InputError(f"{path}: records[{i}] must be an object")
         for key in ("image", "split", "domain"):
             if not isinstance(rec.get(key), str):
-                raise ValueError(
+                raise InputError(
                     f"{path}: records[{i}] needs a string {key!r}")
         if "depth" in rec and not isinstance(rec["depth"], str):
-            raise ValueError(f"{path}: records[{i}] 'depth' must be a string")
+            raise InputError(f"{path}: records[{i}] 'depth' must be a string")
         label = rec.get("label", 0)
         if isinstance(label, bool) or label not in (0, 1):
-            raise ValueError(f"{path}: records[{i}] 'label' must be 0 or 1, "
+            raise InputError(f"{path}: records[{i}] 'label' must be 0 or 1, "
                              f"got {label!r}")
+
+
+def read_json(path: str):
+    """A JSON file's value; text that is not UTF-8 or not JSON raises
+    ``InputError`` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path}: not UTF-8 text: {err}")
+    except json.JSONDecodeError as err:
+        raise InputError(f"malformed JSON in {path}: line {err.lineno} "
+                         f"column {err.colno}: {err.msg}")
 
 
 def load_manifest(root: str) -> dict:
     path = os.path.join(root, "manifest.json")
-    with open(path) as fh:
-        manifest = json.load(fh)
+    manifest = read_json(path)
     if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: manifest root must be a JSON object")
+        raise InputError(f"{path}: manifest root must be a JSON object")
     version = manifest.get("schema_version")
     if version != MANIFEST_SCHEMA_VERSION:
-        raise ValueError(
+        raise InputError(
             f"{path}: manifest schema version {version!r}, expected "
             f"{MANIFEST_SCHEMA_VERSION}"
         )
     _check_records(path, manifest.get("records"))
     paths = [rec["image"] for rec in manifest["records"]]
     if len(paths) != len(set(paths)):
-        raise ValueError(f"{path}: duplicate image paths in manifest")
+        raise InputError(f"{path}: duplicate image paths in manifest")
     return manifest
 
 
 def load_dataset(root: str) -> Dataset:
     """Read every record of a manifest into memory, images as the uint8
-    pixels of their files. Every image, and every depth map, must have the
-    first one's shape."""
+    pixels of their files. Every image must have the first one's shape, and
+    every depth map ``DEPTH_SHAPE``."""
     manifest = load_manifest(root)
     records = manifest["records"]
     if not records:
-        raise ValueError(f"{root}: manifest lists no records")
+        raise InputError(f"{root}: manifest lists no records")
     images = None
     labels, depths = [], []
     splits, domains = [], []
@@ -362,18 +383,18 @@ def load_dataset(root: str) -> Dataset:
         if images is None:
             images = np.empty((len(records), *pixels.shape), np.uint8)
         elif pixels.shape != images.shape[1:]:
-            raise ValueError(f"{root}: {rec['image']} has shape "
+            raise InputError(f"{root}: {rec['image']} has shape "
                              f"{pixels.shape}, expected {images.shape[1:]}")
         images[i] = pixels
         labels.append(rec.get("label", -1))
         if "depth" in rec:
             depth = pgm_read(os.path.join(root, rec["depth"]))
-            if depths and depth.shape != depths[0].shape:
-                raise ValueError(f"{root}: {rec['depth']} has shape "
-                                 f"{depth.shape}, expected {depths[0].shape}")
+            if depth.shape != DEPTH_SHAPE:
+                raise InputError(f"{root}: {rec['depth']} has shape "
+                                 f"{depth.shape}, expected {DEPTH_SHAPE}")
             depths.append(depth)
         else:
-            depths.append(np.zeros((1, 8, 8), COMPUTE))
+            depths.append(np.zeros(DEPTH_SHAPE, COMPUTE))
         splits.append(rec["split"])
         domains.append(rec["domain"])
     return Dataset(

@@ -13,6 +13,7 @@ import numpy as np
 from . import losses as L
 from . import spectrum as S
 from . import tensor as T
+from .data import InputError
 from .rng import Rng, derive_seed
 
 TOLERANCE = 1e-4
@@ -313,9 +314,9 @@ def run_checks(seed: int = 0, trials: int = 20, fault: str = None):
     gradient; a healthy harness must then report the relu check as failed.
     """
     if fault not in (None, "sign-flip"):
-        raise ValueError(f"unknown fault {fault!r}")
+        raise InputError(f"unknown fault {fault!r}")
     if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+        raise InputError(f"trials must be at least 1, got {trials}")
     results = []
     for name, make in CHECKS:
         worst = 0.0

@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
+from .data import InputError
 from .layers import BatchNorm2d, Conv2d, Dense, InstanceNorm2d
 from .rng import Rng, derive_seed
 
@@ -73,16 +74,31 @@ class Network:
 
     def load_state(self, state):
         """Set every persistent field from a :meth:`state`-shaped dict; the
-        arrays are taken over, not copied, once in ``tensor.COMPUTE``."""
+        arrays are taken over, not copied, once in ``tensor.COMPUTE``. An
+        int field's value must be a whole number >= 0, or ``ValueError``."""
         for name, layer, field in self._fields():
             value = np.asarray(state[name], dtype=T.COMPUTE)
             current = getattr(layer, field)
             if isinstance(current, T.Tensor):
                 current.data = value
             elif isinstance(current, int):
-                setattr(layer, field, int(round(float(value[0]))))
+                count = float(value[0])
+                # NaN fails the comparison; an infinity is not is_integer()
+                if not (count >= 0 and count.is_integer()):
+                    raise ValueError(f"{name} must be a whole number >= 0, "
+                                     f"got {count}")
+                setattr(layer, field, int(count))
             else:
                 setattr(layer, field, value)
+
+
+def _images(x) -> T.Tensor:
+    """``x`` as a Tensor, if it is a [B,3,32,32] image batch."""
+    x = T.as_tensor(x)
+    if x.ndim != 4 or x.shape[1:] != IMAGE_SHAPE:
+        dims = ",".join(map(str, IMAGE_SHAPE))
+        raise InputError(f"expected input [B,{dims}], got {x.shape}")
+    return x
 
 
 class FeatureExtractor(Network):
@@ -102,12 +118,7 @@ class FeatureExtractor(Network):
         self.bn3 = BatchNorm2d(128)
 
     def forward(self, x, mode: str):
-        x = T.as_tensor(x)
-        if x.ndim != 4 or x.shape[1:] != IMAGE_SHAPE:
-            raise ValueError(
-                f"expected input [B,{','.join(map(str, IMAGE_SHAPE))}], "
-                f"got {x.shape}"
-            )
+        x = _images(x)
         h1, m1 = self.bn1.forward(self.conv1.forward(x), mode)
         b1 = T.relu(h1)
         h2, m2 = self.bn2.forward(self.conv2.forward(b1), mode)
@@ -184,6 +195,7 @@ class Generator(Network):
     source networks. The head starts near zero (weights scaled down at init),
     which combined with the input-logit skip makes the initial G close to the
     identity map while leaving every parameter with a live gradient path.
+    ``forward`` takes what F does, a [B,3,32,32] image batch.
 
     Every conv but the head feeds instance norm, which cancels any
     per-channel constant, so they have no bias. Each decoder conv (``dec1``,
@@ -207,7 +219,7 @@ class Generator(Network):
         self.head.weight.data = self.head.weight.data * 0.01
 
     def forward(self, x):
-        x = T.as_tensor(x)
+        x = _images(x)
         h = T.relu(self.norm1.forward(self.enc1.forward(x)))
         h = T.relu(self.norm2.forward(self.enc2.forward(h)))
         h = self.res1.forward(h)

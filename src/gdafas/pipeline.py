@@ -22,8 +22,8 @@ from . import metrics as M
 from . import models
 from . import spectrum as S
 from . import tensor as T
-from .data import (Dataset, batch_iterator, decode, finite_number,
-                   merge_datasets)
+from .data import (Dataset, InputError, batch_iterator, decode,
+                   finite_number, merge_datasets)
 from .layers import Adam, BatchNorm2d
 from .rng import Rng, derive_seed
 
@@ -59,19 +59,19 @@ class TrainConfig:
             else:
                 ok, rule = finite_number(value), "a finite number"
             if not ok:
-                raise ValueError(f"{f.name} must be {rule}, got {value!r}")
+                raise InputError(f"{f.name} must be {rule}, got {value!r}")
         if min(self.batch_size, self.stage1_epochs, self.stage2_steps) < 1:
-            raise ValueError("batch size, epochs, and steps must be >= 1")
+            raise InputError("batch size, epochs, and steps must be >= 1")
         if self.lr <= 0:
-            raise ValueError(f"learning rate must be positive and finite, "
+            raise InputError(f"learning rate must be positive and finite, "
                              f"got {self.lr}")
         # lambda ~ U(0, eta) must stay a convex amplitude-mixing weight
         if not 0 <= self.eta <= 1:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+            raise InputError(f"eta must lie in [0, 1], got {self.eta}")
         if min(self.lambda_ent, self.lambda_ph) < 0:
-            raise ValueError("loss weights must be nonnegative")
+            raise InputError("loss weights must be nonnegative")
         if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must lie in (0, 1]")
+            raise InputError("alpha must lie in (0, 1]")
 
     def weights(self) -> L.LossWeights:
         return L.LossWeights(self.lambda_ent, self.lambda_ph)
@@ -128,15 +128,15 @@ def train_source(config: TrainConfig, datasets):
     """
     pool = merge_datasets(datasets).subset("train")
     if len(pool.images) == 0:
-        raise ValueError("source manifest has no training records")
+        raise InputError("source manifest has no training records")
     if len(pool.images) < config.batch_size:
         # batches drop their remainder, so no step would run
-        raise ValueError(
+        raise InputError(
             f"source has {len(pool.images)} training records, fewer than "
             f"batch_size {config.batch_size}"
         )
     if np.any(pool.labels < 0):
-        raise ValueError("source training requires labeled records")
+        raise InputError("source training requires labeled records")
 
     bundle = models.build_source_bundle(config.seed)
     for bn in bundle.bn_layers():
@@ -204,16 +204,16 @@ def adapt_generator(config: TrainConfig, bundle, target_dataset,
     one ``STAGE2_LOG`` row per step.
     """
     if any(bn.num_updates == 0 for bn in bundle.bn_layers()):
-        raise ValueError(
+        raise InputError(
             "source model has no stored running statistics; train it first"
         )
     if config.batch_size < 4:
-        raise ValueError(
+        raise InputError(
             f"stage-2 batch_size must be at least 4, got {config.batch_size}"
         )
     pool = target_dataset.subset("train")
     if len(pool.images) < 2:
-        raise ValueError("adaptation needs at least two target images")
+        raise InputError("adaptation needs at least two target images")
 
     if generator is None and bundle.G is None:
         generator = models.build_generator(config.seed)
@@ -284,7 +284,7 @@ def eval_pass(bundle, dataset: Dataset, generator, outputs,
       E[x^2] - E[x]^2 with batch-size weights.
     """
     if len(dataset.images) == 0:
-        raise ValueError("dataset is empty: no records to run the model on")
+        raise InputError("dataset is empty: no records to run the model on")
     scores, pooled = [], {name: [] for name in BLOCK_NAMES}
     mean_acc = [0.0] * len(bundle.bn_layers())
     sq_acc = list(mean_acc)
@@ -337,7 +337,10 @@ def evaluate(bundle, dataset: Dataset, generator=None) -> EvalReport:
     operating point is included for transparency.
     """
     if np.any(dataset.labels < 0):
-        raise ValueError("evaluation requires labeled records")
+        raise InputError("evaluation requires labeled records")
+    if len(set(dataset.labels.tolist())) == 1:
+        raise InputError("evaluation needs at least one live and one spoof "
+                         "record")
     scores = predict_scores(bundle, dataset, generator)
     labels = dataset.labels
     auc = M.roc_auc(scores, labels)
@@ -419,14 +422,15 @@ def ablation_config(config: TrainConfig, row: str) -> TrainConfig:
 
     The statistic and entropy terms are the base adaptation objective and
     stay on in every adapted row; "nsc_dsc" adds the content terms, "full"
-    additionally enables amplitude mixing.
+    additionally enables amplitude mixing at the config's ``eta``. Each row
+    sets ``use_dsc`` itself, so a config's own value never reaches a row.
     """
     if row == "nsc":
         return replace(config, eta=0.0, use_dsc=False)
     if row == "nsc_dsc":
         return replace(config, eta=0.0, use_dsc=True)
     if row == "full":
-        return config
+        return replace(config, use_dsc=True)
     raise ValueError(f"unknown ablation row {row!r}")
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import re
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from gdafas import data as D
 from gdafas import gradcheck, models
+from gdafas import pipeline as P
 from gdafas.cli import _TYPES, load_config, main, write_csv
 
 pytestmark = pytest.mark.usefixtures("capsys")
@@ -412,6 +414,62 @@ def test_missing_inputs_exit_one(cli_root, capsys, tmp_path):
                  "--data", str(tmp_path / "nowhere"),
                  "--out", str(tmp_path / "o"), expect=1)
     assert "not found" in err
+    # nor is a directory a config file or an image
+    _, err = run(capsys, "grad-check", "--config", str(tmp_path), expect=1)
+    assert err.startswith("error: config file not found: " + str(tmp_path))
+    images = cli_root["root"] / "data" / "source" / "images"
+    image = str(images / sorted(os.listdir(images))[0])
+    for inputs in ((str(tmp_path), image), (image, str(tmp_path))):
+        _, err = run(capsys, "specmix", "--input", inputs[0],
+                     "--ref", inputs[1], "--out", str(tmp_path / "c.ppm"),
+                     expect=1)
+        assert err.startswith("error: image not found: " + str(tmp_path))
+    assert not (tmp_path / "c.ppm").exists()
+
+
+@pytest.mark.parametrize("kind", [ValueError, OverflowError])
+def test_runtime_error_exits_two_without_traceback(cli_root, capsys,
+                                                   monkeypatch, kind):
+    # only an InputError is bad input; any other error is a failure
+    def broken(*args, **kwargs):
+        raise kind("deep in the pipeline")
+
+    monkeypatch.setattr(P, "evaluate", broken)
+    _, err = run(capsys, "eval", "--model",
+                 str(cli_root["root"] / "adapt_run" / "adapted.gdac"),
+                 "--data", str(cli_root["root"] / "data" / "target"),
+                 expect=2)
+    assert err == "failure: deep in the pipeline\n"
+
+
+def test_eval_on_a_one_class_split_exits_one(cli_root, capsys, tmp_path):
+    # 4 records per class: the test split holds record 4 alone, a live one
+    run(capsys, "gen-data", "--count-per-class", "4",
+        "--out", str(tmp_path / "d"))
+    _, err = run(capsys, "eval", "--model",
+                 str(cli_root["root"] / "adapt_run" / "adapted.gdac"),
+                 "--data", str(tmp_path / "d" / "target"), expect=1)
+    assert err.startswith("error: evaluation needs at least one live and "
+                          "one spoof record")
+
+
+def test_config_that_is_not_utf8_exits_one(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"seed": "\xff"}')
+    _, err = run(capsys, "gen-data", "--config", str(cfg),
+                 "--out", str(tmp_path / "d"), expect=1)
+    assert err.startswith(f"error: {cfg}: not UTF-8 text")
+    assert not (tmp_path / "d").exists()
+
+
+def test_input_checks_raise_input_error():
+    # a raise site's class decides its exit code, so the modules that only
+    # check input raise no plain ValueError, and no second class remains
+    package = pathlib.Path(D.__file__).parent
+    assert [path.name for path in sorted(package.glob("*.py"))
+            if "CliError" in path.read_text()] == []
+    for name in ("cli.py", "data.py"):
+        assert "raise ValueError(" not in (package / name).read_text()
 
 
 @pytest.mark.parametrize("flag,value", [

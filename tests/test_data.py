@@ -106,6 +106,11 @@ def test_netpbm_rejects_bad_magic_and_truncation(tmp_path):
     with pytest.raises(ValueError, match="truncated"):
         D.ppm_read(str(short))
 
+    for size in (b"0 0", b"0 4", b"4 0"):
+        short.write_bytes(b"P6\n" + size + b"\n255\n")
+        with pytest.raises(D.InputError, match="pixels"):
+            D.ppm_read(str(short))
+
 
 def test_netpbm_header_comments(tmp_path):
     path = tmp_path / "c.pgm"
@@ -247,6 +252,13 @@ def test_load_dataset_names_a_depth_map_of_another_shape(tmp_path):
     (tmp_path / depth).write_bytes(b"P5\n16 16\n255\n" + bytes(256))
     with pytest.raises(ValueError, match=rf"{depth} has shape \(1, 16, 16\),"
                                          rf" expected \(1, 8, 8\)"):
+        D.load_dataset(str(tmp_path))
+    # maps that agree with each other but not with the depth estimator
+    # would fail stage 1's loss deep in training
+    for rec in manifest["records"]:
+        (tmp_path / rec["depth"]).write_bytes(b"P5\n4 4\n255\n" + bytes(16))
+    with pytest.raises(D.InputError, match=r"has shape \(1, 4, 4\), "
+                                           r"expected \(1, 8, 8\)"):
         D.load_dataset(str(tmp_path))
 
 

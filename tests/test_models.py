@@ -12,6 +12,7 @@ import gdafas.tensor as T
 from gdafas import checkpoint
 from gdafas.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from gdafas.cli import main as cli_main
+from gdafas.data import InputError
 from gdafas.models import (
     build_generator,
     build_source_bundle,
@@ -153,6 +154,10 @@ def test_generator_contract():
     g2 = build_generator(5)
     for pa, pb in zip(g.params(), g2.params()):
         assert np.array_equal(pa.data, pb.data)
+    # G takes only what F takes: an odd size would fail deep in its decoder
+    for shape in ((2, 3, 33, 33), (2, 3, 64, 64), (3, 32, 32)):
+        with pytest.raises(InputError, match=r"\[B,3,32,32\]"):
+            g.forward(np.zeros(shape, np.float32))
 
 
 def test_generator_starts_near_identity():
@@ -345,6 +350,15 @@ def _bn1_gamma_beta_swapped(body: bytes) -> bytes:
     return body[:gamma] + body[beta:end] + body[gamma:beta] + body[end:]
 
 
+def _bn1_updates(value: float):
+    """F.bn1's ``num_updates`` payload (one float32) set to ``value``."""
+    def damage(body: bytes) -> bytes:
+        # the name, then ndim 1 and its one dim, then the payload
+        at = body.index(b"F.bn1.num_updates") + len(b"F.bn1.num_updates") + 5
+        return body[:at] + struct.pack("<f", value) + body[at + 4:]
+    return damage
+
+
 def _resealed(damage):
     return lambda blob: _reseal(damage(blob[:-4]))
 
@@ -368,9 +382,16 @@ def _flip_byte_40(blob: bytes) -> bytes:
     (_resealed(lambda body: body[:4] + struct.pack("<H", 4) + body[6:]),
      "version 4 unsupported"),
     (_resealed(_bn1_gamma_beta_swapped), "entry 2 is not F.bn1.gamma"),
+    (_resealed(_bn1_updates(float("nan"))),
+     "F.bn1.num_updates must be a whole number >= 0, got nan"),
+    (_resealed(_bn1_updates(float("inf"))),
+     "F.bn1.num_updates must be a whole number >= 0, got inf"),
+    (_resealed(_bn1_updates(-5.0)),
+     "F.bn1.num_updates must be a whole number >= 0, got -5.0"),
 ], ids=["count_plus_one", "trailing_bytes", "truncated_payload",
         "non_utf8_name", "repeated_entry_name", "crc_mismatch", "bad_magic",
-        "version", "entries_swapped"])
+        "version", "entries_swapped", "updates_nan", "updates_inf",
+        "updates_negative"])
 def test_resealed_malformed_body_is_rejected(tmp_path, capsys, damage,
                                              message):
     # also the unsealed CRC case, so every kind of damage meets the CLI

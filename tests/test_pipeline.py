@@ -691,6 +691,10 @@ def test_ablation_config_algebra():
     nsc_dsc = P.ablation_config(config, "nsc_dsc")
     assert nsc_dsc.eta == 0.0 and nsc_dsc.use_dsc is True
     assert P.ablation_config(config, "full") == config
+    # a config shared with an adapt run that turned the content terms off
+    # must not make the full row a copy of nsc
+    no_dsc = dataclasses.replace(config, use_dsc=False)
+    assert P.ablation_config(no_dsc, "full") == config
     with pytest.raises(ValueError):
         P.ablation_config(config, "half")
 
