@@ -4,6 +4,10 @@ A single counter-based splitmix-style 64-bit generator backs initializers,
 data synthesis, batch shuffling and augmentation sampling, so that a run is
 reproducible bit-for-bit from its seed alone, independent of call order in
 unrelated code.
+
+Draw i of seed s is a pure function of (s, i), so ``draw_uint64`` and the
+uniform and gaussian rows built on it draw the streams of many seeds, each
+from its own counter, in one array operation; an ``Rng`` is one such row.
 """
 
 import zlib
@@ -17,12 +21,61 @@ _U64 = np.uint64
 _DOUBLE_SCALE = float(2.0**-53)
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
+def _mix(z):
+    """The splitmix64 finalizer, in place on an array (a numpy scalar is
+    rebound); returns ``z``."""
     # uint64 wraparound is the intended modular arithmetic
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> _U64(30))) * _MIX1
-        z = (z ^ (z >> _U64(27))) * _MIX2
-        return z ^ (z >> _U64(31))
+        z ^= z >> _U64(30)
+        z *= _MIX1
+        z ^= z >> _U64(27)
+        z *= _MIX2
+        z ^= z >> _U64(31)
+    return z
+
+
+def draw_uint64(seeds, offsets, n: int) -> np.ndarray:
+    """Raw outputs [B, n]: row b holds the draws of seed ``seeds[b]`` at
+    counters ``offsets[b] + 1`` to ``offsets[b] + n``, the n draws that an
+    ``Rng(seeds[b])`` which has made ``offsets[b]`` draws makes next."""
+    z = np.add.outer(np.asarray(offsets, np.uint64),
+                     np.arange(1, n + 1, dtype=np.uint64))
+    with np.errstate(over="ignore"):
+        z *= _GAMMA
+        z += np.asarray(seeds, np.uint64)[:, None]
+    return _mix(z)
+
+
+def uniform_rows(seeds, offsets, n: int) -> np.ndarray:
+    """Uniforms [B, n] on [0, 1), the top 53 bits of ``draw_uint64``."""
+    z = draw_uint64(seeds, offsets, n)
+    z >>= _U64(11)
+    u = z.astype(np.float64)
+    u *= _DOUBLE_SCALE
+    return u
+
+
+def gaussian_rows(seeds, offsets, n: int) -> np.ndarray:
+    """Standard normals [B, n] by Box-Muller. Row b takes its m = ceil(n/2)
+    pairs from the 2m uniforms at ``offsets[b]``: the first m give the
+    radii, the next m the angles, and pair i fills columns 2i and 2i+1."""
+    m = (n + 1) // 2
+    offsets = np.asarray(offsets, np.uint64)
+    r = uniform_rows(seeds, offsets, m)
+    np.subtract(1.0, r, out=r)  # (0, 1], keeps log() finite
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = uniform_rows(seeds, offsets + _U64(m), m)
+    theta *= 2.0 * np.pi
+    z = np.empty((len(r), 2 * m))
+    part = np.cos(theta)
+    part *= r
+    z[:, 0::2] = part
+    np.sin(theta, out=part)
+    part *= r
+    z[:, 1::2] = part
+    return z[:, :n]
 
 
 def derive_seed(seed: int, *keys) -> int:
@@ -50,26 +103,20 @@ class Rng:
         self.counter = 0
 
     def next_uint64(self, n: int) -> np.ndarray:
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        out = draw_uint64([self.seed], [self.counter], n)[0]
         self.counter += n
-        with np.errstate(over="ignore"):
-            return _mix(self.seed + idx * _GAMMA)
+        return out
 
     def uniform(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        u = (self.next_uint64(n) >> _U64(11)).astype(np.float64) * _DOUBLE_SCALE
+        u = uniform_rows([self.seed], [self.counter], n)[0]
+        self.counter += n
         return low + (high - low) * u
 
     def gaussian(self, n: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         """n gaussian draws via Box-Muller over uniform pairs."""
-        m = (n + 1) // 2
-        u1 = 1.0 - self.uniform(m)  # (0, 1], keeps log() finite
-        u2 = self.uniform(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        z = np.empty(2 * m, dtype=np.float64)
-        z[0::2] = r * np.cos(theta)
-        z[1::2] = r * np.sin(theta)
-        return mean + std * z[:n]
+        z = gaussian_rows([self.seed], [self.counter], n)[0]
+        self.counter += 2 * ((n + 1) // 2)
+        return mean + std * z
 
     def shuffle(self, items: np.ndarray) -> np.ndarray:
         """Fisher-Yates shuffle; returns a new array.

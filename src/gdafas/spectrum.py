@@ -19,13 +19,17 @@ from .rng import Rng
 _NORM_FLOOR = 1e-8
 
 
+def _amplitude(spec: np.ndarray) -> np.ndarray:
+    """Nonnegative amplitude of a complex spectrum."""
+    return np.hypot(spec.real, spec.imag)
+
+
 def amp_phase(spec: np.ndarray):
     """(amplitude, phase) of a complex spectrum; phase in (-pi, pi]."""
-    amp = np.hypot(spec.real, spec.imag)
     phase = np.arctan2(spec.imag, spec.real)
     # arctan2 can return -pi (e.g. imag = -0.0, real < 0); fold onto +pi
     phase = np.where(phase == -np.pi, np.pi, phase)
-    return amp, phase
+    return _amplitude(spec), phase
 
 
 def reconstruct(amp: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -45,21 +49,28 @@ def specmix(x: np.ndarray, x_ref: np.ndarray, lam: np.ndarray) -> np.ndarray:
     reconstructs, and clips to the valid [0, 1] pixel range.
     """
     own_amp, own_phase = amp_phase(np.fft.fft2(x))
-    ref_amp, _ = amp_phase(np.fft.fft2(x_ref))
-    w = lam.reshape(-1, *([1] * (x.ndim - 1)))
-    mixed_amp = (1.0 - w) * own_amp + w * ref_amp
-    out = reconstruct(mixed_amp, own_phase)
-    return np.clip(out, 0.0, 1.0).astype(x.dtype, copy=False)
+    return _mix_amplitudes(x, own_amp, own_phase,
+                           _amplitude(np.fft.fft2(x_ref)), lam)
 
 
 def specmix_batch(x: np.ndarray, rng: Rng, eta: float):
-    """SpecMix against derangement partners drawn from the same batch.
+    """SpecMix against derangement partners drawn from the same batch: the
+    values of ``specmix(x, x[partners], lam)`` from one transform of x.
 
     Returns (mixed images, partner indices, lambda weights).
     """
     partners = rng.derangement(x.shape[0])
     lam = sample_lambda(rng, x.shape[0], eta)
-    return specmix(x, x[partners], lam), partners, lam
+    own_amp, own_phase = amp_phase(np.fft.fft2(x))
+    mixed = _mix_amplitudes(x, own_amp, own_phase, own_amp[partners], lam)
+    return mixed, partners, lam
+
+
+def _mix_amplitudes(x, own_amp, own_phase, ref_amp, lam):
+    w = lam.reshape(-1, *([1] * (x.ndim - 1)))
+    mixed_amp = (1.0 - w) * own_amp + w * ref_amp
+    out = reconstruct(mixed_amp, own_phase)
+    return np.clip(out, 0.0, 1.0).astype(x.dtype, copy=False)
 
 
 def phase_alignment_loss(x_ref: np.ndarray, x: T.Tensor) -> T.Tensor:

@@ -269,6 +269,101 @@ def padded_upsample_conv2d(x, w, g):
     return out, gx, gw
 
 
+class SplitMix64:
+    """The counter-based generator one draw call at a time, as ``rng.Rng``
+    wrote it before its streams shared a many-seed draw."""
+
+    _GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+    def __init__(self, seed: int):
+        self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        self.counter = 0
+
+    def next_uint64(self, n: int) -> np.ndarray:
+        idx = np.arange(self.counter + 1, self.counter + n + 1,
+                        dtype=np.uint64)
+        self.counter += n
+        with np.errstate(over="ignore"):
+            z = self.seed + idx * self._GAMMA
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            return z ^ (z >> np.uint64(31))
+
+    def uniform(self, n: int, low: float = 0.0, high: float = 1.0):
+        u = (self.next_uint64(n) >> np.uint64(11)).astype(np.float64) \
+            * float(2.0**-53)
+        return low + (high - low) * u
+
+    def gaussian(self, n: int, mean: float = 0.0, std: float = 1.0):
+        m = (n + 1) // 2
+        u1 = 1.0 - self.uniform(m)
+        u2 = self.uniform(m)
+        r = np.sqrt(-2.0 * np.log(u1))
+        theta = 2.0 * np.pi * u2
+        z = np.empty(2 * m, dtype=np.float64)
+        z[0::2] = r * np.cos(theta)
+        z[1::2] = r * np.sin(theta)
+        return mean + std * z[:n]
+
+
+def _box_blur(img: np.ndarray, passes: int) -> np.ndarray:
+    out = img
+    h, w = img.shape[1:]
+    for _ in range(passes):
+        padded = np.pad(out, [(0, 0), (1, 1), (1, 1)], mode="edge")
+        acc = np.zeros_like(out)
+        for dy in range(3):
+            for dx in range(3):
+                acc += padded[:, dy : dy + h, dx : dx + w]
+        out = acc / 9.0
+    return out
+
+
+def render_record(label: int, spec, seed: int):
+    """One (image [3,32,32] in [0,1], depth [1,8,8]) pair, rendered alone
+    with its own scalar draws, as ``data`` rendered every record before it
+    rendered them in blocks."""
+    r = SplitMix64(seed)
+    size = 32
+    yy, xx = np.mgrid[0:size, 0:size] / (size - 1.0)
+
+    cx = 0.5 + 0.12 * (r.uniform(1)[0] - 0.5)
+    cy = 0.5 + 0.12 * (r.uniform(1)[0] - 0.5)
+    radius = 0.30 + 0.08 * r.uniform(1)[0]
+    dist2 = ((xx - cx) ** 2 + (yy - cy) ** 2) / (radius * radius)
+    blob = np.exp(-dist2)
+
+    base = 0.25 + 0.1 * r.uniform(1)[0]
+    tilt = 0.08 * (r.uniform(1)[0] - 0.5)
+    background = base + tilt * (xx + yy - 1.0)
+    face_tone = np.array([0.55, 0.45, 0.38]).reshape(3, 1, 1)
+    scene = background[None, :, :] + face_tone * blob[None, :, :]
+    scene = _box_blur(scene, spec.blur)
+
+    if label == 0:
+        freq = 9.0 + 4.0 * r.uniform(1)[0]
+        angle = np.pi * r.uniform(1)[0]
+        phase = 2.0 * np.pi * r.uniform(1)[0]
+        fx, fy = freq * np.cos(angle), freq * np.sin(angle)
+        grating = 0.1 * np.sin(2.0 * np.pi * (fx * xx + fy * yy) + phase)
+        scene = scene + grating[None, :, :]
+
+    gain = np.asarray(spec.gain).reshape(3, 1, 1)
+    styled = scene * gain + spec.brightness
+    styled = styled + r.gaussian(3 * size * size, std=spec.noise).reshape(
+        3, size, size
+    )
+    image = np.clip(styled, 0.0, 1.0)
+
+    if label == 1:
+        gy, gx = np.mgrid[0:8, 0:8] / 7.0
+        gd2 = ((gx - cx) ** 2 + (gy - cy) ** 2) / (radius * radius)
+        depth = np.exp(-gd2)[None, :, :]
+    else:
+        depth = np.zeros((1, 8, 8))
+    return image, depth
+
+
 def graph_bytes() -> int:
     """Bytes held by the open graph: the distinct base arrays that its
     nodes' leaf inputs and their backward closures' cells refer to (through

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -44,6 +45,25 @@ def cli_root(tmp_path_factory):
                  str(root / "data" / "target"), "--out",
                  str(root / "adapt_run"), "--seed", "5"]) == 0
     return {"root": root, "cfg": str(cfg)}
+
+
+def tree_digest(root: pathlib.Path) -> str:
+    """SHA-256 over every file under root: relative path, then bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(str(path.relative_to(root)).encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_gen_data_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    # the rendered pixels, files and manifests of a small tree, pinned
+    # across changes to how the records are rendered
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "gen-data", "--count-per-class", "9", "--out", "d",
+        "--seed", "26")
+    assert tree_digest(tmp_path / "d") == (
+        "793ed29f9ad09f005e9ff6a269d48750adbb28a590d131c4999521ffc18f548e")
 
 
 def test_gen_data_summary_and_config_echo(cli_root, capsys, tmp_path):
@@ -425,6 +445,30 @@ def test_missing_inputs_exit_one(cli_root, capsys, tmp_path):
                      expect=1)
         assert err.startswith("error: image not found: " + str(tmp_path))
     assert not (tmp_path / "c.ppm").exists()
+
+
+@pytest.mark.parametrize("where", ["manifest", "image", "depth",
+                                   "through a file"])
+def test_a_dataset_path_that_is_no_file_exits_one(capsys, tmp_path, where):
+    data = tmp_path / "data"
+    manifest = D.generate_domain_dataset(
+        D.DomainSpec(name="a", count_per_class=1, seed=3), str(data))
+    record = manifest["records"][0]
+    if where == "through a file":
+        record["image"] += "/x.ppm"
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        bad = data / record["image"]
+    else:
+        bad = data / ("manifest.json" if where == "manifest"
+                      else record[where])
+        bad.unlink()
+        bad.mkdir()
+    out = tmp_path / "out"
+    _, err = run(capsys, "train-source", "--data", str(data),
+                 "--out", str(out), expect=1)
+    assert err.startswith(f"error: {bad}: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", [ValueError, OverflowError])

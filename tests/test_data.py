@@ -8,22 +8,28 @@ import pytest
 
 import gdafas.data as D
 from gdafas.rng import Rng, derive_seed
+from oracles import render_record
+
+
+def render(label, spec, seed):
+    image, depth = D.render_block([label], spec, [seed])
+    return image[0], depth[0]
 
 
 def test_render_is_deterministic():
     spec = D.DomainSpec(name="a", seed=7)
-    img1, dep1 = D.render_sample(1, spec, 123)
-    img2, dep2 = D.render_sample(1, spec, 123)
+    img1, dep1 = render(1, spec, 123)
+    img2, dep2 = render(1, spec, 123)
     assert np.array_equal(img1, img2)
     assert np.array_equal(dep1, dep2)
-    img3, _ = D.render_sample(1, spec, 124)
+    img3, _ = render(1, spec, 124)
     assert not np.array_equal(img1, img3)
 
 
 def test_render_contract():
     spec = D.DomainSpec(name="a")
-    live_img, live_dep = D.render_sample(1, spec, 5)
-    spoof_img, spoof_dep = D.render_sample(0, spec, 5)
+    live_img, live_dep = render(1, spec, 5)
+    spoof_img, spoof_dep = render(0, spec, 5)
     for img in (live_img, spoof_img):
         assert img.shape == (3, 32, 32)
         assert img.min() >= 0.0 and img.max() <= 1.0
@@ -40,14 +46,48 @@ def test_spoof_has_high_frequency_energy():
     high_band = np.sqrt(fx * fx + fy * fy) >= 8.0
     for spec in D.default_domain_specs(count_per_class=1)[:2]:
         for trial in range(50):
-            live, _ = D.render_sample(1, spec, derive_seed(11, trial))
-            spoof, _ = D.render_sample(0, spec, derive_seed(11, trial))
+            live, _ = render(1, spec, derive_seed(11, trial))
+            spoof, _ = render(0, spec, derive_seed(11, trial))
 
             def band_energy(img):
                 f = np.fft.fft2(img, axes=(1, 2))
                 return float((np.abs(f) ** 2)[:, high_band].sum())
 
             assert band_energy(spoof) > 1.5 * band_energy(live)
+
+
+@pytest.mark.parametrize("blur", [0, 1, 2, 3])
+@pytest.mark.parametrize("noise", [0.0, 0.03])
+def test_block_renders_each_record_as_the_one_record_renderer(tmp_path, blur,
+                                                             noise):
+    spec = D.DomainSpec(name="a", gain=(0.5, 0.85, 1.15), brightness=0.15,
+                        blur=blur, noise=noise, seed=blur)
+    # both labels, out of the order a generated domain takes them
+    labels = [1, 0, 0, 1, 1] * 5
+    seeds = [derive_seed(7, i) for i in range(len(labels))]
+    images, depths = D.render_block(labels, spec, seeds)
+    for i, (label, seed) in enumerate(zip(labels, seeds)):
+        image, depth = render_record(label, spec, seed)
+        assert images[i].tobytes() == image.tobytes(), i
+        assert depths[i].tobytes() == depth.tobytes(), i
+
+    # every file holds the pixels of its record's one-record render, for
+    # one record of each label and for a last pass that is not full
+    for count in (1, D.BLOCK // 2 + 3):
+        out = tmp_path / f"{blur}_{noise}_{count}"
+        manifest = D.generate_domain_dataset(
+            replace(spec, count_per_class=count), str(out))
+        assert len(manifest["records"]) == 2 * count
+        for i, rec in enumerate(manifest["records"]):
+            image, depth = render_record(rec["label"], spec,
+                                         derive_seed(spec.seed, i))
+            for key, values, magic in (("image", image, b"P6"),
+                                       ("depth", depth, b"P5")):
+                pixels = np.clip(np.round(values * 255.0), 0, 255)
+                _, h, w = values.shape
+                want = magic + f"\n{w} {h}\n255\n".encode() + pixels.astype(
+                    np.uint8).transpose(1, 2, 0).tobytes()
+                assert (out / rec[key]).read_bytes() == want, (key, i)
 
 
 def test_ppm_roundtrip(tmp_path):
@@ -302,10 +342,8 @@ def test_default_domains_separate_in_channel_means():
     source, target = D.default_domain_specs(count_per_class=25)
     means = {}
     for spec in (source, target):
-        imgs = [
-            D.render_sample(1 - (i % 2), spec, derive_seed(spec.seed, i))[0]
-            for i in range(50)
-        ]
+        imgs = [render(1 - (i % 2), spec, derive_seed(spec.seed, i))[0]
+                for i in range(50)]
         means[spec.name] = np.stack(imgs).mean(axis=(0, 2, 3))
     gap = np.abs(means["source"] - means["target"])
     assert np.all(gap >= 0.05)

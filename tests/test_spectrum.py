@@ -107,6 +107,19 @@ def test_specmix_output_stays_in_unit_range():
     assert mixed.min() >= 0.0 and mixed.max() <= 1.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [2, 3, 5, 8, 16])
+def test_specmix_batch_is_specmix_against_its_partners(batch, dtype):
+    # one transform of the batch serves both sides: the partners'
+    # amplitudes are rows of the batch's own
+    x = Rng(95 + batch).uniform(batch * 3 * 32 * 32).reshape(
+        batch, 3, 32, 32).astype(dtype)
+    mixed, partners, lam = S.specmix_batch(x, Rng(96), 0.5)
+    want = S.specmix(x, x[partners], lam)
+    assert mixed.dtype == want.dtype == dtype
+    assert mixed.tobytes() == want.tobytes()
+
+
 def test_phase_loss_is_minimal_for_identical_images():
     r = Rng(93)
     x = r.uniform(2 * 3 * 8 * 8).reshape(2, 3, 8, 8)
