@@ -14,7 +14,6 @@ diagnostics go to stderr. Exit codes: 0 success, 1 bad input (an
 
 import argparse
 import json
-import numbers
 import os
 import sys
 from dataclasses import fields
@@ -31,8 +30,7 @@ from .pipeline import TrainConfig
 from .rng import Rng
 
 _TRAIN = tuple(f.name for f in fields(TrainConfig))
-# the JSON type of every config key; train-source also takes ``data`` as a
-# list of strings (one dataset each). The int, float and str keys a command
+# the JSON type of every config key. The int, float and str keys a command
 # reads are its flags.
 _TYPES = {**{f.name: f.type for f in fields(TrainConfig)},
           "data": str, "model": str, "out": str, "source_data": str,
@@ -43,6 +41,13 @@ _DEFAULTS = {**dict.fromkeys(_TYPES),
              **{f.name: f.default for f in fields(TrainConfig)},
              "count_per_class": 320, "trials": 20, "split": "test"}
 _DOMAIN_KEYS = {f.name for f in fields(D.DomainSpec)} | {"unlabeled_train"}
+# each input key's type rule; train-source also takes ``data`` as a list of
+# strings (one dataset each). TrainConfig and load_config check the rest.
+_INPUT_RULES = {key: D.RULES[kind] for key, kind in _TYPES.items()
+                if key not in _TRAIN and kind is not list}
+_SOURCE_RULES = {**_INPUT_RULES, "data": (lambda v: isinstance(v, str) or (
+    isinstance(v, list) and len(v) > 0 and all(isinstance(s, str) for s in v)),
+    "a string or a non-empty list of strings")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,21 +109,8 @@ def _validate(command: str, given: dict):
     """Check the given values before any work, read by ``command`` or not:
     the type of each given input key (a null is of no key's type), then the
     values ``command`` cannot run without, then the training fields."""
-    for key, kind in _TYPES.items():
-        if key not in given or key in _TRAIN or kind is list:
-            continue  # TrainConfig and load_config check the rest
-        value = given[key]
-        if kind is int:
-            ok, rule = D.finite_number(value, numbers.Integral), "an integer"
-        elif key == "data" and command == "train-source":
-            ok = isinstance(value, str) or (
-                isinstance(value, list) and len(value) > 0
-                and all(isinstance(v, str) for v in value))
-            rule = "a string or a non-empty list of strings"
-        else:
-            ok, rule = isinstance(value, str), "a string"
-        if not ok:
-            raise InputError(f"{key} must be {rule}, got {value!r}")
+    D.check_fields(given, _SOURCE_RULES if command == "train-source"
+                   else _INPUT_RULES)
     for key in _COMMANDS[command][3]:
         if key not in given:
             raise InputError(f"missing required value: {_flag(key)}")
@@ -205,10 +197,9 @@ def _cmd_gen_data(args, cfg):
             entry = dict(entry)
             entry.setdefault("count_per_class", count)
             entry.setdefault("seed", seed)
+            D.check_fields(entry, {"unlabeled_train": D.RULES[bool]},
+                           prefix=f"invalid domains[{i}]: ")
             unlabeled = entry.pop("unlabeled_train", False)
-            if not isinstance(unlabeled, bool):
-                raise InputError(f"invalid domains[{i}]: unlabeled_train "
-                                 f"must be true or false, got {unlabeled!r}")
             try:
                 spec = D.DomainSpec(**entry)
             except (TypeError, InputError) as err:

@@ -39,6 +39,51 @@ class InputError(ValueError):
     exits 1 on it and 2 on any other error."""
 
 
+def finite_number(value, kind=numbers.Real) -> bool:
+    """A finite number of ``kind`` that a float can hold; a bool is not one."""
+    try:
+        return (isinstance(value, kind) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+# each setting's JSON type: the test of a value, the rule its refusal states
+RULES = {
+    int: (lambda v: finite_number(v, numbers.Integral), "an integer"),
+    float: (finite_number, "a finite number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def check_fields(values: dict, rules: dict, prefix: str = ""):
+    """Raise ``InputError`` for the first key of ``rules``, in its order,
+    whose value in ``values`` fails the rule's test; absent keys pass."""
+    for key, (test, rule) in rules.items():
+        if key in values and not test(values[key]):
+            raise InputError(f"{prefix}{key} must be {rule}, "
+                             f"got {values[key]!r}")
+
+
+# DomainSpec's fields, each refused as "domain <field> must be <rule>"
+_DOMAIN_RULES = {
+    # the name is the domain's directory under the output root
+    "name": (lambda v: isinstance(v, str) and v not in ("", ".", "..")
+             and "\0" not in v and os.path.basename(v) == v,
+             "a single path component other than . and .."),
+    "gain": (lambda v: isinstance(v, tuple) and len(v) == 3
+             and all(map(finite_number, v)), "3 finite numbers"),
+    "brightness": (finite_number, "finite"),
+    "blur": (lambda v: finite_number(v, numbers.Integral) and v >= 0,
+             "an integer >= 0"),
+    "noise": (lambda v: finite_number(v) and v >= 0, "finite and >= 0"),
+    "count_per_class": (lambda v: finite_number(v, numbers.Integral)
+                        and v >= 1, "an integer >= 1"),
+    "seed": RULES[int],
+}
+
+
 @dataclass
 class DomainSpec:
     """Rendering style and size of one synthetic domain."""
@@ -54,36 +99,7 @@ class DomainSpec:
     def __post_init__(self):
         if isinstance(self.gain, list):
             self.gain = tuple(self.gain)
-        gain_ok = isinstance(self.gain, tuple) and len(self.gain) == 3
-        checks = (
-            # the name is the domain's directory under the output root
-            ("name", isinstance(self.name, str)
-             and self.name not in ("", ".", "..")
-             and os.path.basename(self.name) == self.name,
-             "a single path component other than . and .."),
-            ("gain", gain_ok and all(map(finite_number, self.gain)),
-             "3 finite numbers"),
-            ("brightness", finite_number(self.brightness), "finite"),
-            ("blur", finite_number(self.blur, numbers.Integral)
-             and self.blur >= 0, "an integer >= 0"),
-            ("noise", finite_number(self.noise) and self.noise >= 0,
-             "finite and >= 0"),
-            ("count_per_class",
-             finite_number(self.count_per_class, numbers.Integral)
-             and self.count_per_class >= 1, "an integer >= 1"),
-            ("seed", finite_number(self.seed, numbers.Integral),
-             "an integer"),
-        )
-        for name, ok, rule in checks:
-            if not ok:
-                raise InputError(f"domain {name} must be {rule}, got "
-                                 f"{getattr(self, name)!r}")
-
-
-def finite_number(value, kind=numbers.Real) -> bool:
-    """A finite number of ``kind``; a bool is not one."""
-    return (isinstance(value, kind) and not isinstance(value, bool)
-            and math.isfinite(value))
+        check_fields(vars(self), _DOMAIN_RULES, prefix="domain ")
 
 
 @dataclass
@@ -387,8 +403,8 @@ def _check_records(path: str, records):
 
 
 def read_json(path: str):
-    """A JSON file's value; a directory, text that is not UTF-8 or not JSON
-    raises ``InputError`` naming the file."""
+    """A JSON file's value; a directory, text that is not UTF-8 or not JSON,
+    or an integer of too many digits raises ``InputError`` naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -399,6 +415,8 @@ def read_json(path: str):
     except json.JSONDecodeError as err:
         raise InputError(f"malformed JSON in {path}: line {err.lineno} "
                          f"column {err.colno}: {err.msg}")
+    except ValueError as err:  # past the interpreter's integer digit limit
+        raise InputError(f"{path}: {err}")
 
 
 def load_manifest(root: str) -> dict:

@@ -307,7 +307,7 @@ def _sign_flipped_relu(a):
     return out
 
 
-def run_checks(seed: int = 0, trials: int = 20, fault: str = None):
+def run_checks(*, seed: int = 0, trials: int, fault: str = None):
     """Run every registered check; returns a list of CheckResult.
 
     ``fault="sign-flip"`` swaps in a relu whose backward rule negates the

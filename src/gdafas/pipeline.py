@@ -12,7 +12,6 @@ and tapes nothing. The module writes no files: each function returns its
 results, and the CLI writes them into a run directory.
 """
 
-import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -22,8 +21,8 @@ from . import metrics as M
 from . import models
 from . import spectrum as S
 from . import tensor as T
-from .data import (Dataset, InputError, batch_iterator, decode,
-                   finite_number, merge_datasets)
+from .data import (RULES, Dataset, InputError, batch_iterator,
+                   check_fields, decode, merge_datasets)
 from .layers import Adam, BatchNorm2d
 from .rng import Rng, derive_seed
 
@@ -50,16 +49,7 @@ class TrainConfig:
     def __post_init__(self):
         # JSON configs reach here unconverted: 1.5 epochs, a "7" seed or a
         # true learning rate must be refused, not truncated or coerced
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is bool:
-                ok, rule = isinstance(value, bool), "true or false"
-            elif f.type is int:
-                ok, rule = finite_number(value, numbers.Integral), "an integer"
-            else:
-                ok, rule = finite_number(value), "a finite number"
-            if not ok:
-                raise InputError(f"{f.name} must be {rule}, got {value!r}")
+        check_fields(vars(self), {f.name: RULES[f.type] for f in fields(self)})
         if min(self.batch_size, self.stage1_epochs, self.stage2_steps) < 1:
             raise InputError("batch size, epochs, and steps must be >= 1")
         if self.lr <= 0:

@@ -514,6 +514,10 @@ def test_input_checks_raise_input_error():
             if "CliError" in path.read_text()] == []
     for name in ("cli.py", "data.py"):
         assert "raise ValueError(" not in (package / name).read_text()
+    # each setting's type rule has one home: data.RULES and check_fields
+    assert [path.name for path in sorted(package.glob("*.py"))
+            if "finite_number(" in path.read_text()
+            or "numbers.Integral" in path.read_text()] == ["data.py"]
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -528,29 +532,76 @@ def test_adapt_non_finite_hyperparameter_exits_one(cli_root, capsys, tmp_path,
     assert "invalid training configuration" in err
 
 
-@pytest.mark.parametrize("command, config", [
-    ("train-source", {"stage1_epochs": 1.5}),
-    ("train-source", {"stage1_epochs": True}),
-    ("train-source", {"seed": 1.5}),
-    ("train-source", {"seed": "7"}),
-    ("train-source", {"lr": True}),
-    ("adapt", {"batch_size": 4.0}),
-    ("adapt", {"use_dsc": "no", "stage2_steps": 1}),
-    ("gen-data", {"seed": 2.5}),
-    ("grad-check", {"trials": 2.5}),
-    ("train-source", {"data": 5}),
-    ("train-source", {"data": []}),
-    ("train-source", {"out": 3}),
-    ("adapt", {"data": ["target"]}),
-    ("eval", {"model": ["adapted.gdac"]}),
-    ("eval", {"split": 7}),
-    ("analyze-stats", {"source_data": 1}),
-    ("analyze-stats", {"lr": "x", "stage2_steps": -3}),
-    ("specmix", {"ref": ["b.ppm"]}),
-])
+_TRAINING = "invalid training configuration: "
+# (command, config, the full refusal line after "error: ") for a JSON value
+# of the wrong type; a case's id is its command and its index
+_WRONG_TYPES = [
+    ("train-source", {"stage1_epochs": 1.5},
+     _TRAINING + "stage1_epochs must be an integer, got 1.5"),
+    ("train-source", {"stage1_epochs": True},
+     _TRAINING + "stage1_epochs must be an integer, got True"),
+    ("train-source", {"seed": 1.5},
+     _TRAINING + "seed must be an integer, got 1.5"),
+    ("train-source", {"seed": "7"},
+     _TRAINING + "seed must be an integer, got '7'"),
+    ("train-source", {"lr": True},
+     _TRAINING + "lr must be a finite number, got True"),
+    ("adapt", {"batch_size": 4.0},
+     _TRAINING + "batch_size must be an integer, got 4.0"),
+    ("adapt", {"use_dsc": "no", "stage2_steps": 1},
+     _TRAINING + "use_dsc must be true or false, got 'no'"),
+    ("gen-data", {"seed": 2.5},
+     _TRAINING + "seed must be an integer, got 2.5"),
+    ("grad-check", {"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ("train-source", {"data": 5},
+     "data must be a string or a non-empty list of strings, got 5"),
+    ("train-source", {"data": []},
+     "data must be a string or a non-empty list of strings, got []"),
+    ("train-source", {"out": 3}, "out must be a string, got 3"),
+    ("adapt", {"data": ["target"]},
+     "data must be a string, got ['target']"),
+    ("eval", {"model": ["adapted.gdac"]},
+     "model must be a string, got ['adapted.gdac']"),
+    ("eval", {"split": 7}, "split must be a string, got 7"),
+    ("analyze-stats", {"source_data": 1},
+     "source_data must be a string, got 1"),
+    ("analyze-stats", {"lr": "x", "stage2_steps": -3},
+     _TRAINING + "lr must be a finite number, got 'x'"),
+    ("specmix", {"ref": ["b.ppm"]}, "ref must be a string, got ['b.ppm']"),
+    # one full line per rule: integer, finite number, true or false, string
+    # and train-source's data list; a key's type before the training fields
+    ("gen-data", {"count_per_class": "9"},
+     "count_per_class must be an integer, got '9'"),
+    ("grad-check", {"trials": False}, "trials must be an integer, got False"),
+    ("train-source", {"batch_size": None},
+     _TRAINING + "batch_size must be an integer, got None"),
+    ("adapt", {"eta": "0.1"},
+     _TRAINING + "eta must be a finite number, got '0.1'"),
+    ("adapt", {"lambda_ph": float("nan")},
+     _TRAINING + "lambda_ph must be a finite number, got nan"),
+    ("adapt", {"alpha": None},
+     _TRAINING + "alpha must be a finite number, got None"),
+    ("adapt", {"use_dsc": 1},
+     _TRAINING + "use_dsc must be true or false, got 1"),
+    ("train-source", {"use_dsc": None},
+     _TRAINING + "use_dsc must be true or false, got None"),
+    ("eval", {"report": False}, "report must be a string, got False"),
+    ("specmix", {"input": {"path": "a.ppm"}},
+     "input must be a string, got {'path': 'a.ppm'}"),
+    ("train-source", {"data": ["a", 3]},
+     "data must be a string or a non-empty list of strings, got ['a', 3]"),
+    ("train-source", {"out": ["o"], "data": "a"},
+     "out must be a string, got ['o']"),
+    ("adapt", {"model": 3, "lr": "x"}, "model must be a string, got 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, config, line", _WRONG_TYPES,
+    ids=[f"{case[0]}-config{i}" for i, case in enumerate(_WRONG_TYPES)])
 def test_config_value_of_the_wrong_type_exits_one(cli_root, capsys, tmp_path,
                                                    monkeypatch, command,
-                                                   config):
+                                                   config, line):
     # a JSON value of the wrong type is refused before any work, not
     # truncated or coerced
     cfg = tmp_path / "cfg.json"
@@ -577,6 +628,7 @@ def test_config_value_of_the_wrong_type_exits_one(cli_root, capsys, tmp_path,
     key, value = next(iter(config.items()))
     assert err.startswith("error: ")
     assert f"{key} must be" in err and f"got {value!r}" in err
+    assert err == f"error: {line}\n"
     assert not (tmp_path / "out").exists()
     assert not list(tmp_path.rglob("*.gdac"))  # no run wrote a checkpoint
 
@@ -720,8 +772,36 @@ def test_gen_data_rejects_count_below_one(capsys, tmp_path, count):
      "domains[0]: domain seed must be an integer, got 1.5"),
     ([{"name": "a", "unlabeled_train": "false"}],
      "domains[0]: unlabeled_train must be true or false, got 'false'"),
+    # the full line of each domain rule, in field order, then of two
+    # failures in one entry and of a failure in a later entry
+    ([{"name": ".."}], "error: invalid domains[0]: domain name must be a "
+     "single path component other than . and .., got '..'\n"),
+    ([{"name": "a", "gain": [1, 1]}], "error: invalid domains[0]: domain "
+     "gain must be 3 finite numbers, got (1, 1)\n"),
+    ([{"name": "a", "brightness": "0.1"}], "error: invalid domains[0]: "
+     "domain brightness must be finite, got '0.1'\n"),
+    ([{"name": "a", "blur": -1}], "error: invalid domains[0]: domain blur "
+     "must be an integer >= 0, got -1\n"),
+    ([{"name": "a", "noise": -0.5}], "error: invalid domains[0]: domain "
+     "noise must be finite and >= 0, got -0.5\n"),
+    ([{"name": "a", "count_per_class": True}], "error: invalid domains[0]: "
+     "domain count_per_class must be an integer >= 1, got True\n"),
+    ([{"name": "a", "seed": None}], "error: invalid domains[0]: domain seed "
+     "must be an integer, got None\n"),
+    ([{"name": "a", "unlabeled_train": 1}], "error: invalid domains[0]: "
+     "unlabeled_train must be true or false, got 1\n"),
+    ([{"name": "a", "blur": 0.5, "gain": None}], "error: invalid domains[0]: "
+     "domain gain must be 3 finite numbers, got None\n"),
+    ([{"name": "a", "blur": -1, "unlabeled_train": None}],
+     "error: invalid domains[0]: unlabeled_train must be true or false, "
+     "got None\n"),
+    ([{"name": "a"}, {"name": "b", "noise": None}], "error: invalid "
+     "domains[1]: domain noise must be finite and >= 0, got None\n"),
 ], ids=["negative_count", "scalar_gain", "no_name", "not_an_object",
-        "repeated_name", "path_name", "seed_float", "unlabeled_string"])
+        "repeated_name", "path_name", "seed_float", "unlabeled_string",
+        "name_rule", "gain_rule", "brightness_rule", "blur_rule",
+        "noise_rule", "count_rule", "seed_rule", "unlabeled_rule",
+        "gain_before_blur", "unlabeled_first", "second_entry"])
 def test_gen_data_rejects_bad_domain_entry(capsys, tmp_path, domains,
                                            message):
     cfg = tmp_path / "cfg.json"

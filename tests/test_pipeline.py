@@ -72,6 +72,24 @@ def test_train_config_validation():
                        ("use_dsc", 0)):
         with pytest.raises(ValueError, match=field):
             P.TrainConfig(**{field: bad})
+    # the full message of each rule, first in field order, types before
+    # ranges
+    for kwargs, message in (
+            ({"stage2_steps": 2.5},
+             "stage2_steps must be an integer, got 2.5"),
+            ({"seed": False}, "seed must be an integer, got False"),
+            ({"alpha": "0.1"}, "alpha must be a finite number, got '0.1'"),
+            ({"lr": np.inf}, "lr must be a finite number, got inf"),
+            ({"lambda_ent": [0.1]},
+             "lambda_ent must be a finite number, got [0.1]"),
+            ({"use_dsc": None}, "use_dsc must be true or false, got None"),
+            ({"seed": "1", "batch_size": 1.5},
+             "batch_size must be an integer, got 1.5"),
+            ({"batch_size": 0, "eta": "x"},
+             "eta must be a finite number, got 'x'")):
+        with pytest.raises(D.InputError) as info:
+            P.TrainConfig(**kwargs)
+        assert str(info.value) == message
     # an integer is a number, and a numpy integer is an integer
     assert P.TrainConfig(lr=1, seed=np.int64(3)).seed == 3
 
