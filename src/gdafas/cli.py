@@ -15,6 +15,7 @@ diagnostics go to stderr. Exit codes: 0 success, 1 bad input (an
 import argparse
 import json
 import os
+import shutil
 import sys
 from dataclasses import fields
 
@@ -168,6 +169,25 @@ def _write_run(cfg: dict, bundle, checkpoint: str, log_name: str,
     return path
 
 
+def _make_dirs(paths):
+    """Make every directory in ``paths`` or none: if one cannot be made (a
+    name longer than the file system allows, say), remove each directory
+    this call made and refuse the run as bad input."""
+    made = []
+    for path in paths:
+        top, parent = None, os.path.abspath(path)
+        while not os.path.lexists(parent):  # the outermost one to be made
+            top, parent = parent, os.path.dirname(parent)
+        if top:
+            made.append(top)
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as err:
+            for top in made:
+                shutil.rmtree(top, ignore_errors=True)
+            raise InputError(f"cannot make directory {path}: {err.strerror}")
+
+
 def _load_dir(path: str) -> D.Dataset:
     return D.load_dataset(_need(path, "dataset directory", os.path.isdir))
 
@@ -211,6 +231,7 @@ def _cmd_gen_data(args, cfg):
     else:
         source, target = D.default_domain_specs(count, seed)
         specs = [(source, False), (target, True)]
+    _make_dirs([os.path.join(out, spec.name) for spec, _ in specs])
     summary = []
     for spec, unlabeled in specs:
         manifest = D.generate_domain_dataset(

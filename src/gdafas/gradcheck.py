@@ -2,21 +2,30 @@
 
 Each registered check builds seeded random inputs (nudged away from kinks
 such as relu corners), runs one backward pass, and compares every input
-gradient against central differences. A deliberate sign-flip fault can be
-injected to prove the harness actually detects wrong gradients.
+gradient against central differences. The two training objectives, composed
+over whole networks, are compared along a few random directions instead.
+A deliberate sign-flip fault can be injected to prove the harness actually
+detects wrong gradients.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import losses as L
+from . import models
 from . import spectrum as S
 from . import tensor as T
 from .data import InputError
 from .rng import Rng, derive_seed
 
 TOLERANCE = 1e-4
+# central-difference steps along a direction of a composed objective: float64
+# allows them, and at 1e-6 most directions cross a relu kink. A kink that
+# one step crosses the other seldom does, while a wrong backward rule misses
+# at both, so a direction's error is the smaller of the two.
+DIRECTION_STEPS = (1e-8, 1e-9)
 
 
 @dataclass
@@ -44,17 +53,36 @@ def finite_difference(f, arrays, h: float = 1e-6):
     return grads
 
 
-def max_rel_error(build, arrays) -> float:
+def max_rel_error(build, arrays, directions=None) -> float:
     """Worst relative gradient error of scalar build(tensors) over inputs;
-    an input that receives no gradient counts as an infinite error."""
+    an input that receives no gradient counts as an infinite error.
+
+    With ``directions`` (each a list of arrays shaped like ``arrays``), the
+    derivative along each direction, a central difference at each of the
+    ``DIRECTION_STEPS``, is compared with the gradient's projection on it,
+    relative to the largest such derivative, as an input's largest element
+    derivative scales the element-wise error.
+    """
     tensors = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
     with T.graph():
         T.backward(build(tensors))
     if any(t.grad is None for t in tensors):
         return float("inf")
-    numeric = finite_difference(
-        lambda arrs: build([T.Tensor(a) for a in arrs]).item(), arrays
-    )
+
+    def f(arrs):
+        return build([T.Tensor(a) for a in arrs]).item()
+
+    if directions is not None:
+        misses, scale = [], 1e-8
+        for d in directions:
+            along = sum(float(np.vdot(t.grad, v)) for t, v in zip(tensors, d))
+            numeric = [(f([a + h * v for a, v in zip(arrays, d)])
+                        - f([a - h * v for a, v in zip(arrays, d)])) / (2 * h)
+                       for h in DIRECTION_STEPS]
+            misses.append(min(abs(along - n) for n in numeric))
+            scale = max(scale, abs(numeric[0]))
+        return max(misses) / scale
+    numeric = finite_difference(f, arrays)
     worst = 0.0
     for t, num in zip(tensors, numeric):
         scale = max(np.abs(num).max(), 1e-8)
@@ -264,6 +292,70 @@ def _check_total(rng):
     return build, [x]
 
 
+# --- composed training objectives --------------------------------------------
+
+
+def _objective_case(rng, nets, loss):
+    """(build, arrays, directions) over every trainable tensor of ``nets``
+    in float64: build puts its tensors in their layers and returns
+    ``loss()``; three random directions."""
+    slots = [(layer, f) for net in nets for _, layer in net.layers()
+             for f in layer.STATE if isinstance(getattr(layer, f), T.Tensor)
+             and getattr(layer, f).requires_grad]
+    arrays = [getattr(layer, f).data.astype(np.float64) for layer, f in slots]
+
+    def build(ts):
+        for (layer, f), t in zip(slots, ts):
+            setattr(layer, f, t)
+        return loss()
+
+    return build, arrays, [[_u(rng, a.shape) for a in arrays]
+                           for _ in range(3)]
+
+
+def _check_stage1_objective(rng):
+    """Cross-entropy plus depth MSE through F, H and R in train mode."""
+    bundle = models.build_source_bundle(int(rng.next_uint64(1)[0]))
+    images = _u(rng, (4, *models.IMAGE_SHAPE), 0.0, 1.0)
+    labels = np.array([0, 1, 1, 0])
+    depths = _u(rng, (4, 1, 8, 8), 0.0, 1.0)
+
+    def loss():
+        logits, depth, _, _ = models.forward_source(bundle, images, "train")
+        return T.add(L.cross_entropy_loss(logits, labels),
+                     L.mse_loss(depth, depths))
+
+    return _objective_case(rng, (bundle.F, bundle.H, bundle.R), loss)
+
+
+def _check_stage2_objective(rng):
+    """The full adaptation objective over G's weights: two images and
+    their SpecMix copies through G, then the frozen networks in stats
+    mode against drawn running statistics."""
+    seed = int(rng.next_uint64(1)[0])
+    bundle = models.freeze(models.build_source_bundle(seed), ("F", "H", "R"))
+    generator = models.build_generator(seed)
+    stored = [(_u(rng, bn.running_mean.shape, -0.5, 0.5),
+               _u(rng, bn.running_var.shape, 0.5, 1.5))
+              for bn in bundle.bn_layers()]
+    originals = _u(rng, (2, *models.IMAGE_SHAPE), 0.05, 0.95)
+    x_t = np.concatenate([originals,
+                          S.specmix_batch(originals, rng, 0.1)[0]])
+    weights = L.LossWeights(lambda_ent=0.01, lambda_ph=0.01)
+
+    def loss():
+        x_st = generator.forward(T.Tensor(x_t))
+        logits, depth, stats, _ = models.forward_source(bundle, x_st, "stats")
+        per = L.mse_loss(bundle.phi.features(x_st),
+                         bundle.phi.features(T.Tensor(x_t)))
+        return L.total_loss(L.stat_consistency_loss(stats, stored), per,
+                            L.entropy_classifier(T.softmax(logits, axis=1)),
+                            L.entropy_depth(depth),
+                            S.phase_alignment_loss(x_t, x_st), weights)
+
+    return _objective_case(rng, (generator,), loss)
+
+
 CHECKS = (
     ("add", _check_add),
     ("sub", _check_sub),
@@ -296,7 +388,11 @@ CHECKS = (
     ("phase_alignment_loss", _check_phase_alignment),
     ("loss_cross_entropy", _check_cross_entropy),
     ("loss_total", _check_total),
+    ("stage1_objective", _check_stage1_objective),
+    ("stage2_objective", _check_stage2_objective),
 )
+# the checks whose graphs run relu, which the sign-flip fault swaps out
+RELU_CHECKS = ("relu", "stage1_objective", "stage2_objective")
 
 
 def _sign_flipped_relu(a):
@@ -307,11 +403,22 @@ def _sign_flipped_relu(a):
     return out
 
 
+@contextmanager
+def _relu_as(relu):
+    """``tensor.relu`` is ``relu`` inside the block."""
+    real, T.relu = T.relu, relu
+    try:
+        yield
+    finally:
+        T.relu = real
+
+
 def run_checks(*, seed: int = 0, trials: int, fault: str = None):
     """Run every registered check; returns a list of CheckResult.
 
     ``fault="sign-flip"`` swaps in a relu whose backward rule negates the
-    gradient; a healthy harness must then report the relu check as failed.
+    gradient in the ``RELU_CHECKS``; a healthy harness must then report each
+    of them as failed.
     """
     if fault not in (None, "sign-flip"):
         raise InputError(f"unknown fault {fault!r}")
@@ -319,14 +426,13 @@ def run_checks(*, seed: int = 0, trials: int, fault: str = None):
         raise InputError(f"trials must be at least 1, got {trials}")
     results = []
     for name, make in CHECKS:
+        faulty = fault == "sign-flip" and name in RELU_CHECKS
         worst = 0.0
         for trial in range(trials):
             # keyed by name, so adding or removing a check moves no other
             rng = Rng(derive_seed(seed, "gradcheck", name, trial))
-            build, arrays = make(rng)
-            if fault == "sign-flip" and name == "relu":
-                build = (lambda ts: T.tsum(_sign_flipped_relu(ts[0])))
-            worst = max(worst, max_rel_error(build, arrays))
+            with _relu_as(_sign_flipped_relu if faulty else T.relu):
+                worst = max(worst, max_rel_error(*make(rng)))
         results.append(CheckResult(name, trials, worst, worst < TOLERANCE))
     return results
 

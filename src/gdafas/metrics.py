@@ -2,63 +2,32 @@
 
 Scores are live-class probabilities; label 1 is live (positive), label 0 is
 spoof. Acceptance means classifying as live, so FAR counts accepted spoofs
-and FRR counts rejected lives.
+and FRR counts rejected lives. One rule serves every score metric: a
+threshold t accepts exactly the scores >= t. A NaN score is never accepted,
+so it ranks below every other score, and a record labeled neither 0 nor 1
+(the unlabeled -1) counts for neither class. ``_sweep`` is the one place
+that applies the rule, and each metric reads its acceptance counts.
 """
 
 import numpy as np
 
 
-def roc_auc(scores, labels) -> float:
-    """Mann-Whitney AUC: fraction of live/spoof pairs ranked correctly.
-
-    Computed from average ranks so ties count one half.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    pos = labels == 1
-    n_pos = int(pos.sum())
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC needs at least one live and one spoof score")
-    order = np.argsort(scores, kind="stable")
-    # each run of equal sorted scores (NaNs never equal, so each is a run
-    # of its own) shares the mean of its 1-based positions i+1..j+1
-    sorted_scores = scores[order]
-    starts = np.flatnonzero(
-        np.concatenate([[True], sorted_scores[1:] != sorted_scores[:-1]]))
-    ends = np.append(starts[1:], len(scores)) - 1
-    ranks = np.empty(len(scores), dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (starts + 1 + ends + 1), ends - starts + 1)
-    rank_sum = ranks[pos].sum()
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def _rates(scores, labels, threshold: float):
-    """(FAR, FRR) for the rule `live iff score >= threshold`."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    accepted = scores >= threshold
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
-    far = float(np.sum(accepted & (labels == 0))) / n_neg
-    frr = float(np.sum(~accepted & (labels == 1))) / n_pos
-    return far, frr
-
-
-def _sweep(scores, labels):
-    """Thresholds +inf then every distinct score descending, with the FAR and
-    FRR arrays of `live iff score >= threshold` at each.
+def _sweep(scores, labels, what: str = "ROC"):
+    """Thresholds +inf then every distinct score descending, with how many
+    spoofs and how many lives the rule accepts at each, and the two class
+    sizes: (thresholds, spoofs, lives, n_neg, n_pos).
 
     One sort (``np.unique``) buckets the scores; each class's acceptance
     count at a threshold is the reversed cumulative sum of its bucket counts.
-    A NaN score is never accepted, so its bucket counts zero.
+    A NaN score's bucket counts zero. ``what`` names the metric that needs
+    both classes.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
-        raise ValueError("ROC needs at least one live and one spoof score")
+        raise ValueError(f"{what} needs at least one live and one spoof score")
     distinct, bucket = np.unique(scores, return_inverse=True)
     nan = np.isnan(distinct)
 
@@ -69,14 +38,29 @@ def _sweep(scores, labels):
         return np.concatenate([[at_inf], np.cumsum(counts[::-1])])
 
     thresholds = np.concatenate([[np.inf], distinct[::-1]])
-    far = accepted(0) / n_neg
-    frr = (n_pos - accepted(1)) / n_pos
-    return thresholds, far, frr
+    return thresholds, accepted(0), accepted(1), n_neg, n_pos
+
+
+def roc_auc(scores, labels) -> float:
+    """Mann-Whitney AUC: the fraction of live/spoof pairs ranked correctly,
+    ties counting one half.
+
+    Twice U is the trapezoid area, in counts, under the sweep's points,
+    from (0, 0) to the point (n_neg, n_pos) that also takes in the NaN
+    scores. A NaN threshold's point (0, 0) is a detour whose two segments
+    cancel. U is exact, so the one division rounds once.
+    """
+    _, spoofs, lives, n_neg, n_pos = _sweep(scores, labels, "AUC")
+    x = np.concatenate([[0], spoofs, [n_neg]])
+    y = np.concatenate([[0], lives, [n_pos]])
+    twice_u = int(np.sum(np.diff(x) * (y[1:] + y[:-1])))
+    return twice_u / (2 * n_pos * n_neg)
 
 
 def roc_points(scores, labels):
     """(FAR, TPR) pairs swept over all score thresholds, FAR ascending."""
-    _, far, frr = _sweep(scores, labels)
+    _, spoofs, lives, n_neg, n_pos = _sweep(scores, labels)
+    far, frr = spoofs / n_neg, (n_pos - lives) / n_pos
     return list(zip(far.tolist(), (1.0 - frr).tolist()))
 
 
@@ -87,7 +71,8 @@ def eer_threshold(scores, labels):
     the first such point in descending-threshold order wins ties, where a
     later gap must undercut the best so far by more than 1e-15 to replace it.
     """
-    thresholds, far, frr = _sweep(scores, labels)
+    thresholds, spoofs, lives, n_neg, n_pos = _sweep(scores, labels)
+    far, frr = spoofs / n_neg, (n_pos - lives) / n_pos
     gaps = np.abs(far - frr).tolist()
     best = 0
     for i, gap in enumerate(gaps):
@@ -97,9 +82,17 @@ def eer_threshold(scores, labels):
 
 
 def hter(scores, labels, threshold: float) -> float:
-    """Half total error rate at a fixed threshold: (FAR + FRR) / 2."""
-    far, frr = _rates(scores, labels, threshold)
-    return 0.5 * (far + frr)
+    """Half total error rate at a fixed threshold: (FAR + FRR) / 2.
+
+    The threshold accepts what the smallest sweep threshold at or above it
+    accepts, and nothing when it is above every score (or NaN).
+    """
+    thresholds, spoofs, lives, n_neg, n_pos = _sweep(scores, labels, "HTER")
+    # the distinct scores ascending (a NaN last, where searchsorted puts
+    # it), then one slot past them that accepts nothing
+    at = np.searchsorted(thresholds[:0:-1], threshold)
+    spoofs, lives = np.append(spoofs[:0:-1], 0), np.append(lives[:0:-1], 0)
+    return float(0.5 * (spoofs[at] / n_neg + (n_pos - lives[at]) / n_pos))
 
 
 # ---------------------------------------------------------------------------

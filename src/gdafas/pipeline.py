@@ -430,16 +430,18 @@ def ablation_run(config: TrainConfig, bundle, target_dataset: Dataset,
 
     Returns [(row name, EvalReport)] in baseline / nsc / nsc_dsc / full
     order. Every adapted row starts from a fresh identically seeded
-    generator, so rows differ only in the enabled objectives.
+    generator, so rows differ only in the enabled objectives. The bundle
+    keeps the generator it came with.
     """
     results = [("baseline", evaluate(bundle, eval_dataset))]
-    for row in ABLATION_ROWS[1:]:
-        row_config = ablation_config(config, row)
-        generator = models.build_generator(config.seed)
-        adapt_generator(row_config, bundle, target_dataset,
-                        generator=generator)
-        results.append(
-            (row, evaluate(bundle, eval_dataset, generator=generator))
-        )
-    bundle.G = None
+    kept = bundle.G
+    try:
+        for row in ABLATION_ROWS[1:]:
+            generator = models.build_generator(config.seed)
+            adapt_generator(ablation_config(config, row), bundle,
+                            target_dataset, generator=generator)
+            results.append(
+                (row, evaluate(bundle, eval_dataset, generator=generator)))
+    finally:
+        bundle.G = kept
     return results

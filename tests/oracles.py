@@ -21,11 +21,14 @@ def naive_dft2d(x: np.ndarray) -> np.ndarray:
 
 
 def roc_auc_pairs(scores, labels) -> float:
-    """AUC by enumerating every live/spoof pair, O(n^2); ties count half."""
+    """AUC by enumerating every live/spoof pair, O(n^2); ties count half.
+    A NaN score ranks below every number and ties with another NaN."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    pos_scores = scores[labels == 1]
-    neg_scores = scores[labels == 0]
+    # (0, 0.0) for a NaN, (1, score) for a number: tuples order the rule
+    keys = [(0, 0.0) if np.isnan(s) else (1, s) for s in scores.tolist()]
+    pos_scores = [k for k, label in zip(keys, labels) if label == 1]
+    neg_scores = [k for k, label in zip(keys, labels) if label == 0]
     if len(pos_scores) == 0 or len(neg_scores) == 0:
         raise ValueError("AUC needs at least one live and one spoof score")
     total = 0.0
@@ -36,6 +39,38 @@ def roc_auc_pairs(scores, labels) -> float:
             elif p == n:
                 total += 0.5
     return total / (len(pos_scores) * len(neg_scores))
+
+
+def roc_auc_ranks(scores, labels) -> float:
+    """Mann-Whitney AUC from average ranks, ties counting one half: the rank
+    form ``metrics.roc_auc`` had before it read the threshold sweep. Each
+    run of equal sorted scores (NaNs never equal, so each is a run of its
+    own, above every number) shares the mean of its 1-based positions, and
+    every label but 1 counts as spoof."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    pos = labels == 1
+    n_pos = int(pos.sum())
+    n_neg = len(labels) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("AUC needs at least one live and one spoof score")
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    starts = np.flatnonzero(
+        np.concatenate([[True], sorted_scores[1:] != sorted_scores[:-1]]))
+    ends = np.append(starts[1:], len(scores)) - 1
+    ranks = np.empty(len(scores), dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends + 1), ends - starts + 1)
+    rank_sum = ranks[pos].sum()
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def hter_direct(scores, labels, threshold) -> float:
+    """(FAR + FRR) / 2 of `live iff score >= threshold`, counted directly:
+    the form ``metrics.hter`` had before it read the threshold sweep."""
+    far, frr = _rates_at(np.asarray(scores, dtype=np.float64),
+                         np.asarray(labels), threshold)
+    return 0.5 * (far + frr)
 
 
 def _rates_at(scores, labels, threshold):

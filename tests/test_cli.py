@@ -386,9 +386,10 @@ def test_grad_check_passes_and_reproduces(capsys, tmp_path):
     argv = ("grad-check", "--seed", "1", "--trials", "2",
             "--out", str(tmp_path))
     out1, err1 = run(capsys, *argv)
-    assert out1["passed"] is True and out1["checks"] == 31
+    assert out1["passed"] is True and out1["checks"] == 33
     table = (tmp_path / "grad_check.txt").read_text()
     assert "relu" in table and "loss_total" in table
+    assert "stage1_objective" in table and "stage2_objective" in table
     out2, err2 = run(capsys, *argv)
     assert err1 == err2  # same seed, same error table
     assert out1 == out2
@@ -397,7 +398,13 @@ def test_grad_check_passes_and_reproduces(capsys, tmp_path):
 def test_grad_check_fault_injection_fails(capsys):
     _, err = run(capsys, "grad-check", "--seed", "1", "--trials", "2",
                  "--fault", "sign-flip", expect=2)
-    assert "relu" in err
+    # the swapped relu fails its own check and both composed objectives,
+    # and no other check
+    failed = [line.split()[0] for line in err.splitlines()
+              if line.endswith("FAIL")]
+    assert failed == ["relu", "stage1_objective", "stage2_objective"]
+    assert err.splitlines()[-1] == ("failure: gradient checks failed: relu, "
+                                    "stage1_objective, stage2_objective")
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

@@ -228,3 +228,26 @@ def test_a_domain_name_with_a_nul_byte_exits_one(capsys, tmp_path):
                            "be a single path component other than . and .., "
                            "got 'a\\x00b'\n")
     assert not (tmp_path / "d").exists()
+
+
+def test_a_domain_name_too_long_for_the_file_system_exits_one(capsys,
+                                                              tmp_path):
+    # it passes the name rule and failed in os.makedirs (exit 2), leaving
+    # --out behind with the domains made before it
+    name = "n" * 300
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"domains": [{"name": "lab"}, {"name": name}],
+                               "count_per_class": 1}))
+    out = tmp_path / "d"
+    code, _, err = _run(capsys, ["gen-data", "--config", str(cfg),
+                                 "--out", str(out)])
+    assert (code, err) == (1, f"error: cannot make directory "
+                           f"{out / name}: File name too long\n")
+    assert not out.exists()
+    # a --out that was there before keeps what it held, and only that
+    out.mkdir()
+    (out / "keep").write_text("")
+    code, _, err = _run(capsys, ["gen-data", "--config", str(cfg),
+                                 "--out", str(out)])
+    assert code == 1 and len(err.splitlines()) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["keep"]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import gdafas.metrics as M
-from oracles import eer_threshold_sweep, roc_auc_pairs, roc_points_sweep
+from oracles import (_rates_at, eer_threshold_sweep, hter_direct,
+                     roc_auc_pairs, roc_auc_ranks, roc_points_sweep)
 
 
 def test_auc_pinned_cases():
@@ -84,6 +85,109 @@ def test_roc_sweep_matches_threshold_loop_exactly():
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
         assert got[1:] == want[1:]
         assert all(type(v) is float for v in got[1:])
+        # AUC and HTER read the same sweep, so they follow the same rule
+        assert M.roc_auc(scores, labels) == roc_auc_pairs(scores, labels)
+        for t in (got[0], 0.5, np.inf, -np.inf, np.nan, 2.0):
+            assert M.hter(scores, labels, t) == hter_direct(scores, labels, t)
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+def test_sweep_metrics_equal_the_old_forms_bitwise():
+    """On finite labeled sets, as evaluation scores them, every value keeps
+    the bits of the rank AUC and the directly counted HTER."""
+    rng = np.random.default_rng(28)
+    for trial in range(1200):
+        n = int(rng.integers(2, 160))
+        labels = rng.integers(0, 2, size=n)
+        labels[rng.integers(0, n)], labels[rng.integers(0, n)] = 0, 1
+        if labels.sum() in (0, n):
+            labels[0], labels[-1] = 0, 1
+        logits = rng.normal(scale=float(rng.choice([1.0, 20.0, 80.0])),
+                            size=n)
+        scores = 1.0 / (1.0 + np.exp(-logits))   # ties where it saturates
+        if trial % 4 == 0:
+            scores = scores.astype(np.float32)
+        if trial % 4 == 1:
+            scores = np.round(scores, int(rng.integers(1, 4)))
+        if trial % 4 == 2:
+            scores[rng.integers(0, n, size=3)] = rng.choice([np.inf, -np.inf],
+                                                             size=3)
+        assert _bits(M.roc_auc(scores, labels)) == \
+            _bits(roc_auc_ranks(scores, labels))
+        th, far, frr = M.eer_threshold(scores, labels)
+        assert (_bits(th), far, frr) == \
+            (_bits(eer_threshold_sweep(scores, labels)[0]),
+             *eer_threshold_sweep(scores, labels)[1:])
+        for t in (th, 0.5):
+            got = M.hter(scores, labels, t)
+            assert type(got) is float
+            assert _bits(got) == _bits(hter_direct(scores, labels, t))
+        if trial % 8 == 0:   # the O(n^2) loop
+            assert M.roc_points(scores, labels) == \
+                roc_points_sweep(scores, labels)
+
+
+def test_nan_score_is_never_accepted_by_any_metric():
+    # a NaN live score is rejected at every threshold: it ranks below every
+    # number, so AUC and HTER agree that it is an error
+    scores, labels = [np.nan, 0.2], [1, 0]
+    assert M.roc_auc(scores, labels) == 0.0
+    assert M.roc_points(scores, labels) == [(0.0, 0.0), (0.0, 0.0),
+                                            (1.0, 0.0)]
+    assert M.eer_threshold(scores, labels)[1:] == (1.0, 1.0)
+    assert M.hter(scores, labels, 0.5) == 0.5
+    assert M.hter(scores, labels, 0.1) == 1.0
+    # a NaN spoof score is never accepted either, so it is never an error
+    assert M.roc_auc([0.2, np.nan], [1, 0]) == 1.0
+    assert M.hter([0.2, np.nan], [1, 0], 0.1) == 0.0
+    # below -inf, and two NaNs tie for one half
+    assert M.roc_auc([-np.inf, np.nan], [1, 0]) == 1.0
+    assert M.roc_auc([np.nan, np.nan], [1, 0]) == 0.5
+    rng = np.random.default_rng(29)
+    for trial in range(100):
+        n = int(rng.integers(2, 40))
+        labels = rng.integers(0, 2, size=n)
+        labels[0], labels[1] = 0, 1
+        scores = np.round(rng.uniform(size=n), 1)
+        scores[rng.integers(0, n, size=int(rng.integers(1, 4)))] = np.nan
+        # with no -inf present, a NaN ranks as -inf does
+        low = np.where(np.isnan(scores), -np.inf, scores)
+        assert M.roc_auc(scores, labels) == M.roc_auc(low, labels)
+        for t in (0.0, 0.3, 0.5, 1.0, np.inf):
+            assert M.hter(scores, labels, t) == M.hter(low, labels, t)
+
+
+def _runs(points):
+    """Points with repeats of the one before dropped."""
+    return [p for i, p in enumerate(points) if i == 0 or p != points[i - 1]]
+
+
+def test_unlabeled_record_counts_for_neither_class():
+    assert M.roc_auc([0.3, 0.1, 0.5], [1, 0, -1]) == 1.0
+    assert M.hter([0.3, 0.1, 0.5], [1, 0, -1], 0.4) == 0.5
+    for fn in (M.roc_auc, M.roc_points, M.eer_threshold):
+        with pytest.raises(ValueError, match="one live and one spoof"):
+            fn([0.1, 0.2], [1, -1])
+    with pytest.raises(ValueError, match="HTER needs"):
+        M.hter([0.1, 0.2], [-1, 0], 0.5)
+    rng = np.random.default_rng(30)
+    for trial in range(100):
+        n = int(rng.integers(3, 40))
+        labels = rng.integers(-1, 2, size=n)
+        labels[0], labels[1] = 0, 1
+        scores = np.round(rng.uniform(size=n), 1)
+        kept = labels != -1
+        ks, kl = scores[kept], labels[kept]
+        assert M.roc_auc(scores, labels) == M.roc_auc(ks, kl)
+        assert _runs(M.roc_points(scores, labels)) == \
+            _runs(M.roc_points(ks, kl))
+        assert M.eer_threshold(scores, labels)[1:] == \
+            M.eer_threshold(ks, kl)[1:]
+        for t in (0.0, 0.25, 0.5, 1.0):
+            assert M.hter(scores, labels, t) == M.hter(ks, kl, t)
 
 
 def test_roc_sweep_requires_both_classes():
@@ -115,8 +219,8 @@ def test_eer_threshold_balances_rates():
         th, far, frr = M.eer_threshold(scores, labels)
         # no other sweep point separates the rates less
         best_gap = min(
-            abs(M._rates(scores, labels, t)[0]
-                - M._rates(scores, labels, t)[1])
+            abs(_rates_at(scores, labels, t)[0]
+                - _rates_at(scores, labels, t)[1])
             for t in np.concatenate([[np.inf], np.unique(scores)])
         )
         assert abs(abs(far - frr) - best_gap) < 1e-12
@@ -276,7 +380,12 @@ def test_auc_tie_runs_equal_loop_and_pair_oracle_exactly():
         fast = M.roc_auc(scores, labels)
         assert fast == _roc_auc_loop(scores, labels)
         assert fast == roc_auc_pairs(scores, labels)
+    # a NaN ranks below every number, ties with another NaN and never
+    # shares a run with one: of the 9 live/spoof pairs, 5 are ordered right
+    # and 2 tie (0.5 with 0.5, NaN with NaN). The rank form ranked each NaN
+    # above every number in a run of its own, for 6.5 / 9.
     with_nan = np.array([0.5, np.nan, 0.5, np.nan, 0.2, 0.9])
     nan_labels = np.array([1, 0, 0, 1, 0, 1])
-    assert M.roc_auc(with_nan, nan_labels) == _roc_auc_loop(with_nan,
+    assert M.roc_auc(with_nan, nan_labels) == 6 / 9
+    assert M.roc_auc(with_nan, nan_labels) == roc_auc_pairs(with_nan,
                                                             nan_labels)

@@ -718,13 +718,18 @@ def test_ablation_config_algebra():
 
 
 def test_ablation_run_rows(workspace):
+    # an adapted bundle (gda ablate --model adapted.gdac) keeps its G
+    bundle = _copy_source(workspace["bundle"])
+    bundle.G = models.build_generator(4)
+    generator, before = bundle.G, bundle.G.state()
     config = P.TrainConfig(batch_size=8, stage2_steps=2, lr=1e-3, seed=13)
-    results = P.ablation_run(config, workspace["bundle"], workspace["tgt"],
+    results = P.ablation_run(config, bundle, workspace["tgt"],
                              workspace["tgt"].subset("test"))
     assert [name for name, _ in results] == list(P.ABLATION_ROWS)
     baseline = P.evaluate(workspace["bundle"], workspace["tgt"].subset("test"))
     assert results[0][1].auc == baseline.auc
-    assert workspace["bundle"].G is None
+    assert bundle.G is generator
+    assert _state_equal(generator.state(), before)
 
 
 def test_both_stages_take_steps_through_one_loop():
