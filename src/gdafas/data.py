@@ -384,7 +384,8 @@ def generate_domain_dataset(spec: DomainSpec, out_dir: str,
 def _check_records(path: str, records):
     """Raise ``InputError`` naming the first record that a dataset load
     could not read: each needs string ``image``, ``split`` and ``domain``,
-    an optional string ``depth`` and an optional ``label`` of 0 or 1."""
+    an optional string ``depth`` and an optional integer ``label`` of 0 or
+    1; no file path may hold a NUL byte."""
     if not isinstance(records, list):
         raise InputError(f"{path}: records must be a list of objects")
     for i, rec in enumerate(records):
@@ -396,8 +397,12 @@ def _check_records(path: str, records):
                     f"{path}: records[{i}] needs a string {key!r}")
         if "depth" in rec and not isinstance(rec["depth"], str):
             raise InputError(f"{path}: records[{i}] 'depth' must be a string")
+        for key in ("image", "depth"):
+            if "\0" in rec.get(key, ""):
+                raise InputError(f"{path}: records[{i}] {key!r} holds a "
+                                 f"NUL byte")
         label = rec.get("label", 0)
-        if isinstance(label, bool) or label not in (0, 1):
+        if not RULES[int][0](label) or label not in (0, 1):
             raise InputError(f"{path}: records[{i}] 'label' must be 0 or 1, "
                              f"got {label!r}")
 
@@ -425,7 +430,7 @@ def load_manifest(root: str) -> dict:
     if not isinstance(manifest, dict):
         raise InputError(f"{path}: manifest root must be a JSON object")
     version = manifest.get("schema_version")
-    if version != MANIFEST_SCHEMA_VERSION:
+    if not RULES[int][0](version) or version != MANIFEST_SCHEMA_VERSION:
         raise InputError(
             f"{path}: manifest schema version {version!r}, expected "
             f"{MANIFEST_SCHEMA_VERSION}"
@@ -440,16 +445,27 @@ def load_manifest(root: str) -> dict:
 def load_dataset(root: str) -> Dataset:
     """Read every record of a manifest into memory, images as the uint8
     pixels of their files. Every image must have the first one's shape, and
-    every depth map ``DEPTH_SHAPE``."""
+    every depth map ``DEPTH_SHAPE``. A record's paths are joined to
+    ``root``, so an absolute one, or one that climbs out with ``..``, is
+    read where it points."""
     manifest = load_manifest(root)
     records = manifest["records"]
     if not records:
         raise InputError(f"{root}: manifest lists no records")
+
+    def read(reader, i, key):
+        try:
+            return reader(os.path.join(root, records[i][key]))
+        except OSError as err:  # a directory is refused in _read_netpbm
+            raise InputError(f"{os.path.join(root, 'manifest.json')}: "
+                             f"records[{i}] {key!r} cannot be opened: "
+                             f"{err.strerror}")
+
     images = None
     labels, depths = [], []
     splits, domains = [], []
     for i, rec in enumerate(records):
-        pixels = ppm_pixels(os.path.join(root, rec["image"]))
+        pixels = read(ppm_pixels, i, "image")
         if images is None:
             images = np.empty((len(records), *pixels.shape), np.uint8)
         elif pixels.shape != images.shape[1:]:
@@ -458,7 +474,7 @@ def load_dataset(root: str) -> Dataset:
         images[i] = pixels
         labels.append(rec.get("label", -1))
         if "depth" in rec:
-            depth = pgm_read(os.path.join(root, rec["depth"]))
+            depth = read(pgm_read, i, "depth")
             if depth.shape != DEPTH_SHAPE:
                 raise InputError(f"{root}: {rec['depth']} has shape "
                                  f"{depth.shape}, expected {DEPTH_SHAPE}")

@@ -3,7 +3,9 @@
 Each registered check builds seeded random inputs (nudged away from kinks
 such as relu corners), runs one backward pass, and compares every input
 gradient against central differences. The two training objectives, composed
-over whole networks, are compared along a few random directions instead.
+over whole networks, are compared along a few random directions instead;
+they are the generators that train, ``pipeline.stage1_steps`` and
+``stage2_steps``.
 A deliberate sign-flip fault can be injected to prove the harness actually
 detects wrong gradients.
 """
@@ -15,6 +17,7 @@ import numpy as np
 
 from . import losses as L
 from . import models
+from . import pipeline as P
 from . import spectrum as S
 from . import tensor as T
 from .data import InputError
@@ -314,24 +317,19 @@ def _objective_case(rng, nets, loss):
 
 
 def _check_stage1_objective(rng):
-    """Cross-entropy plus depth MSE through F, H and R in train mode."""
+    """``pipeline.stage1_steps`` over F, H and R: four labeled images."""
     bundle = models.build_source_bundle(int(rng.next_uint64(1)[0]))
-    images = _u(rng, (4, *models.IMAGE_SHAPE), 0.0, 1.0)
-    labels = np.array([0, 1, 1, 0])
-    depths = _u(rng, (4, 1, 8, 8), 0.0, 1.0)
-
-    def loss():
-        logits, depth, _, _ = models.forward_source(bundle, images, "train")
-        return T.add(L.cross_entropy_loss(logits, labels),
-                     L.mse_loss(depth, depths))
-
-    return _objective_case(rng, (bundle.F, bundle.H, bundle.R), loss)
+    batch = {"images": _u(rng, (4, *models.IMAGE_SHAPE), 0.0, 1.0),
+             "labels": np.array([0, 1, 1, 0]),
+             "depths": _u(rng, (4, 1, 8, 8), 0.0, 1.0)}
+    return _objective_case(rng, (bundle.F, bundle.H, bundle.R),
+                           lambda: next(P.stage1_steps(bundle, [batch]))[0])
 
 
 def _check_stage2_objective(rng):
-    """The full adaptation objective over G's weights: two images and
-    their SpecMix copies through G, then the frozen networks in stats
-    mode against drawn running statistics."""
+    """``pipeline.stage2_steps``, the full objective, over G's weights: two
+    images and their SpecMix copies, the frozen networks against drawn
+    running statistics."""
     seed = int(rng.next_uint64(1)[0])
     bundle = models.freeze(models.build_source_bundle(seed), ("F", "H", "R"))
     generator = models.build_generator(seed)
@@ -342,18 +340,8 @@ def _check_stage2_objective(rng):
     x_t = np.concatenate([originals,
                           S.specmix_batch(originals, rng, 0.1)[0]])
     weights = L.LossWeights(lambda_ent=0.01, lambda_ph=0.01)
-
-    def loss():
-        x_st = generator.forward(T.Tensor(x_t))
-        logits, depth, stats, _ = models.forward_source(bundle, x_st, "stats")
-        per = L.mse_loss(bundle.phi.features(x_st),
-                         bundle.phi.features(T.Tensor(x_t)))
-        return L.total_loss(L.stat_consistency_loss(stats, stored), per,
-                            L.entropy_classifier(T.softmax(logits, axis=1)),
-                            L.entropy_depth(depth),
-                            S.phase_alignment_loss(x_t, x_st), weights)
-
-    return _objective_case(rng, (generator,), loss)
+    return _objective_case(rng, (generator,), lambda: next(P.stage2_steps(
+        bundle, generator, [x_t], stored, weights, True))[0])
 
 
 CHECKS = (

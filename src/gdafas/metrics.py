@@ -13,14 +13,15 @@ import numpy as np
 
 
 def _sweep(scores, labels, what: str = "ROC"):
-    """Thresholds +inf then every distinct score descending, with how many
-    spoofs and how many lives the rule accepts at each, and the two class
-    sizes: (thresholds, spoofs, lives, n_neg, n_pos).
+    """Thresholds +inf then every distinct number among the scores
+    descending, with how many spoofs and how many lives the rule accepts at
+    each, and the two class sizes: (thresholds, spoofs, lives, n_neg, n_pos).
 
     One sort (``np.unique``) buckets the scores; each class's acceptance
     count at a threshold is the reversed cumulative sum of its bucket counts.
-    A NaN score's bucket counts zero. ``what`` names the metric that needs
-    both classes.
+    A NaN is no threshold: no score is >= NaN, so its point would accept
+    nothing and break the sweep's monotone run. ``what`` names the metric
+    that needs both classes.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -29,15 +30,15 @@ def _sweep(scores, labels, what: str = "ROC"):
     if n_pos == 0 or n_neg == 0:
         raise ValueError(f"{what} needs at least one live and one spoof score")
     distinct, bucket = np.unique(scores, return_inverse=True)
-    nan = np.isnan(distinct)
+    numbers = distinct[:len(distinct) - np.isnan(distinct).sum()]  # NaN last
 
     def accepted(cls):
         counts = np.bincount(bucket[labels == cls], minlength=len(distinct))
-        counts[nan] = 0
-        at_inf = counts[distinct == np.inf].sum()
+        counts = counts[:len(numbers)]
+        at_inf = counts[numbers == np.inf].sum()
         return np.concatenate([[at_inf], np.cumsum(counts[::-1])])
 
-    thresholds = np.concatenate([[np.inf], distinct[::-1]])
+    thresholds = np.concatenate([[np.inf], numbers[::-1]])
     return thresholds, accepted(0), accepted(1), n_neg, n_pos
 
 
@@ -47,8 +48,8 @@ def roc_auc(scores, labels) -> float:
 
     Twice U is the trapezoid area, in counts, under the sweep's points,
     from (0, 0) to the point (n_neg, n_pos) that also takes in the NaN
-    scores. A NaN threshold's point (0, 0) is a detour whose two segments
-    cancel. U is exact, so the one division rounds once.
+    scores, which no threshold accepts, so they rank below every number and
+    two NaNs tie. U is exact, so the one division rounds once.
     """
     _, spoofs, lives, n_neg, n_pos = _sweep(scores, labels, "AUC")
     x = np.concatenate([[0], spoofs, [n_neg]])
@@ -88,8 +89,8 @@ def hter(scores, labels, threshold: float) -> float:
     accepts, and nothing when it is above every score (or NaN).
     """
     thresholds, spoofs, lives, n_neg, n_pos = _sweep(scores, labels, "HTER")
-    # the distinct scores ascending (a NaN last, where searchsorted puts
-    # it), then one slot past them that accepts nothing
+    # the distinct numbers ascending, then one slot past them that accepts
+    # nothing, where searchsorted puts a threshold above them all or NaN
     at = np.searchsorted(thresholds[:0:-1], threshold)
     spoofs, lives = np.append(spoofs[:0:-1], 0), np.append(lives[:0:-1], 0)
     return float(0.5 * (spoofs[at] / n_neg + (n_pos - lives[at]) / n_pos))

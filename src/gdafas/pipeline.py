@@ -5,11 +5,13 @@ data. Stage 2 freezes that model and trains only the generator so that
 stylized target batches reproduce the stored batch-norm statistics while
 keeping target content, optionally diversified by amplitude mixing. Scoring
 and the style-gap analyses read one streaming pass per (dataset, generator),
-``eval_pass``. Both training stages take their steps through one loop,
-``_take_steps``, which runs each step inside its own ``tensor.graph()``, so
-a step that raises leaves no taped nodes behind; evaluation opens no graph
-and tapes nothing. The module writes no files: each function returns its
-results, and the CLI writes them into a run directory.
+``eval_pass``. Each stage's objective is one generator, ``stage1_steps``
+and ``stage2_steps``, which ``gradcheck`` audits as well; both stages take
+their steps through one loop, ``_take_steps``, which runs each step inside
+its own ``tensor.graph()``, so a step that raises leaves no taped nodes
+behind; evaluation opens no graph and tapes nothing. The module writes no
+files: each function returns its results, and the CLI writes them into a
+run directory.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -84,8 +86,8 @@ def _take_steps(opt: Adam, stage: str, steps) -> list:
     otherwise the step logs ``(step, *parts.values(), total)`` and takes one
     Adam step. A generator's frame keeps a step's tensors until the next step
     replaces them: freed at each step's end, they would let glibc trim the
-    heap for the next step to fault back in (CHANGES.md records the fault
-    counts and step times that chose this)."""
+    heap for the next step to fault back in. The stage-2 objective as a plain
+    function took a stage-2 step from 375 minor faults to 3,403."""
     rows = []
     while True:
         with T.graph():
@@ -109,12 +111,27 @@ def _take_steps(opt: Adam, stage: str, steps) -> list:
 STAGE1_LOG = ("step", "cross_entropy", "depth_mse", "total")
 
 
+def stage1_steps(bundle, batches):
+    """The stage-1 objective of each batch (``batch_iterator``'s dicts):
+    yields ``(total, parts)``, cross-entropy plus depth MSE, summed
+    unweighted, through F/H/R in train mode."""
+    for batch in batches:
+        logits, depth, _, _ = models.forward_source(
+            bundle, batch["images"], mode="train"
+        )
+        ce = L.cross_entropy_loss(logits, batch["labels"])
+        dm = L.mse_loss(depth, batch["depths"])
+        yield T.add(ce, dm), {"cross_entropy": ce.item(),
+                              "depth_mse": dm.item()}
+
+
 def train_source(config: TrainConfig, datasets):
     """Fit F/H/R on the pooled labeled training records of a list of
     datasets; returns (bundle, log rows), one ``STAGE1_LOG`` row per step.
 
-    The classification and depth objectives are summed unweighted; batch-norm
-    running statistics accumulate in train mode with ratio ``config.alpha``.
+    Each epoch is one seeded ``batch_iterator`` pass through
+    ``stage1_steps``; batch-norm running statistics accumulate in train mode
+    with ratio ``config.alpha``.
     """
     pool = merge_datasets(datasets).subset("train")
     if len(pool.images) == 0:
@@ -132,20 +149,11 @@ def train_source(config: TrainConfig, datasets):
     for bn in bundle.bn_layers():
         bn.momentum = config.alpha
     opt = Adam(bundle.params(("F", "H", "R")), lr=config.lr)
-
-    def steps():
-        for epoch in range(config.stage1_epochs):
-            epoch_seed = derive_seed(config.seed, "stage1", epoch)
-            for batch in batch_iterator(pool, config.batch_size, epoch_seed):
-                logits, depth, _, _ = models.forward_source(
-                    bundle, batch["images"], mode="train"
-                )
-                ce = L.cross_entropy_loss(logits, batch["labels"])
-                dm = L.mse_loss(depth, batch["depths"])
-                yield T.add(ce, dm), {"cross_entropy": ce.item(),
-                                      "depth_mse": dm.item()}
-
-    return bundle, _take_steps(opt, "stage-1", steps())
+    batches = (batch for epoch in range(config.stage1_epochs)
+               for batch in batch_iterator(
+                   pool, config.batch_size,
+                   derive_seed(config.seed, "stage1", epoch)))
+    return bundle, _take_steps(opt, "stage-1", stage1_steps(bundle, batches))
 
 
 # ---------------------------------------------------------------------------
@@ -178,20 +186,47 @@ def _draw_stage2_batch(pool: Dataset, config: TrainConfig, step: int):
     return np.concatenate([originals, mixed], axis=0)
 
 
+def stage2_steps(bundle, generator, batches, stored, weights, use_dsc):
+    """The stage-2 objective of each target batch [B,3,H,W] (half of it
+    amplitude-mixed): yields ``(total, parts)``. G stylizes the batch; the
+    frozen model's batch statistics (stats mode: running ones untouched)
+    meet the ``stored`` (mean, var) of each BN layer; with ``use_dsc`` the
+    perceptual and phase terms keep the target's content; both entropy
+    terms sharpen the predictions; ``weights`` sums the parts."""
+    for x_t in batches:
+        x_st = generator.forward(T.Tensor(x_t))
+        logits, depth, batch_stats, _ = models.forward_source(
+            bundle, x_st, mode="stats"
+        )
+        l_stat = L.stat_consistency_loss(batch_stats, stored)
+        if use_dsc:
+            feat_tgt = bundle.phi.features(T.Tensor(x_t))
+            feat_gen = bundle.phi.features(x_st)
+            l_per = L.mse_loss(feat_gen, feat_tgt)
+            l_ph = S.phase_alignment_loss(x_t, x_st)
+        else:
+            l_per = T.Tensor(0.0)
+            l_ph = T.Tensor(0.0)
+        l_ent1 = L.entropy_classifier(T.softmax(logits, axis=1))
+        l_ent2 = L.entropy_depth(depth)
+        total = L.total_loss(l_stat, l_per, l_ent1, l_ent2, l_ph, weights)
+        yield total, {"stat": l_stat.item(), "per": l_per.item(),
+                      "ent1": l_ent1.item(), "ent2": l_ent2.item(),
+                      "ph": l_ph.item()}
+
+
 def adapt_generator(config: TrainConfig, bundle, target_dataset,
                     generator=None):
     """Train only the generator against the frozen source model.
 
-    Per step: draw a target batch, diversify half of it by amplitude mixing,
-    stylize with G, run the frozen model collecting per-layer batch
-    statistics (running statistics untouched), assemble the statistic,
-    content, and entropy objectives, and take an Adam step on G alone. The
-    frozen networks' state is copied before the run and verified bitwise
-    after it. A passed ``generator`` is trained in place; without one, a
-    copy of ``bundle.G`` (or a fresh seeded generator) is. The bundle
-    receives the trained generator only after that check passes, so an
-    aborted run leaves ``bundle.G`` as it was. Returns (bundle, log rows),
-    one ``STAGE2_LOG`` row per step.
+    Each step draws a target batch (``_draw_stage2_batch``) and takes an
+    Adam step on G alone against ``stage2_steps``. The frozen networks'
+    state is copied before the run and verified bitwise after it. A passed
+    ``generator`` is trained in place; without one, a copy of ``bundle.G``
+    (or a fresh seeded generator) is. The bundle receives the trained
+    generator only after that check passes, so an aborted run leaves
+    ``bundle.G`` as it was. Returns (bundle, log rows), one ``STAGE2_LOG``
+    row per step.
     """
     if any(bn.num_updates == 0 for bn in bundle.bn_layers()):
         raise InputError(
@@ -214,34 +249,11 @@ def adapt_generator(config: TrainConfig, bundle, target_dataset,
     snapshot = [bundle.net(name).state() for name in FROZEN]
 
     opt = Adam(generator.params(), lr=config.lr)
-    weights = config.weights()
     stored = [(bn.running_mean, bn.running_var) for bn in bundle.bn_layers()]
-
-    def steps():
-        for step in range(config.stage2_steps):
-            x_t = _draw_stage2_batch(pool, config, step)
-            x_st = generator.forward(T.Tensor(x_t))
-            logits, depth, batch_stats, _ = models.forward_source(
-                bundle, x_st, mode="stats"
-            )
-            l_stat = L.stat_consistency_loss(batch_stats, stored)
-            if config.use_dsc:
-                feat_tgt = bundle.phi.features(T.Tensor(x_t))
-                feat_gen = bundle.phi.features(x_st)
-                l_per = L.mse_loss(feat_gen, feat_tgt)
-                l_ph = S.phase_alignment_loss(x_t, x_st)
-            else:
-                l_per = T.Tensor(0.0)
-                l_ph = T.Tensor(0.0)
-            l_ent1 = L.entropy_classifier(T.softmax(logits, axis=1))
-            l_ent2 = L.entropy_depth(depth)
-            total = L.total_loss(l_stat, l_per, l_ent1, l_ent2, l_ph,
-                                 weights)
-            yield total, {"stat": l_stat.item(), "per": l_per.item(),
-                          "ent1": l_ent1.item(), "ent2": l_ent2.item(),
-                          "ph": l_ph.item()}
-
-    rows = _take_steps(opt, "stage-2", steps())
+    batches = (_draw_stage2_batch(pool, config, step)
+               for step in range(config.stage2_steps))
+    rows = _take_steps(opt, "stage-2", stage2_steps(
+        bundle, generator, batches, stored, config.weights(), config.use_dsc))
     # monitoring-only running mean of the statistic loss
     for i, row in enumerate(rows):
         stat_ema = row[1] if i == 0 else 0.9 * stat_ema + 0.1 * row[1]

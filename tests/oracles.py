@@ -83,12 +83,19 @@ def _rates_at(scores, labels, threshold):
     return far, frr
 
 
+def _thresholds(scores):
+    """+inf, then every distinct number among the scores descending; a NaN
+    is no threshold."""
+    distinct = np.unique(scores)
+    return np.concatenate([[np.inf], distinct[~np.isnan(distinct)][::-1]])
+
+
 def roc_points_sweep(scores, labels):
-    """(FAR, TPR) at +inf and every distinct score descending, O(n^2)."""
+    """(FAR, TPR) at +inf and every distinct number descending, O(n^2)."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     points = []
-    for th in np.concatenate([[np.inf], np.unique(scores)[::-1]]):
+    for th in _thresholds(scores):
         far, frr = _rates_at(scores, labels, th)
         points.append((far, 1.0 - frr))
     return points
@@ -100,7 +107,7 @@ def eer_threshold_sweep(scores, labels):
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     best = None
-    for th in np.concatenate([[np.inf], np.unique(scores)[::-1]]):
+    for th in _thresholds(scores):
         far, frr = _rates_at(scores, labels, th)
         gap = abs(far - frr)
         if best is None or gap < best[0] - 1e-15:

@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import re
+import shutil
 import sys
 
 import numpy as np
@@ -198,8 +199,17 @@ def test_train_source_with_fewer_records_than_a_batch_exits_one(
      "records[2] 'label' must be 0 or 1"),
     (lambda m: m["records"][0].update(depth=3),
      "records[0] 'depth' must be a string"),
+    # a bool or a float is no integer, as data.RULES[int] has it; each of
+    # these three loaded as version or label 1
+    (lambda m: m["records"][2].update(label=1.0),
+     "records[2] 'label' must be 0 or 1, got 1.0"),
+    (lambda m: m.update(schema_version=True),
+     "manifest schema version True, expected 1"),
+    (lambda m: m.update(schema_version=1.0),
+     "manifest schema version 1.0, expected 1"),
 ], ids=["no-image", "records-not-a-list", "label-out-of-range",
-        "depth-not-a-string"])
+        "depth-not-a-string", "label-a-float", "schema-version-a-bool",
+        "schema-version-a-float"])
 def test_malformed_manifest_exits_one(cli_root, capsys, tmp_path, change,
                                       message):
     source = cli_root["root"] / "data" / "source"
@@ -213,6 +223,49 @@ def test_malformed_manifest_exits_one(cli_root, capsys, tmp_path, change,
                  expect=1)
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "out" / "source.gdac").exists()
+
+
+@pytest.mark.parametrize("key", ["image", "depth"])
+@pytest.mark.parametrize("path, refusal", [
+    ("images/a\0b.ppm", "holds a NUL byte"),
+    ("n" * 300, "cannot be opened: File name too long"),
+], ids=["nul-byte", "too-long"])
+def test_a_record_path_that_cannot_be_opened_exits_one(
+        cli_root, capsys, tmp_path, key, path, refusal):
+    # open() refuses both with a ValueError or an OSError, which must not
+    # reach the CLI as a failure (exit 2)
+    data = tmp_path / "data"
+    shutil.copytree(cli_root["root"] / "data" / "source", data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["records"][1][key] = path
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    _, err = run(capsys, "train-source", "--config", cli_root["cfg"],
+                 "--data", str(data), "--out", str(out), expect=1)
+    assert err == (f"error: {data / 'manifest.json'}: records[1] {key!r} "
+                   f"{refusal}\n")
+    assert not out.exists()
+
+
+def test_record_paths_may_be_absolute_or_climb_out_of_the_root(cli_root,
+                                                               tmp_path):
+    # a manifest may list files anywhere its reader can open them
+    source = cli_root["root"] / "data" / "source"
+    manifest = json.loads((source / "manifest.json").read_text())
+    data = tmp_path / "data"
+    data.mkdir()
+    for i, record in enumerate(manifest["records"]):
+        for key in ("image", "depth"):
+            if key in record:
+                where = source / record[key]
+                record[key] = (str(where) if i % 2
+                               else os.path.relpath(where, data))
+    assert manifest["records"][0]["image"].startswith("..")
+    assert os.path.isabs(manifest["records"][1]["image"])
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    loaded, original = D.load_dataset(str(data)), D.load_dataset(str(source))
+    assert np.array_equal(loaded.images, original.images)
+    assert np.array_equal(loaded.depths, original.depths)
 
 
 def test_adapt_outputs(cli_root):

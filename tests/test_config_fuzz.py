@@ -12,6 +12,7 @@ import pytest
 from gdafas.cli import _TRAIN, _TYPES, main
 from gdafas.data import DomainSpec
 from gdafas.rng import Rng
+from mutations import HUGE, dump, mutate, run_case
 
 # every config key at a valid value, and two domains, one unlabeled
 BASE = {
@@ -29,20 +30,20 @@ BASE = {
 # the JSON type of each domain key; a gain is a JSON list
 DOMAIN_TYPES = {**{f.name: list if f.type is tuple else f.type
                    for f in fields(DomainSpec)}, "unlabeled_train": bool}
-# values of another JSON type than the key's, each refused by its rule
-WRONG = {
-    int: [1.5, "2", [2], {"n": 2}],
-    float: ["0.5", [0.5], {"x": 0.5}, True],
-    bool: [1, 0.0, "true", [True]],
-    str: [3, 0.5, True, ["x"], {"p": "x"}],
-    list: ["lab", 3, {"name": "lab"}, True],
-    dict: [3, "lab", True, [1]],
-}
-HUGE = 10 ** 400  # an integer no float can hold
 KINDS = ("type", "null", "bool_for_int", "swap", "entry", "huge", "digits",
-         "repeated_name", "root", "not_utf8", "empty", "truncated",
+         "repeated_name", "root", "not_utf8", "empty", "truncated", "flip",
          "directory")
 CASES = 260
+# the refusal of each kind that is not one value's
+REFUSALS = {
+    "digits": "error: cfg.json: Exceeds the limit (4300 digits)",
+    "root": "error: cfg.json: config root must be a JSON object",
+    "not_utf8": "error: cfg.json: not UTF-8 text",
+    "empty": "error: malformed JSON in cfg.json",
+    "truncated": "error: malformed JSON in cfg.json",
+    "flip": "error: malformed JSON in cfg.json",
+    "directory": "error: config file not found: cfg.json",
+}
 
 
 def _sites():
@@ -63,82 +64,15 @@ def _sites():
     return sites
 
 
-def _pick(rng: Rng, items):
-    return items[int(rng.next_uint64(1)[0] % len(items))]
-
-
-def _value_at(config, path):
-    """The value at ``path``, or None where a domain leaves its key out."""
-    for step in path:
-        if isinstance(config, dict) and step not in config:
-            return None
-        config = config[step]
-    return config
-
-
-# each value mutation: the sites it applies to, and the value it puts there
-# given (rng, the site's JSON type, its old value)
-MUTATIONS = {
-    "type": (lambda kind, old: kind is not dict,
-             lambda rng, kind, old: _pick(rng, WRONG[kind])),
-    "null": (lambda kind, old: kind is not dict,
-             lambda rng, kind, old: None),
-    "bool_for_int": (lambda kind, old: kind is int,
-                     lambda rng, kind, old: _pick(rng, [True, False])),
-    # a list becomes its first item, a scalar a list of itself
-    "swap": (lambda kind, old: kind is not dict and old is not None,
-             lambda rng, kind, old: old[0] if kind is list else [old]),
-    "entry": (lambda kind, old: kind is dict,
-              lambda rng, kind, old: _pick(rng, WRONG[dict])),
-    "huge": (lambda kind, old: kind in (int, float),
-             lambda rng, kind, old: _pick(rng, [HUGE, -HUGE])),
-    # over the parser's limit of 4,300 digits; json.dumps cannot write it
-    "digits": (lambda kind, old: kind is int,
-               lambda rng, kind, old: DIGITS),
-}
-DIGITS = "<a 4,400-digit integer>"
-
-
 def _mutate(rng: Rng, kind: str):
     """One mutation: (what it did, the file's bytes or None for a
     directory, the start of the refusal line)."""
-    config = json.loads(json.dumps(BASE))
-    if kind in MUTATIONS:
-        applies, make = MUTATIONS[kind]
-        path, site_kind, refusal = _pick(rng, [
-            site for site in _sites()
-            if applies(site[1], _value_at(config, site[0]))])
-        new = make(rng, site_kind, _value_at(config, path))
-        _value_at(config, path[:-1])[path[-1]] = new
-        blob = _dump(config)
-        if new == DIGITS:
-            blob = blob.replace(_dump(DIGITS), b"1" + b"0" * 4400)
-            refusal = "error: cfg.json: Exceeds the limit (4300 digits)"
-        return f"{kind} {path}={new!r}"[:120], blob, refusal
-    text = _dump(config)
     if kind == "repeated_name":
+        config = json.loads(json.dumps(BASE))
         config["domains"][1]["name"] = config["domains"][0]["name"]
-        return kind, _dump(config), ("error: invalid domains[1]: domain name "
-                                     "'lab' is already used")
-    if kind == "root":
-        root = _pick(rng, [[], [BASE], 3, "config", None, True])
-        return f"root {root!r}", _dump(root), (
-            "error: cfg.json: config root must be a JSON object")
-    if kind == "not_utf8":
-        at = int(rng.next_uint64(1)[0] % (len(text) + 1))
-        return f"not_utf8 at {at}", text[:at] + b"\xff" + text[at:], (
-            "error: cfg.json: not UTF-8 text")
-    if kind == "empty":
-        return kind, b"", "error: malformed JSON in cfg.json"
-    if kind == "truncated":
-        at = 1 + int(rng.next_uint64(1)[0] % (len(text) - 1))
-        return f"truncated at {at}", text[:at], (
-            "error: malformed JSON in cfg.json")
-    return kind, None, "error: config file not found: cfg.json"
-
-
-def _dump(value) -> bytes:
-    return json.dumps(value).encode()
+        return kind, dump(config), ("error: invalid domains[1]: domain name "
+                                    "'lab' is already used")
+    return mutate(rng, kind, BASE, _sites(), REFUSALS)
 
 
 def _run(capsys, argv):
@@ -153,7 +87,7 @@ def test_config_mutations_exit_one_with_one_error_line(capsys, tmp_path,
     argv = ["gen-data", "--config", "cfg.json"]
     assert BASE.keys() == _TYPES.keys()
     # the unmutated config is valid: every refusal below is the mutation's
-    (tmp_path / "cfg.json").write_bytes(_dump(BASE))
+    (tmp_path / "cfg.json").write_bytes(dump(BASE))
     code, out, _ = _run(capsys, argv)
     assert code == 0 and json.loads(out)["domains"] == [
         {"name": "lab", "records": 2}, {"name": "field", "records": 4}]
@@ -165,20 +99,12 @@ def test_config_mutations_exit_one_with_one_error_line(capsys, tmp_path,
     for case in range(CASES):
         kind = KINDS[case % len(KINDS)]
         what, blob, refusal = _mutate(rng, kind)
-        cfg.unlink()
-        if blob is None:
-            cfg.mkdir()
-        else:
-            cfg.write_bytes(blob)
-        code, out, err = _run(capsys, argv)
+        code, out, err = run_case(capsys, cfg, blob, argv)
         lines = err.splitlines()
         if (code != 1 or out or len(lines) != 1
                 or not lines[0].startswith(refusal)
                 or [p.name for p in tmp_path.iterdir()] != ["cfg.json"]):
             wrong.append(f"{what}: exit {code}, {err!r}")
-        if blob is None:
-            cfg.rmdir()
-            cfg.touch()
         shutil.rmtree(tmp_path / "run", ignore_errors=True)
     assert wrong == []
 

@@ -135,8 +135,7 @@ def test_nan_score_is_never_accepted_by_any_metric():
     # number, so AUC and HTER agree that it is an error
     scores, labels = [np.nan, 0.2], [1, 0]
     assert M.roc_auc(scores, labels) == 0.0
-    assert M.roc_points(scores, labels) == [(0.0, 0.0), (0.0, 0.0),
-                                            (1.0, 0.0)]
+    assert M.roc_points(scores, labels) == [(0.0, 0.0), (1.0, 0.0)]
     assert M.eer_threshold(scores, labels)[1:] == (1.0, 1.0)
     assert M.hter(scores, labels, 0.5) == 0.5
     assert M.hter(scores, labels, 0.1) == 1.0
@@ -158,6 +157,26 @@ def test_nan_score_is_never_accepted_by_any_metric():
         assert M.roc_auc(scores, labels) == M.roc_auc(low, labels)
         for t in (0.0, 0.3, 0.5, 1.0, np.inf):
             assert M.hter(scores, labels, t) == M.hter(low, labels, t)
+
+
+def test_nan_is_no_sweep_threshold():
+    # a NaN point accepts nothing; between two +inf points it ran the sweep
+    # (0.5, 0.5) -> (0, 0) -> (0.5, 0.5)
+    scores, labels = [np.inf, np.nan, np.inf, 0.3], [1, 0, 0, 1]
+    assert M.roc_points(scores, labels) == [(0.5, 0.5), (0.5, 0.5),
+                                            (0.5, 1.0)]
+    assert M.roc_auc(scores, labels) == 2.5 / 4
+    assert M.eer_threshold(scores, labels) == (np.inf, 0.5, 0.5)
+    assert M.hter(scores, labels, np.nan) == 0.5
+    rng = np.random.default_rng(31)
+    for trial in range(100):
+        n = int(rng.integers(2, 30))
+        labels = rng.integers(0, 2, size=n)
+        labels[0], labels[1] = 0, 1
+        scores = np.round(rng.uniform(size=n), 1)
+        scores[rng.integers(0, n, size=3)] = [np.inf, np.nan, -np.inf]
+        points = np.array(M.roc_points(scores, labels))
+        assert np.all(np.diff(points, axis=0) >= 0)
 
 
 def _runs(points):

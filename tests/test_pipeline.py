@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gdafas.data as D
+import gdafas.gradcheck as GC
 import gdafas.layers as layers
 import gdafas.models as models
 import gdafas.pipeline as P
@@ -738,6 +739,41 @@ def test_both_stages_take_steps_through_one_loop():
     counts = [source.count(call)
               for call in ("T.graph()", "T.backward(", ".step()")]
     assert counts == [1, 1, 1]
+
+
+def test_training_and_the_gradient_audit_run_one_objective(workspace,
+                                                           monkeypatch):
+    # gda grad-check must check the objective that trains, not a copy of it
+    runs = {"stage1_steps": [], "stage2_steps": []}
+
+    def counted(name):
+        real = getattr(P, name)
+
+        def wrapper(*args):
+            runs[name].append(set())
+            for total, parts in real(*args):
+                runs[name][-1].add(tuple(parts))
+                yield total, parts
+        return wrapper
+
+    for name in runs:
+        monkeypatch.setattr(P, name, counted(name))
+    config = P.TrainConfig(batch_size=8, stage1_epochs=1, stage2_steps=1,
+                           seed=5)
+    P.train_source(config, [workspace["src"]])
+    P.adapt_generator(config, workspace["bundle"], workspace["tgt"],
+                      generator=models.build_generator(5))
+    assert [len(calls) for calls in runs.values()] == [1, 1]
+    GC.run_checks(trials=1)
+    # one call per training run, then the audit's backward and its
+    # 3 directions x 2 steps x 2 sides of central differences
+    assert [len(calls) for calls in runs.values()] == [14, 14]
+    # _take_steps logs parts.values() by position, under these headers
+    for name, log in (("stage1_steps", P.STAGE1_LOG),
+                      ("stage2_steps", P.STAGE2_LOG)):
+        header = tuple(k for k in log
+                       if k not in ("step", "stat_ema", "total"))
+        assert set().union(*runs[name]) == {header}
 
 
 def test_pipeline_writes_no_files():
