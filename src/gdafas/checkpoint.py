@@ -19,10 +19,11 @@ and the version, in that order, then compares the body with the one an
 undrawn skeleton of that count writes: each entry's header bytes, in walk
 order, with its payload inside the body and no byte after the last entry.
 No size is read from the file. Each BN layer's ``num_updates`` must hold a
-whole number >= 0. Every violation raises ``CheckpointError``, the one
-error class. Weights are stored at 32-bit precision, the precision
-the pipeline computes in (``tensor.COMPUTE``), and load as float32 arrays: a
-float32 bundle round-trips bit for bit.
+whole number >= 0, every other value must be finite and every running
+variance >= 0 (``Network.load_state``). Every violation raises
+``CheckpointError``, the one error class. Weights are stored at 32-bit
+precision, the precision the pipeline computes in (``tensor.COMPUTE``), and
+load as float32 arrays: a float32 bundle round-trips bit for bit.
 
 Layout history: version 2 dropped phi's third conv, which no pass used;
 version 3 dropped the ten conv biases that cannot matter, G's eight in front

@@ -118,6 +118,31 @@ def _validate(command: str, given: dict):
     _train_config(given)
 
 
+def _check_outputs(command: str, values: dict):
+    """Refuse an output path that cannot be written, before any work. A run
+    directory (every ``--out`` but ``specmix``'s) may not be, or lie under,
+    an existing non-directory; a file (``--report``, ``specmix --out``) may
+    not be a directory, and its parent directory must exist; neither may be
+    empty."""
+    files = ("report", "out") if command == "specmix" else ("report",)
+    for key in ("out", "report"):
+        path = values.get(key)
+        if path is None:
+            continue
+        if not path:  # names nothing, yet joins onto the working directory
+            raise InputError(f"{_flag(key)} is an empty path")
+        where, full = f"{_flag(key)} {path}", os.path.abspath(path)
+        if key in files:
+            if os.path.isdir(path):
+                raise InputError(f"{where} is a directory")
+            full = os.path.dirname(full)
+        else:
+            while not os.path.lexists(full):  # the nearest existing ancestor
+                full = os.path.dirname(full)
+        if not os.path.isdir(full):
+            raise InputError(f"{where}: {full} is not a directory")
+
+
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
@@ -279,7 +304,6 @@ def _cmd_eval(args, cfg):
     dataset = _split_of(_load_dir(cfg["data"]), cfg["split"])
     generator = None if args.raw else bundle.G
     report = P.evaluate(bundle, dataset, generator=generator)
-    # --report first: a missing parent directory exits 1 before --out exists
     if cfg["report"]:
         write_csv(cfg["report"], ("metric", "value"),
                   eval_report_rows(report))
@@ -440,7 +464,9 @@ def dispatch(argv) -> dict:
     merged, given = _merge(args, config)
     _validate(args.command, given)
     run, _, reads, _ = _COMMANDS[args.command]
-    summary = run(args, {key: merged[key] for key in reads})
+    cfg = {key: merged[key] for key in reads}
+    _check_outputs(args.command, cfg)
+    summary = run(args, cfg)
     unread = sorted(given.keys() - set(reads))
     if unread:
         print(f"note: {args.command} does not read {', '.join(unread)}",

@@ -300,10 +300,11 @@ def _read_netpbm(path: str, magic: bytes, channels: int):
                 pos += 1
             tokens.append(blob[start:pos])
     pos += 1  # single whitespace byte after maxval
-    try:
-        w, h, maxval = (int(t) for t in tokens)
-    except ValueError as err:
-        raise InputError(f"{path}: malformed header") from err
+    # ASCII decimal digits alone (int() also takes a sign and '_'),
+    # at most 9 of them, which bounds what int() parses
+    if not all(t.isdigit() and len(t) <= 9 for t in tokens):
+        raise InputError(f"{path}: malformed header")
+    w, h, maxval = (int(t) for t in tokens)
     if maxval != 255:
         raise InputError(f"{path}: unsupported maxval {maxval}")
     if min(w, h) < 1:

@@ -339,9 +339,8 @@ def _check_stage2_objective(rng):
     originals = _u(rng, (2, *models.IMAGE_SHAPE), 0.05, 0.95)
     x_t = np.concatenate([originals,
                           S.specmix_batch(originals, rng, 0.1)[0]])
-    weights = L.LossWeights(lambda_ent=0.01, lambda_ph=0.01)
     return _objective_case(rng, (generator,), lambda: next(P.stage2_steps(
-        bundle, generator, [x_t], stored, weights, True))[0])
+        bundle, generator, [x_t], stored, P.TrainConfig()))[0])
 
 
 CHECKS = (

@@ -75,19 +75,27 @@ class Network:
     def load_state(self, state):
         """Set every persistent field from a :meth:`state`-shaped dict; the
         arrays are taken over, not copied, once in ``tensor.COMPUTE``. An
-        int field's value must be a whole number >= 0, or ``ValueError``."""
+        int field's value must be a whole number >= 0, every other value
+        finite and a running variance >= 0, or ``ValueError``: no run
+        writes anything else, as training aborts on a non-finite loss and
+        each running-variance update is a convex mix of variances."""
         for name, layer, field in self._fields():
             value = np.asarray(state[name], dtype=T.COMPUTE)
             current = getattr(layer, field)
-            if isinstance(current, T.Tensor):
-                current.data = value
-            elif isinstance(current, int):
+            if isinstance(current, int):
                 count = float(value[0])
                 # NaN fails the comparison; an infinity is not is_integer()
                 if not (count >= 0 and count.is_integer()):
                     raise ValueError(f"{name} must be a whole number >= 0, "
                                      f"got {count}")
                 setattr(layer, field, int(count))
+                continue
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} holds a non-finite value")
+            if field == "running_var" and (value < 0).any():
+                raise ValueError(f"{name} holds a negative variance")
+            if isinstance(current, T.Tensor):
+                current.data = value
             else:
                 setattr(layer, field, value)
 

@@ -81,10 +81,11 @@ class EvalReport:
 
 def _take_steps(opt: Adam, stage: str, steps) -> list:
     """The step protocol of both stages; returns the log rows. Each
-    ``next(steps)`` computes one step's ``(total, parts)`` (parts: loss-part
-    floats) inside the graph opened for it. A non-finite total aborts;
-    otherwise the step logs ``(step, *parts.values(), total)`` and takes one
-    Adam step. A generator's frame keeps a step's tensors until the next step
+    ``next(steps)`` computes one step's ``(total, parts)`` (parts: the
+    floats of the log columns between ``step`` and ``total``) inside the
+    graph opened for it. A non-finite total aborts; otherwise the step logs
+    its whole row, ``(step, *parts.values(), total)``, and takes one Adam
+    step. A generator's frame keeps a step's tensors until the next step
     replaces them: freed at each step's end, they would let glibc trim the
     heap for the next step to fault back in. The stage-2 objective as a plain
     function took a stage-2 step from 375 minor faults to 3,403."""
@@ -186,20 +187,23 @@ def _draw_stage2_batch(pool: Dataset, config: TrainConfig, step: int):
     return np.concatenate([originals, mixed], axis=0)
 
 
-def stage2_steps(bundle, generator, batches, stored, weights, use_dsc):
+def stage2_steps(bundle, generator, batches, stored, config):
     """The stage-2 objective of each target batch [B,3,H,W] (half of it
     amplitude-mixed): yields ``(total, parts)``. G stylizes the batch; the
     frozen model's batch statistics (stats mode: running ones untouched)
-    meet the ``stored`` (mean, var) of each BN layer; with ``use_dsc`` the
-    perceptual and phase terms keep the target's content; both entropy
-    terms sharpen the predictions; ``weights`` sums the parts."""
+    meet the ``stored`` (mean, var) of each BN layer; with
+    ``config.use_dsc`` the perceptual and phase terms keep the target's
+    content; both entropy terms sharpen the predictions;
+    ``config.weights()`` sums the parts. The last part, ``stat_ema``, is
+    the monitoring-only 0.9/0.1 running mean of ``stat``."""
+    weights, stat_ema = config.weights(), None
     for x_t in batches:
         x_st = generator.forward(T.Tensor(x_t))
         logits, depth, batch_stats, _ = models.forward_source(
             bundle, x_st, mode="stats"
         )
         l_stat = L.stat_consistency_loss(batch_stats, stored)
-        if use_dsc:
+        if config.use_dsc:
             feat_tgt = bundle.phi.features(T.Tensor(x_t))
             feat_gen = bundle.phi.features(x_st)
             l_per = L.mse_loss(feat_gen, feat_tgt)
@@ -210,9 +214,11 @@ def stage2_steps(bundle, generator, batches, stored, weights, use_dsc):
         l_ent1 = L.entropy_classifier(T.softmax(logits, axis=1))
         l_ent2 = L.entropy_depth(depth)
         total = L.total_loss(l_stat, l_per, l_ent1, l_ent2, l_ph, weights)
-        yield total, {"stat": l_stat.item(), "per": l_per.item(),
+        stat = l_stat.item()
+        stat_ema = stat if stat_ema is None else 0.9 * stat_ema + 0.1 * stat
+        yield total, {"stat": stat, "per": l_per.item(),
                       "ent1": l_ent1.item(), "ent2": l_ent2.item(),
-                      "ph": l_ph.item()}
+                      "ph": l_ph.item(), "stat_ema": stat_ema}
 
 
 def adapt_generator(config: TrainConfig, bundle, target_dataset,
@@ -223,10 +229,9 @@ def adapt_generator(config: TrainConfig, bundle, target_dataset,
     Adam step on G alone against ``stage2_steps``. The frozen networks'
     state is copied before the run and verified bitwise after it. A passed
     ``generator`` is trained in place; without one, a copy of ``bundle.G``
-    (or a fresh seeded generator) is. The bundle receives the trained
-    generator only after that check passes, so an aborted run leaves
-    ``bundle.G`` as it was. Returns (bundle, log rows), one ``STAGE2_LOG``
-    row per step.
+    (or a fresh seeded generator) is. Returns (a new bundle holding the
+    trained generator and ``bundle``'s frozen networks, log rows), one
+    ``STAGE2_LOG`` row per step; ``bundle`` itself keeps its ``G``.
     """
     if any(bn.num_updates == 0 for bn in bundle.bn_layers()):
         raise InputError(
@@ -253,16 +258,9 @@ def adapt_generator(config: TrainConfig, bundle, target_dataset,
     batches = (_draw_stage2_batch(pool, config, step)
                for step in range(config.stage2_steps))
     rows = _take_steps(opt, "stage-2", stage2_steps(
-        bundle, generator, batches, stored, config.weights(), config.use_dsc))
-    # monitoring-only running mean of the statistic loss
-    for i, row in enumerate(rows):
-        stat_ema = row[1] if i == 0 else 0.9 * stat_ema + 0.1 * row[1]
-        rows[i] = (*row[:-1], stat_ema, row[-1])
-
+        bundle, generator, batches, stored, config))
     _verify_snapshot(bundle, snapshot)
-    # only a run that finished with the source model intact hands G over
-    bundle.G = generator
-    return bundle, rows
+    return replace(bundle, G=generator), rows
 
 
 # ---------------------------------------------------------------------------
@@ -442,18 +440,12 @@ def ablation_run(config: TrainConfig, bundle, target_dataset: Dataset,
 
     Returns [(row name, EvalReport)] in baseline / nsc / nsc_dsc / full
     order. Every adapted row starts from a fresh identically seeded
-    generator, so rows differ only in the enabled objectives. The bundle
-    keeps the generator it came with.
+    generator, so rows differ only in the enabled objectives.
     """
     results = [("baseline", evaluate(bundle, eval_dataset))]
-    kept = bundle.G
-    try:
-        for row in ABLATION_ROWS[1:]:
-            generator = models.build_generator(config.seed)
-            adapt_generator(ablation_config(config, row), bundle,
-                            target_dataset, generator=generator)
-            results.append(
-                (row, evaluate(bundle, eval_dataset, generator=generator)))
-    finally:
-        bundle.G = kept
+    for row in ABLATION_ROWS[1:]:
+        adapted, _ = adapt_generator(
+            ablation_config(config, row), bundle, target_dataset,
+            generator=models.build_generator(config.seed))
+        results.append((row, evaluate(adapted, eval_dataset, adapted.G)))
     return results

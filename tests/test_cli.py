@@ -303,6 +303,68 @@ def test_eval_report_in_a_missing_directory_leaves_no_out(cli_root, capsys,
     assert not out.exists()
 
 
+def _command_argv(root, command):
+    """``command`` with every input it needs, but no output."""
+    data, target = root / "data", str(root / "data" / "target")
+    source, adapted = (str(root / run) for run in (
+        "src_run/source.gdac", "adapt_run/adapted.gdac"))
+    image = str(data / "source" / "images" / sorted(
+        os.listdir(data / "source" / "images"))[0])
+    return [command, *{
+        "train-source": ["--data", str(data / "source")],
+        "adapt": ["--model", source, "--data", target],
+        "eval": ["--model", adapted, "--data", target],
+        "analyze-stats": ["--model", adapted, "--data", target],
+        "ablate": ["--model", source, "--data", target],
+        "grad-check": ["--trials", "1"],
+        "specmix": ["--input", image, "--ref", image],
+    }.get(command, [])]
+
+
+# every run directory may be neither a file nor under one; every output
+# file may be no directory, and needs a parent directory
+_DIRECTORY_OUTPUTS = [(command, "--out", kind) for command in (
+    "gen-data", "train-source", "adapt", "eval", "analyze-stats", "ablate",
+    "grad-check") for kind in ("file", "under_file", "empty")]
+_FILE_OUTPUTS = [(command, flag, kind)
+                 for command, flag in (("eval", "--report"),
+                                       ("specmix", "--out"))
+                 for kind in ("directory", "no_parent", "under_file", "empty")]
+
+
+@pytest.mark.parametrize("command, flag, kind",
+                         _DIRECTORY_OUTPUTS + _FILE_OUTPUTS)
+def test_an_output_path_that_cannot_be_written_exits_one_before_any_work(
+        cli_root, capsys, tmp_path, monkeypatch, command, flag, kind):
+    work = []
+    for module, name in ((D, "generate_domain_dataset"), (P, "_take_steps"),
+                         (P, "eval_pass"), (gradcheck, "run_checks"),
+                         (D, "ppm_read")):
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name, **kw: work.append(name))
+    monkeypatch.chdir(tmp_path)  # '' joined onto it wrote gen-data's domains
+    blocker = tmp_path / "F"
+    blocker.write_bytes(b"keep")
+    (tmp_path / "D").mkdir()
+    missing = tmp_path / "missing"
+    path, refusal = {  # the path, and the refusal after the flag
+        "file": (blocker, f"{blocker}: {blocker} is not a directory"),
+        "under_file": (blocker / "sub",
+                       f"{blocker}/sub: {blocker} is not a directory"),
+        "no_parent": (missing / "x",
+                      f"{missing}/x: {missing} is not a directory"),
+        "directory": (tmp_path / "D", f"{tmp_path}/D is a directory"),
+        "empty": ("", "is an empty path"),
+    }[kind]
+    before = sorted(tmp_path.rglob("*"))
+    _, err = run(capsys, *_command_argv(cli_root["root"], command),
+                 flag, str(path), expect=1)
+    assert err == f"error: {flag} {refusal}\n"
+    assert work == []
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_bytes() == b"keep"
+
+
 def test_eval_raw_ignores_generator(cli_root, capsys):
     out, _ = run(capsys, "eval", "--model",
                  str(cli_root["root"] / "adapt_run" / "adapted.gdac"),

@@ -152,6 +152,19 @@ def test_netpbm_rejects_bad_magic_and_truncation(tmp_path):
             D.ppm_read(str(short))
 
 
+@pytest.mark.parametrize("token", [b"+32", b"3_2", b"-3", "\u0663".encode(),
+                                   "\uff13\uff12".encode(), b"1" * 10,
+                                   b"1" * 5000],
+                         ids=["plus", "underscore", "minus", "arabic_indic",
+                              "fullwidth", "ten_digits", "over_int_limit"])
+def test_netpbm_header_numbers_are_ascii_decimal_digits(tmp_path, token):
+    # int() took '+32' and '3_2' as 32 and '-3' as a width of -3
+    path = tmp_path / "x.ppm"
+    path.write_bytes(b"P6\n" + token + b" 32\n255\n" + bytes(3 * 32 * 32))
+    with pytest.raises(D.InputError, match=f"{path}: malformed header$"):
+        D.ppm_read(str(path))
+
+
 def test_netpbm_header_comments(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes([0, 64, 128, 255]))

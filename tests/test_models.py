@@ -2,7 +2,6 @@
 
 import hashlib
 import struct
-import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,11 +19,7 @@ from gdafas.models import (
     freeze,
 )
 from gdafas.rng import Rng
-
-
-def _reseal(body: bytes) -> bytes:
-    """Append a fresh CRC, as anyone editing a checkpoint body can."""
-    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+from mutations import reseal
 
 
 def _warm_bn(bundle, seed=3):
@@ -288,7 +283,7 @@ def test_checkpoint_error_taxonomy(tmp_path):
     with pytest.raises(CheckpointError, match="checksum mismatch"):
         load_checkpoint(str(corrupt))
 
-    bad_magic = _reseal(b"XGDA" + blob[4:-4])
+    bad_magic = reseal(b"XGDA" + blob[4:-4])
     path_magic = tmp_path / "magic.gdac"
     path_magic.write_bytes(bad_magic)
     with pytest.raises(CheckpointError, match="bad magic"):
@@ -296,7 +291,7 @@ def test_checkpoint_error_taxonomy(tmp_path):
 
     # an older or newer format version has no reader
     for version in (1, 4):
-        bumped = _reseal(blob[:4] + struct.pack("<H", version) + blob[6:-4])
+        bumped = reseal(blob[:4] + struct.pack("<H", version) + blob[6:-4])
         path_version = tmp_path / f"version{version}.gdac"
         path_version.write_bytes(bumped)
         with pytest.raises(CheckpointError) as err:
@@ -350,17 +345,18 @@ def _bn1_gamma_beta_swapped(body: bytes) -> bytes:
     return body[:gamma] + body[beta:end] + body[gamma:beta] + body[end:]
 
 
-def _bn1_updates(value: float):
-    """F.bn1's ``num_updates`` payload (one float32) set to ``value``."""
+def _first_value(name: bytes, value: float):
+    """The first float32 of entry ``name``'s payload set to ``value``."""
     def damage(body: bytes) -> bytes:
-        # the name, then ndim 1 and its one dim, then the payload
-        at = body.index(b"F.bn1.num_updates") + len(b"F.bn1.num_updates") + 5
+        # the name, then ndim and its dims, then the payload
+        at = body.index(name) + len(name)
+        at += 1 + 4 * body[at]
         return body[:at] + struct.pack("<f", value) + body[at + 4:]
     return damage
 
 
 def _resealed(damage):
-    return lambda blob: _reseal(damage(blob[:-4]))
+    return lambda blob: reseal(damage(blob[:-4]))
 
 
 def _flip_byte_40(blob: bytes) -> bytes:
@@ -382,16 +378,28 @@ def _flip_byte_40(blob: bytes) -> bytes:
     (_resealed(lambda body: body[:4] + struct.pack("<H", 4) + body[6:]),
      "version 4 unsupported"),
     (_resealed(_bn1_gamma_beta_swapped), "entry 2 is not F.bn1.gamma"),
-    (_resealed(_bn1_updates(float("nan"))),
+    (_resealed(_first_value(b"F.bn1.num_updates", float("nan"))),
      "F.bn1.num_updates must be a whole number >= 0, got nan"),
-    (_resealed(_bn1_updates(float("inf"))),
+    (_resealed(_first_value(b"F.bn1.num_updates", float("inf"))),
      "F.bn1.num_updates must be a whole number >= 0, got inf"),
-    (_resealed(_bn1_updates(-5.0)),
+    (_resealed(_first_value(b"F.bn1.num_updates", -5.0)),
      "F.bn1.num_updates must be a whole number >= 0, got -5.0"),
+    # no run writes a non-finite value or a negative running variance
+    (_resealed(_first_value(b"F.conv1.weight", float("nan"))),
+     "F.conv1.weight holds a non-finite value"),
+    (_resealed(_first_value(b"H.dense.bias", float("inf"))),
+     "H.dense.bias holds a non-finite value"),
+    (_resealed(_first_value(b"R.bn2.running_mean", float("-inf"))),
+     "R.bn2.running_mean holds a non-finite value"),
+    (_resealed(_first_value(b"F.bn3.running_var", float("nan"))),
+     "F.bn3.running_var holds a non-finite value"),
+    (_resealed(_first_value(b"F.bn1.running_var", -0.25)),
+     "F.bn1.running_var holds a negative variance"),
 ], ids=["count_plus_one", "trailing_bytes", "truncated_payload",
         "non_utf8_name", "repeated_entry_name", "crc_mismatch", "bad_magic",
         "version", "entries_swapped", "updates_nan", "updates_inf",
-        "updates_negative"])
+        "updates_negative", "weight_nan", "bias_inf", "running_mean_neg_inf",
+        "running_var_nan", "running_var_negative"])
 def test_resealed_malformed_body_is_rejected(tmp_path, capsys, damage,
                                              message):
     # also the unsealed CRC case, so every kind of damage meets the CLI
@@ -407,6 +415,7 @@ def test_resealed_malformed_body_is_rejected(tmp_path, capsys, damage,
                      str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("failure: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 def test_checkpoint_dim_product_over_limit(tmp_path):
@@ -420,7 +429,7 @@ def test_checkpoint_dim_product_over_limit(tmp_path):
     for dims in ((1 << 15, 1 << 14), (65536,) * 4):
         head = body[:at] + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
         bad = tmp_path / "huge.gdac"
-        bad.write_bytes(_reseal(head + body[at + 1 + 4 * body[at]:]))
+        bad.write_bytes(reseal(head + body[at + 1 + 4 * body[at]:]))
         with pytest.raises(CheckpointError, match="is not F.conv1.weight"):
             load_checkpoint(str(bad))
 
@@ -435,7 +444,7 @@ def test_checkpoint_missing_tensor(tmp_path):
     (name_len,) = struct.unpack("<H", blob[10:12])
     blob[12:12 + name_len] = b"X" * name_len
     bad = tmp_path / "renamed.gdac"
-    bad.write_bytes(_reseal(bytes(blob[:-4])))
+    bad.write_bytes(reseal(bytes(blob[:-4])))
     with pytest.raises(CheckpointError, match="is not F.conv1.weight"):
         load_checkpoint(str(bad))
 

@@ -269,7 +269,7 @@ def test_real_steps_compute_in_float32(workspace, monkeypatch):
     config = P.TrainConfig(batch_size=8, stage1_epochs=1, stage2_steps=1,
                            seed=13)
     bundle, log = P.train_source(config, [workspace["src"]])
-    P.adapt_generator(config, bundle, workspace["tgt"])
+    bundle, _ = P.adapt_generator(config, bundle, workspace["tgt"])
     monkeypatch.undo()
     assert len(steps) == len(tapes) == len(log) + 1
     assert [len(tape) for tape in tapes] == [42] * len(log) + [167]
@@ -349,10 +349,11 @@ def test_loaded_bundle_and_generator_copy_stay_float32(workspace, tmp_path,
     # adaptation without a generator argument trains a copy of loaded.G
     _, steps = _spy_float32(monkeypatch)
     config = P.TrainConfig(batch_size=8, stage2_steps=2, lr=1e-2, seed=6)
-    P.adapt_generator(config, loaded, workspace["tgt"])
+    adapted, _ = P.adapt_generator(config, loaded, workspace["tgt"])
     monkeypatch.undo()
     assert steps == [True, True]
-    wide = [name for name, a in _layer_arrays(loaded) if a.dtype != np.float32]
+    wide = [name for name, a in _layer_arrays(adapted)
+            if a.dtype != np.float32]
     assert not wide
 
 
@@ -440,11 +441,26 @@ def test_adapt_continues_from_bundle_generator(workspace):
     bundle.G = models.build_generator(3)
     passed = models.build_generator(3)
     config = P.TrainConfig(batch_size=8, stage2_steps=2, lr=1e-2, seed=8)
-    _, rows_copy = P.adapt_generator(config, bundle, workspace["tgt"])
+    adapted, rows_copy = P.adapt_generator(config, bundle, workspace["tgt"])
     _, rows_passed = P.adapt_generator(config, _copy_source(bundle),
                                        workspace["tgt"], generator=passed)
     assert rows_copy == rows_passed
-    assert _state_equal(bundle.G.state(), passed.state())
+    assert _state_equal(adapted.G.state(), passed.state())
+
+
+def test_adapt_returns_a_new_bundle_and_leaves_the_given_one(workspace):
+    # a finished run hands its generator back in a new bundle; the bundle
+    # passed in keeps the G it had, untrained, and shares the frozen nets
+    bundle = _copy_source(workspace["bundle"])
+    bundle.G = models.build_generator(7)
+    generator, before = bundle.G, bundle.G.state()
+    config = P.TrainConfig(batch_size=8, stage2_steps=2, lr=1e-2, seed=7)
+    adapted, _ = P.adapt_generator(config, bundle, workspace["tgt"])
+    assert bundle.G is generator
+    assert _state_equal(generator.state(), before)
+    assert adapted is not bundle and adapted.G is not generator
+    assert not _state_equal(adapted.G.state(), before)
+    assert all(adapted.net(name) is bundle.net(name) for name in P.FROZEN)
 
 
 @pytest.mark.parametrize("mutate", [
@@ -771,8 +787,7 @@ def test_training_and_the_gradient_audit_run_one_objective(workspace,
     # _take_steps logs parts.values() by position, under these headers
     for name, log in (("stage1_steps", P.STAGE1_LOG),
                       ("stage2_steps", P.STAGE2_LOG)):
-        header = tuple(k for k in log
-                       if k not in ("step", "stat_ema", "total"))
+        header = tuple(k for k in log if k not in ("step", "total"))
         assert set().union(*runs[name]) == {header}
 
 
